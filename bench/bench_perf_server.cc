@@ -117,31 +117,36 @@ BENCHMARK(BM_FleetStepTelemetry)
     ->Args({1000, 32})
     ->Args({1000, 1});
 
-// Fleet-scale tick throughput: {sources, pooled, threads, simd}. The
-// pooled rows run the SoA FilterPool path (per-shard lane-interleaved x/P
-// slabs swept by the vectorized batched kernels once per tick); pooled=0
-// forces every source onto the per-object virtual Predictor path the
-// pools replaced. The threads axis drives both the shard fan-out and the
-// phase-1 pool sweep; the simd axis toggles the AVX2 lane kernels against
-// their portable scalar twins. Answers are bit-identical across the
-// entire matrix (tests/pool_test.cc, tests/batch_kernels_test.cc), so
+// Fleet-scale tick throughput: {sources, pooled, threads, simd, adaptive}.
+// The pooled rows run the SoA FilterPool path (per-shard lane-interleaved
+// x/P slabs swept by the vectorized batched kernels once per tick);
+// pooled=0 forces every source onto the per-object virtual Predictor path
+// the pools replaced. The threads axis drives both the shard fan-out and
+// the phase-1 pool sweep; the simd axis toggles the AVX2 lane kernels
+// against their portable scalar twins. adaptive=1 adds the default
+// AdaptiveConfig (the Q adaptation MakeDefaultKalmanPredictor ships),
+// which pools with per-slot Q and NIS rings and the lane-Q sweep kernel.
+// Answers are bit-identical across the entire matrix (tests/pool_test.cc,
+// tests/batch_kernels_test.cc, tests/sharded_fleet_test.cc), so
 // items_per_second — sources ticked per second — is the only thing that
 // may differ. run_benches.sh folds these rows into BENCH_perf.json's
 // fleet_tick_1m table. The per-object baseline stops at 100k sources:
-// at ~44 KB per source it is memory-bound long before 1M.
+// at ~40 KB per source it is memory-bound long before 1M.
 void BM_FleetTick_1M(benchmark::State& state) {
   const auto sources = static_cast<int>(state.range(0));
   const bool pooled = state.range(1) != 0;
   const auto threads = static_cast<size_t>(state.range(2));
   const bool simd = state.range(3) != 0;
+  const bool adaptive = state.range(4) != 0;
   kc::ShardedFleet::Config config;
   config.threads = threads;
   config.num_shards = 8;
   config.pooling = pooled;
   config.simd = simd;
   kc::ShardedFleet fleet(config);
-  kc::KalmanPredictor::Config kf;  // Non-adaptive: eligible for pooling.
+  kc::KalmanPredictor::Config kf;
   kf.model = kc::MakeRandomWalkModel(0.1, 0.25);
+  if (adaptive) kf.adaptive = kc::AdaptiveConfig{};
   for (int i = 0; i < sources; ++i) {
     kc::RandomWalkGenerator::Config walk;
     walk.step_sigma = 0.3;
@@ -158,15 +163,18 @@ void BM_FleetTick_1M(benchmark::State& state) {
   state.counters["pooled"] = pooled ? 1.0 : 0.0;
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["simd"] = simd ? 1.0 : 0.0;
+  state.counters["adaptive"] = adaptive ? 1.0 : 0.0;
 }
 void FleetTickMatrix(benchmark::internal::Benchmark* b) {
-  b->Args({100000, 0, 1, 1});    // Per-object baseline.
-  b->Args({100000, 1, 1, 1});    // Pooled, 1 thread, SIMD.
-  b->Args({1000000, 1, 1, 1});   // The headline row.
-  b->Args({1000000, 1, 1, 0});   // SIMD off: the scalar-lane cost.
-  b->Args({1000000, 1, 4, 1});   // Multi-threaded sweep + shard fan-out.
+  b->Args({100000, 0, 1, 1, 0});   // Per-object baseline.
+  b->Args({100000, 1, 1, 1, 0});   // Pooled, 1 thread, SIMD.
+  b->Args({100000, 0, 1, 1, 1});   // Adaptive Q, per-object estimator.
+  b->Args({100000, 1, 1, 1, 1});   // Adaptive Q, pooled per-slot Q.
+  b->Args({1000000, 1, 1, 1, 0});  // The headline row.
+  b->Args({1000000, 1, 1, 0, 0});  // SIMD off: the scalar-lane cost.
+  b->Args({1000000, 1, 4, 1, 0});  // Multi-threaded sweep + shard fan-out.
   const auto hw = static_cast<int64_t>(std::thread::hardware_concurrency());
-  if (hw > 1 && hw != 4) b->Args({1000000, 1, hw, 1});
+  if (hw > 1 && hw != 4) b->Args({1000000, 1, hw, 1, 0});
 }
 BENCHMARK(BM_FleetTick_1M)
     ->Apply(FleetTickMatrix)

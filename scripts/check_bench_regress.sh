@@ -45,10 +45,12 @@ def warn(msg):
 def tick_rows(report):
     table = {}
     for r in report.get("fleet_tick_1m", {}).get("rows", []):
-        # Rows from before the threads/simd axes existed default to the
-        # single-threaded SIMD configuration they actually measured.
+        # Rows from before the threads/simd/adaptive axes existed default
+        # to the single-threaded SIMD plain-Kalman configuration they
+        # actually measured.
         key = (r["sources"], r["pooled"],
-               r.get("threads", 1), r.get("simd", True))
+               r.get("threads", 1), r.get("simd", True),
+               r.get("adaptive", False))
         table[key] = r["sources_per_sec"]
     return table
 
@@ -61,7 +63,7 @@ for key in sorted(old_rows.keys() & new_rows.keys()):
         continue
     delta = (now - was) / was
     label = (f"sources={key[0]} pooled={int(key[1])} "
-             f"threads={key[2]} simd={int(key[3])}")
+             f"threads={key[2]} simd={int(key[3])} adaptive={int(key[4])}")
     line = (f"fleet_tick_1m [{label}]: "
             f"{was:,.0f} -> {now:,.0f} sources/sec ({delta:+.1%})")
     if delta < -0.20:

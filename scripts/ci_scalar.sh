@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI configuration with the SIMD batch kernels forced off (-DKC_SIMD=OFF
 # defines KC_BATCH_FORCE_SCALAR, so only the portable scalar lanes
-# compile), then runs the pool and batch-kernel suites under it. Keeps the
+# compile), then runs the pool, batch-kernel, sharded-fleet and adaptive
+# suites under it — the fleet suite pins the pooled adaptive predictor
+# (per-slot Q, lane-Q sweep) against the per-object estimator. Keeps the
 # scalar fallback path green on every change — the bit-identity contract
 # is only meaningful if both code paths keep passing the same pins.
 #
@@ -13,8 +15,11 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-scalar}"
 
 cmake -B "$BUILD_DIR" -S . -DKC_SIMD=OFF
-cmake --build "$BUILD_DIR" -j --target pool_test batch_kernels_test
+cmake --build "$BUILD_DIR" -j --target pool_test batch_kernels_test \
+  sharded_fleet_test adaptive_test
 "$BUILD_DIR/tests/pool_test"
 "$BUILD_DIR/tests/batch_kernels_test"
+"$BUILD_DIR/tests/sharded_fleet_test"
+"$BUILD_DIR/tests/adaptive_test"
 
 echo "ci_scalar: OK"

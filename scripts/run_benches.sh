@@ -161,11 +161,12 @@ for bench in merged["benchmarks"]:
     })
 merged["loss_sweep_recovery"] = loss_sweep
 # Fleet tick throughput at scale: the BM_FleetTick_1M matrix (sources
-# ticked per second) over {sources, pooled, threads, simd} — the SoA
-# filter-pool path with vectorized/parallel sweeps vs the per-object
-# baseline. Rows from older binaries without the threads/simd counters
-# default to threads=1, simd=1. Headline numbers: the 100k
-# pooled/per-object ratio and the absolute single-threaded SIMD 1M rate.
+# ticked per second) over {sources, pooled, threads, simd, adaptive} — the
+# SoA filter-pool path with vectorized/parallel sweeps vs the per-object
+# baseline, for plain and adaptive-Q predictors. Rows from older binaries
+# without the threads/simd/adaptive counters default to threads=1,
+# simd=1, adaptive=0. Headline numbers: the 100k pooled/per-object ratio
+# (plain and adaptive) and the absolute single-threaded SIMD 1M rate.
 fleet_tick = []
 for bench in merged["benchmarks"]:
     if bench.get("run_type") != "iteration":
@@ -178,21 +179,30 @@ for bench in merged["benchmarks"]:
         "pooled": bool(bench.get("pooled", 0)),
         "threads": int(bench.get("threads", 1)),
         "simd": bool(bench.get("simd", 1)),
+        "adaptive": bool(bench.get("adaptive", 0)),
         "sources_per_sec": round(bench.get("items_per_second", 0.0), 1),
         "tick_ms": round(bench.get("real_time", 0.0), 3),
     })
-fleet_tick.sort(key=lambda r: (r["sources"], r["pooled"], r["threads"],
-                               r["simd"]))
-by_key = {(r["sources"], r["pooled"], r["threads"], r["simd"]):
-          r["sources_per_sec"] for r in fleet_tick}
-speedup = None
-if (100000, False, 1, True) in by_key and (100000, True, 1, True) in by_key \
-        and by_key[(100000, False, 1, True)] > 0:
-    speedup = round(by_key[(100000, True, 1, True)]
-                    / by_key[(100000, False, 1, True)], 2)
+fleet_tick.sort(key=lambda r: (r["adaptive"], r["sources"], r["pooled"],
+                               r["threads"], r["simd"]))
+by_key = {(r["sources"], r["pooled"], r["threads"], r["simd"],
+           r["adaptive"]): r["sources_per_sec"] for r in fleet_tick}
+
+
+def pooled_speedup_100k(adaptive):
+    base = by_key.get((100000, False, 1, True, adaptive))
+    pooled = by_key.get((100000, True, 1, True, adaptive))
+    if base is None or pooled is None or base <= 0:
+        return None
+    return round(pooled / base, 2)
+
+
+speedup = pooled_speedup_100k(False)
+adaptive_speedup = pooled_speedup_100k(True)
 merged["fleet_tick_1m"] = {
     "rows": fleet_tick,
     "pooled_speedup_100k": speedup,
+    "adaptive_pooled_speedup_100k": adaptive_speedup,
 }
 with open("BENCH_perf.json", "w") as f:
     json.dump(merged, f, indent=2)
@@ -217,11 +227,14 @@ for row in telemetry_overhead:
 for row in fleet_tick:
     kind = "pooled" if row["pooled"] else "per-object"
     lanes = "simd" if row["simd"] else "scalar"
-    print(f"  fleet tick {row['sources']} sources ({kind}, "
+    model = ", adaptive" if row["adaptive"] else ""
+    print(f"  fleet tick {row['sources']} sources ({kind}{model}, "
           f"threads={row['threads']}, {lanes}): "
           f"{row['sources_per_sec']:,.0f} sources/sec")
 if speedup is not None:
     print(f"  fleet tick pooled speedup @100k: {speedup}x")
+if adaptive_speedup is not None:
+    print(f"  fleet tick adaptive pooled speedup @100k: {adaptive_speedup}x")
 EOF
 
 echo "run_benches: OK"

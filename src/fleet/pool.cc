@@ -14,19 +14,24 @@ namespace kc {
 
 // ---------------------------------------------------------------- FilterPool
 
-FilterPool::FilterPool(StateSpaceModel model, KalmanFilter::UpdateForm form)
+FilterPool::FilterPool(StateSpaceModel model, KalmanFilter::UpdateForm form,
+                       std::optional<AdaptiveConfig> adaptive)
     : model_(std::move(model)),
       form_(form),
+      adaptive_(std::move(adaptive)),
       dim_(model_.state_dim()),
-      simd_fn_(batch::SimdPredictFn(dim_)),
-      portable_fn_(batch::PortablePredictFn(dim_)) {
+      simd_fn_(batch::SimdPredictFn(dim_, adaptive_.has_value())),
+      portable_fn_(batch::PortablePredictFn(dim_, adaptive_.has_value())) {
   assert(model_.Validate().ok());
+  assert(!adaptive_ || !adaptive_->adapt_r);
+  if (adaptive_) ring_size_ = adaptive_->RingSize();
 }
 
 bool FilterPool::Matches(const StateSpaceModel& model,
-                         KalmanFilter::UpdateForm form) const {
-  return form == form_ && model.f == model_.f && model.q == model_.q &&
-         model.h == model_.h && model.r == model_.r;
+                         KalmanFilter::UpdateForm form,
+                         const std::optional<AdaptiveConfig>& adaptive) const {
+  return form == form_ && adaptive == adaptive_ && model.f == model_.f &&
+         model.q == model_.q && model.h == model_.h && model.r == model_.r;
 }
 
 void FilterPool::GrowBlock() {
@@ -36,6 +41,23 @@ void FilterPool::GrowBlock() {
   owner_.resize(owner_.size() + kLanes, kNoSlot);
   epoch_base_.resize(epoch_base_.size() + kLanes, 0);
   last_nis_.resize(last_nis_.size() + kLanes, 0.0);
+  if (adaptive_) {
+    for (size_t i = 0; i < dim_ * dim_; ++i) {
+      qs_.insert(qs_.end(), kLanes, model_.q.data()[i]);
+    }
+    nis_ring_.resize(nis_ring_.size() + ring_size_ * kLanes, 0.0);
+    updates_seen_.resize(updates_seen_.size() + kLanes, 0);
+    q_scale_.resize(q_scale_.size() + kLanes, 1.0);
+  }
+}
+
+void FilterPool::ResetAdaptiveState(int32_t slot) {
+  for (size_t r = 0; r < dim_; ++r) {
+    for (size_t c = 0; c < dim_; ++c) QAt(slot, r, c) = model_.q(r, c);
+  }
+  // Ring entries past updates_seen are never read, so no clearing needed.
+  updates_seen_[slot] = 0;
+  q_scale_[slot] = 1.0;
 }
 
 int32_t FilterPool::Acquire(int32_t owner_id) {
@@ -77,6 +99,7 @@ void FilterPool::Release(int32_t slot) {
   owner_[slot] = kNoSlot;
   epoch_base_[slot] = 0;
   last_nis_[slot] = 0.0;
+  if (adaptive_) ResetAdaptiveState(slot);
   --num_active_;
   free_.push_back(slot);
   std::push_heap(free_.begin(), free_.end(), std::greater<int32_t>());
@@ -89,6 +112,7 @@ void FilterPool::ResetSlot(int32_t slot, const Vector& x0, const Matrix& p0) {
   StoreSlotFrom(slot, x0, p0);
   epoch_base_[slot] = -sweep_count_;
   last_nis_[slot] = 0.0;
+  if (adaptive_) ResetAdaptiveState(slot);
 }
 
 void FilterPool::LoadSlotInto(int32_t slot, Vector* x, Matrix* p) const {
@@ -127,7 +151,12 @@ void FilterPool::PredictScalarSlot(int32_t slot, Workspace* ws) {
   MultiplyInto(model_.f, ws->x, &ws->fx);
   ws->x = ws->fx;
   SandwichInto(model_.f, ws->p, &ws->tmp1, &ws->j1);
-  AddInto(ws->j1, model_.q, &ws->p);
+  if (adaptive_) {
+    ws->q = ProcessNoiseOf(slot);
+    AddInto(ws->j1, ws->q, &ws->p);
+  } else {
+    AddInto(ws->j1, model_.q, &ws->p);
+  }
   ws->p.Symmetrize();
   StoreSlotFrom(slot, ws->x, ws->p);
 }
@@ -139,8 +168,8 @@ void FilterPool::PredictRaw(int32_t slot) {
     // all four lanes, stores one — bit-identical to a sweep over this
     // block by construction.
     const size_t block = static_cast<size_t>(slot) / kLanes;
-    fn(model_.f.data().data(), model_.q.data().data(), XBlock(block),
-       PBlock(block), 1u << (static_cast<size_t>(slot) % kLanes));
+    fn(model_.f.data().data(), QArg(block), XBlock(block), PBlock(block),
+       1u << (static_cast<size_t>(slot) % kLanes));
     return;
   }
   PredictScalarSlot(slot, &ws_);
@@ -167,17 +196,16 @@ size_t FilterPool::SweepBlocks(size_t begin_block, size_t end_block) {
   // per-slot. Slots are mutually independent, so neither sweep order nor
   // chunking across threads can affect any slot's state; blocks with no
   // active slots cost one mask test. Thread-safe for disjoint ranges:
-  // only block-local slab memory and shared read-only model data are
-  // touched (no pool workspace).
+  // only block-local slab memory (an adaptive pool's Q slab included) and
+  // shared read-only model data are touched (no pool workspace).
   batch::PredictBlockFn fn = simd_ ? simd_fn_ : portable_fn_;
   size_t advanced = 0;
   if (fn != nullptr) {
     const double* f = model_.f.data().data();
-    const double* q = model_.q.data().data();
     for (size_t b = begin_block; b < end_block; ++b) {
       unsigned mask = block_mask_[b];
       if (mask == 0) continue;
-      fn(f, q, XBlock(b), PBlock(b), mask);
+      fn(f, QArg(b), XBlock(b), PBlock(b), mask);
       advanced += static_cast<size_t>(std::popcount(mask));
     }
   } else {
@@ -250,6 +278,15 @@ Status FilterPool::UpdateSlot(int32_t slot, const Vector& z) {
   return Status::Ok();
 }
 
+void FilterPool::AdaptSlot(int32_t slot) {
+  assert(adaptive_.has_value());
+  assert(IsActive(slot));
+  const auto s = static_cast<size_t>(slot);
+  AdaptQAfterUpdate(*adaptive_, last_nis_[s], model_.obs_dim(), dim_,
+                    {nis_ring_.data() + s * ring_size_, &updates_seen_[s],
+                     &q_scale_[s], &QAt(slot, 0, 0), /*q_stride=*/kLanes});
+}
+
 size_t FilterPool::UpdateBatch(const int32_t* slots, const Vector* zs,
                                size_t n) {
   size_t updated = 0;
@@ -299,6 +336,17 @@ Matrix FilterPool::CovarianceOf(int32_t slot) const {
   return p;
 }
 
+Matrix FilterPool::ProcessNoiseOf(int32_t slot) const {
+  assert(IsActive(slot));
+  if (!adaptive_) return model_.q;
+  Matrix q;
+  q.ResizeUninit(dim_, dim_);
+  for (size_t r = 0; r < dim_; ++r) {
+    for (size_t c = 0; c < dim_; ++c) q(r, c) = QAt(slot, r, c);
+  }
+  return q;
+}
+
 Vector FilterPool::PredictObservationOf(int32_t slot) const {
   assert(IsActive(slot));
   return model_.h * StateOf(slot);
@@ -346,14 +394,15 @@ Status FilterPool::OverwriteStateOf(int32_t slot,
 
 // ------------------------------------------------------------- FilterPoolSet
 
-FilterPool* FilterPoolSet::PoolFor(const StateSpaceModel& model,
-                                   KalmanFilter::UpdateForm form) {
+FilterPool* FilterPoolSet::PoolFor(
+    const StateSpaceModel& model, KalmanFilter::UpdateForm form,
+    const std::optional<AdaptiveConfig>& adaptive) {
   // Linear scan: a deployment has a handful of distinct models, not
   // thousands, and PoolFor runs only at source registration.
   for (auto& pool : pools_) {
-    if (pool->Matches(model, form)) return pool.get();
+    if (pool->Matches(model, form, adaptive)) return pool.get();
   }
-  pools_.push_back(std::make_unique<FilterPool>(model, form));
+  pools_.push_back(std::make_unique<FilterPool>(model, form, adaptive));
   pools_.back()->set_simd(simd_);
   return pools_.back().get();
 }
@@ -377,10 +426,10 @@ void FilterPoolSet::set_simd(bool on) {
 
 std::shared_ptr<const KalmanPredictor::Config> FilterPoolSet::InternConfig(
     const KalmanPredictor::Config& config) {
-  assert(!config.adaptive.has_value());
   for (const auto& interned : configs_) {
     const KalmanPredictor::Config& c = *interned;
     if (c.sync_mode == config.sync_mode && c.init_var == config.init_var &&
+        c.adaptive == config.adaptive &&
         c.update_form == config.update_form &&
         c.outlier_gate_prob == config.outlier_gate_prob &&
         c.outlier_gate_limit == config.outlier_gate_limit &&
@@ -406,9 +455,9 @@ PooledKalmanPredictor::PooledKalmanPredictor(
     : config_(std::move(config)), pools_(pools) {
   assert(pools_ != nullptr);
   assert(config_->model.Validate().ok());
-  // Adaptive noise estimation mutates the per-source model and cannot
-  // share a pool; MakePooledPredictor filters such configs out.
-  assert(!config_->adaptive.has_value());
+  // R re-estimation needs a per-filter R; MakePooledPredictor keeps such
+  // configs per-object.
+  assert(!config_->adaptive.has_value() || !config_->adaptive->adapt_r);
   if (config_->outlier_gate_prob > 0.0 && config_->outlier_gate_prob < 1.0) {
     gate_threshold_ = ChiSquaredQuantile(config_->outlier_gate_prob,
                                          config_->model.obs_dim());
@@ -428,7 +477,8 @@ void PooledKalmanPredictor::ReleaseSlots() {
 void PooledKalmanPredictor::Init(const Reading& first) {
   assert(first.value.size() == config_->model.obs_dim());
   if (pool_ == nullptr) {
-    pool_ = pools_->PoolFor(config_->model, config_->update_form);
+    pool_ = pools_->PoolFor(config_->model, config_->update_form,
+                            config_->adaptive);
   }
   // Same lift as KalmanPredictor::Init: H^T z places observed values in
   // their state slots, derivatives start at zero.
@@ -511,8 +561,9 @@ void PooledKalmanPredictor::ObserveLocal(const Reading& measured) {
 
   Status s = pool_->UpdateSlot(private_slot_, measured.value);
   assert(s.ok());
-  (void)s;
   last_nis_ = pool_->LastNisOf(private_slot_);
+  // Where KalmanPredictor runs its AdaptiveNoiseEstimator.
+  if (s.ok() && config_->adaptive.has_value()) pool_->AdaptSlot(private_slot_);
 }
 
 Vector PooledKalmanPredictor::Target() const {
@@ -617,7 +668,9 @@ std::unique_ptr<Predictor> MakePooledPredictor(const Predictor& prototype,
   const auto* kp = dynamic_cast<const KalmanPredictor*>(&prototype);
   if (kp == nullptr) return nullptr;
   const KalmanPredictor::Config& config = kp->config();
-  if (config.adaptive.has_value()) return nullptr;
+  if (config.adaptive.has_value() && config.adaptive->adapt_r) {
+    return nullptr;  // R re-estimation stays per-object.
+  }
   if (config.model.state_dim() > Vector::kInlineCap ||
       config.model.state_dim() * config.model.state_dim() >
           Matrix::kInlineCap ||

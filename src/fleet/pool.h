@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
+#include "kalman/adaptive.h"
 #include "kalman/kalman_filter.h"
 #include "kalman/model.h"
 #include "linalg/batch_kernels.h"
@@ -22,11 +24,22 @@ class MetricRegistry;
 }  // namespace obs
 
 /// Structure-of-arrays storage for many Kalman filters that share one
-/// (model, update form). Instead of each source owning a heap-scattered
-/// KalmanFilter — whose ~7 KB of model + workspace matrices dominate the
-/// per-tick cache traffic at fleet scale — a pool keeps every filter's
-/// mutable state (x, P) in two contiguous slabs and shares a single model
-/// and scratch workspace across all slots.
+/// (model, update form, adaptive config). Instead of each source owning a
+/// heap-scattered KalmanFilter — whose ~7 KB of model + workspace
+/// matrices dominate the per-tick cache traffic at fleet scale — a pool
+/// keeps every filter's mutable state (x, P) in two contiguous slabs and
+/// shares a single model and scratch workspace across all slots.
+///
+/// Adaptive pools (constructed with an AdaptiveConfig; adapt_q only —
+/// adapt_r re-estimates R per filter and stays on the per-object path)
+/// give each slot its own fixed-size adaptive-Q state: its Q matrix in a
+/// third lane-interleaved slab with P's addressing, a RingSize()-entry
+/// NIS ring, an update count and the cumulative Q scale. The sweep then
+/// adds each lane's own Q (the batch kernel's LaneQ variant), and
+/// AdaptSlot runs the same AdaptQAfterUpdate the per-object
+/// AdaptiveNoiseEstimator runs, so a pooled adaptive filter stays
+/// bit-identical to a per-object one. ResetSlot and Release restore the
+/// base Q; slots that never call AdaptSlot keep it.
 ///
 /// Slab layout (AoSoA): slots are grouped into blocks of
 /// batch::kLanes (4); element e of slot s lives at
@@ -72,11 +85,14 @@ class FilterPool {
   /// Slots per block (SIMD lanes of the batched predict kernel).
   static constexpr size_t kLanes = batch::kLanes;
 
-  FilterPool(StateSpaceModel model, KalmanFilter::UpdateForm form);
+  /// `adaptive` (adapt_r unset) makes this an adaptive pool.
+  FilterPool(StateSpaceModel model, KalmanFilter::UpdateForm form,
+             std::optional<AdaptiveConfig> adaptive = std::nullopt);
 
-  /// True if this pool stores filters for exactly this (model, form).
-  bool Matches(const StateSpaceModel& model,
-               KalmanFilter::UpdateForm form) const;
+  /// True if this pool stores filters for exactly this (model, form,
+  /// adaptive config).
+  bool Matches(const StateSpaceModel& model, KalmanFilter::UpdateForm form,
+               const std::optional<AdaptiveConfig>& adaptive) const;
 
   /// Claims a slot (reusing the lowest-indexed freed one when available)
   /// and records the owning source id for diagnostics. The slot starts
@@ -89,7 +105,8 @@ class FilterPool {
 
   /// (Re)initializes a slot's state and covariance and clears its predict
   /// epoch and diagnostics — the pooled equivalent of constructing a
-  /// fresh KalmanFilter.
+  /// fresh KalmanFilter. In an adaptive pool it also restores the base Q
+  /// and empties the NIS ring (a fresh AdaptiveNoiseEstimator).
   void ResetSlot(int32_t slot, const Vector& x0, const Matrix& p0);
 
   // --- Batched tick kernels -------------------------------------------
@@ -142,6 +159,11 @@ class FilterPool {
   /// z has the wrong dimension or S is not positive definite.
   Status UpdateSlot(int32_t slot, const Vector& z);
 
+  /// Adaptive pools only: the adaptation step that follows a successful
+  /// UpdateSlot, fed that update's NIS — AdaptiveNoiseEstimator::
+  /// AfterUpdate's Q half, on the slot's own Q and NIS ring.
+  void AdaptSlot(int32_t slot);
+
   /// Innovation gate statistic: NIS of z against the slot's predicted
   /// observation, computed exactly as KalmanPredictor's gate does.
   /// Returns a negative value if S fails to factor (gate inconclusive);
@@ -160,6 +182,11 @@ class FilterPool {
   Vector PredictObservationOf(int32_t slot) const;
   /// NIS of the slot's most recent successful UpdateSlot (0 before any).
   double LastNisOf(int32_t slot) const { return last_nis_[slot]; }
+  /// The Q the slot's time update adds: its own in an adaptive pool, the
+  /// model's otherwise.
+  Matrix ProcessNoiseOf(int32_t slot) const;
+  /// Adaptive pools: Q scale applied since the slot's last ResetSlot.
+  double CumulativeQScaleOf(int32_t slot) const { return q_scale_[slot]; }
   /// Time updates applied since the slot's last ResetSlot. Stored as an
   /// offset from the pool-level sweep counter, so a batched sweep
   /// advances every active slot's epoch with a single counter increment
@@ -186,6 +213,7 @@ class FilterPool {
 
   const StateSpaceModel& model() const { return model_; }
   KalmanFilter::UpdateForm form() const { return form_; }
+  const std::optional<AdaptiveConfig>& adaptive() const { return adaptive_; }
   size_t state_dim() const { return model_.state_dim(); }
   size_t obs_dim() const { return model_.obs_dim(); }
   /// Slots currently in use / ever allocated.
@@ -206,7 +234,7 @@ class FilterPool {
   /// needs no workspace at all (the batch kernel lives in registers).
   struct Workspace {
     Vector x, fx, hx, nu, knu, sinv_nu;
-    Matrix p, tmp1, s, l, ph_t, kt, k, kh, i_kh, j1, krk;
+    Matrix p, q, tmp1, s, l, ph_t, kt, k, kh, i_kh, j1, krk;
   };
 
   // Lane-addressing helpers (see the class comment for the layout).
@@ -234,6 +262,25 @@ class FilterPool {
                    kLanes +
                static_cast<size_t>(slot) % kLanes];
   }
+  /// Q(r, c) of an adaptive pool's slot; same addressing as PAt.
+  double& QAt(int32_t slot, size_t r, size_t c) {
+    return qs_[((static_cast<size_t>(slot) / kLanes) * dim_ * dim_ +
+                r * dim_ + c) *
+                   kLanes +
+               static_cast<size_t>(slot) % kLanes];
+  }
+  double QAt(int32_t slot, size_t r, size_t c) const {
+    return qs_[((static_cast<size_t>(slot) / kLanes) * dim_ * dim_ +
+                r * dim_ + c) *
+                   kLanes +
+               static_cast<size_t>(slot) % kLanes];
+  }
+  /// The `q` argument of the block kernel for `block`: the block's Q slab
+  /// in an adaptive pool, the shared model Q otherwise.
+  const double* QArg(size_t block) const {
+    return adaptive_ ? qs_.data() + block * dim_ * dim_ * kLanes
+                     : model_.q.data().data();
+  }
 
   /// Gather / scatter one slot's (x, P) between the slabs and dense
   /// Vector/Matrix scratch (pure copies: bit-preserving by definition).
@@ -251,13 +298,18 @@ class FilterPool {
   /// FilterPool itself stays fully functional): gather, run the scalar
   /// kernel sequence in `ws`, scatter.
   void PredictScalarSlot(int32_t slot, Workspace* ws);
-  /// Appends one zeroed block to the slabs and bookkeeping arrays.
+  /// Appends one zeroed block to the slabs and bookkeeping arrays (base
+  /// Q and empty rings for an adaptive pool).
   void GrowBlock();
+  /// Adaptive pools: restores the slot's base Q and empties its ring.
+  void ResetAdaptiveState(int32_t slot);
 
   StateSpaceModel model_;
   KalmanFilter::UpdateForm form_;
+  std::optional<AdaptiveConfig> adaptive_;
   size_t dim_;  ///< model_.state_dim(), cached for lane addressing.
-  batch::PredictBlockFn simd_fn_;      ///< Vector kernel (null if dim > 8).
+  /// Vector kernel (null if dim > 8); the LaneQ variant in adaptive pools.
+  batch::PredictBlockFn simd_fn_;
   batch::PredictBlockFn portable_fn_;  ///< Scalar-lane twin (ditto).
   bool simd_ = true;
 
@@ -268,6 +320,12 @@ class FilterPool {
   std::vector<int32_t> owner_;       ///< Source id, kNoSlot when free.
   std::vector<int64_t> epoch_base_;  ///< Epoch offset from sweep_count_.
   std::vector<double> last_nis_;     ///< Last UpdateSlot NIS.
+  // Adaptive pools only (empty otherwise): per-slot adaptive-Q state.
+  std::vector<double> qs_;            ///< Q slab, lane-interleaved like ps_.
+  std::vector<double> nis_ring_;      ///< ring_size_ entries per slot.
+  std::vector<size_t> updates_seen_;  ///< Adapted updates since reset.
+  std::vector<double> q_scale_;       ///< Cumulative Q scale.
+  size_t ring_size_ = 0;
   std::vector<int32_t> free_;        ///< Min-heap of released slots.
   size_t size_ = 0;  ///< Slots ever created (<= blocks * kLanes).
   size_t num_active_ = 0;
@@ -277,7 +335,8 @@ class FilterPool {
 };
 
 /// The per-shard collection of filter pools: one FilterPool per distinct
-/// (model, update form) among the shard's pooled sources. PoolFor returns
+/// (model, update form, adaptive config) among the shard's pooled
+/// sources, so adaptive and plain sources never share a pool. PoolFor returns
 /// a stable pointer (pools are never destroyed before the set), and
 /// PredictAll sweeps every pool in creation order — the batched tick the
 /// sharded server runs at the top of each shard tick. The set also
@@ -286,10 +345,12 @@ class FilterPool {
 /// carrying ~2 KB of model copies each.
 class FilterPoolSet {
  public:
-  /// The pool for this (model, form), created on first use. Pointers stay
-  /// valid for the set's lifetime.
+  /// The pool for this (model, form, adaptive config), created on first
+  /// use. Pointers stay valid for the set's lifetime.
   FilterPool* PoolFor(const StateSpaceModel& model,
-                      KalmanFilter::UpdateForm form);
+                      KalmanFilter::UpdateForm form,
+                      const std::optional<AdaptiveConfig>& adaptive =
+                          std::nullopt);
 
   /// Batched tick: PredictAll on every pool, in creation order. Returns
   /// total slots advanced.
@@ -310,8 +371,8 @@ class FilterPoolSet {
   /// allocation. A KalmanPredictor::Config embeds four model matrices —
   /// ~2 KB even for a scalar model — and every pooled predictor used to
   /// carry its own copy; at fleet scale those copies were gigabytes of
-  /// cold, duplicated heap that the tick had to walk around. Non-adaptive
-  /// configs only (adaptive configs are never pooled).
+  /// cold, duplicated heap that the tick had to walk around. The adaptive
+  /// config is part of the key.
   std::shared_ptr<const KalmanPredictor::Config> InternConfig(
       const KalmanPredictor::Config& config);
 
@@ -321,10 +382,13 @@ class FilterPoolSet {
   bool simd_ = true;
 };
 
-/// Drop-in pooled replacement for a non-adaptive KalmanPredictor: the same
-/// dual-filter suppression protocol (shadow + private, sync modes, outlier
-/// gate, serialization formats, metric names), with both filters living as
-/// slots in a shared FilterPool instead of owning KalmanFilter objects.
+/// Drop-in pooled replacement for a KalmanPredictor (plain or adapt_q
+/// adaptive): the same dual-filter suppression protocol (shadow + private,
+/// sync modes, outlier gate, serialization formats, metric names), with
+/// both filters living as slots in a shared FilterPool instead of owning
+/// KalmanFilter objects. With an adaptive config the private slot adapts
+/// its own Q after every successful update, exactly where the per-object
+/// predictor runs its AdaptiveNoiseEstimator; the shadow never adapts.
 /// Every ObserveLocal/ApplyCorrection/... is bit-identical to the
 /// per-object KalmanPredictor fed the same inputs (pinned by
 /// tests/pool_test.cc), so the fleet can substitute one for the other
@@ -411,12 +475,12 @@ class PooledKalmanPredictor : public Predictor {
   Vector z_scratch_;
 };
 
-/// If `prototype` is a poolable KalmanPredictor — non-adaptive (adaptive
-/// noise estimation mutates the per-source model, defeating sharing) and
-/// within the inline state_dim/obs_dim <= 8 envelope — returns a pooled
-/// equivalent backed by `pools`. Returns nullptr when the prototype must
-/// stay on the virtual per-object path (EKF/UKF/IMM-style predictors,
-/// adaptive configs, oversized models).
+/// If `prototype` is a poolable KalmanPredictor — plain or adapting only Q
+/// (per-slot Q lives in the pool) and within the inline state_dim/obs_dim
+/// <= 8 envelope — returns a pooled equivalent backed by `pools`. Returns
+/// nullptr when the prototype must stay on the virtual per-object path
+/// (EKF/UKF/IMM-style predictors, adapt_r configs, whose R re-estimation
+/// needs a per-filter R and innovation history, oversized models).
 std::unique_ptr<Predictor> MakePooledPredictor(const Predictor& prototype,
                                                FilterPoolSet* pools);
 

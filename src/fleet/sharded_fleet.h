@@ -62,7 +62,7 @@ class ShardedFleet {
     /// tests/pool_test.cc — so this is purely a performance knob; turning
     /// it off forces every source onto the virtual Predictor path (the
     /// per-object baseline BM_FleetTick_1M measures against). Predictors
-    /// that cannot pool (adaptive configs, non-Kalman policies) always
+    /// that cannot pool (adapt_r configs, non-Kalman policies) always
     /// use the per-object path regardless.
     bool pooling = true;
     /// Threads for the phase-1 batched pool sweep (every pool's blocks

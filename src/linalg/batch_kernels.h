@@ -150,12 +150,17 @@ struct LaneAvx {
 ///                                   on tmp, per-lane blend)
 ///   P   = j1 + Q; Symmetrize(P)    (AddInto; avg = 0.5 * (p_rc + p_cr))
 ///   x   = fx
-/// `f`/`q` are the pool's shared row-major dim x dim model matrices;
+/// `f` is the pool's shared row-major dim x dim transition matrix;
 /// `x_blk`/`p_blk` point at the block's lane-interleaved slab storage.
-/// Only lanes set in `mask` are stored; all lanes are loaded and
-/// computed (inactive lanes hold zeroed state, so the arithmetic is
-/// well-defined and the results are discarded).
-template <typename Lane, size_t Dim>
+/// With LaneQ false, `q` is the shared row-major Q, broadcast to every
+/// lane. With LaneQ true (adaptive pools, where each slot owns its Q),
+/// `q` is the block's lane-interleaved Q slab, Q(r, c) of lane l at
+/// q[(r*dim + c) * kLanes + l], loaded per lane — the only difference;
+/// the per-lane op sequence is the same either way. Only lanes set in
+/// `mask` are stored; all lanes are loaded and computed (inactive lanes
+/// hold zeroed state, so the arithmetic is well-defined and the results
+/// are discarded).
+template <typename Lane, size_t Dim, bool LaneQ = false>
 inline void PredictBlock(const double* f, const double* q, double* x_blk,
                          double* p_blk, unsigned mask) {
   // fx = F x: per output row, accumulate from 0.0 in column order (no
@@ -205,7 +210,11 @@ inline void PredictBlock(const double* f, const double* q, double* x_blk,
   // P = j1 + Q, then the in-place symmetrization, in register.
   Lane p[Dim * Dim];
   for (size_t i = 0; i < Dim * Dim; ++i) {
-    p[i] = Add(j1[i], Lane::Broadcast(q[i]));
+    if constexpr (LaneQ) {
+      p[i] = Add(j1[i], Lane::Load(q + i * kLanes));
+    } else {
+      p[i] = Add(j1[i], Lane::Broadcast(q[i]));
+    }
   }
   const Lane half = Lane::Broadcast(0.5);
   for (size_t r = 0; r < Dim; ++r) {
@@ -233,35 +242,39 @@ inline void PredictBlock(const double* f, const double* q, double* x_blk,
 using PredictBlockFn = void (*)(const double* f, const double* q,
                                 double* x_blk, double* p_blk, unsigned mask);
 
-template <typename Lane>
+template <typename Lane, bool LaneQ>
 inline PredictBlockFn PredictBlockFnForDim(size_t dim) {
   switch (dim) {
-    case 1: return &PredictBlock<Lane, 1>;
-    case 2: return &PredictBlock<Lane, 2>;
-    case 3: return &PredictBlock<Lane, 3>;
-    case 4: return &PredictBlock<Lane, 4>;
-    case 5: return &PredictBlock<Lane, 5>;
-    case 6: return &PredictBlock<Lane, 6>;
-    case 7: return &PredictBlock<Lane, 7>;
-    case 8: return &PredictBlock<Lane, 8>;
+    case 1: return &PredictBlock<Lane, 1, LaneQ>;
+    case 2: return &PredictBlock<Lane, 2, LaneQ>;
+    case 3: return &PredictBlock<Lane, 3, LaneQ>;
+    case 4: return &PredictBlock<Lane, 4, LaneQ>;
+    case 5: return &PredictBlock<Lane, 5, LaneQ>;
+    case 6: return &PredictBlock<Lane, 6, LaneQ>;
+    case 7: return &PredictBlock<Lane, 7, LaneQ>;
+    case 8: return &PredictBlock<Lane, 8, LaneQ>;
     default: return nullptr;  // Outside the slab envelope: scalar path.
   }
 }
 
 /// The vector instantiation for `dim` — AVX2 lanes when compiled in,
-/// otherwise the portable lanes. Null for dim > kMaxDim.
-inline PredictBlockFn SimdPredictFn(size_t dim) {
+/// otherwise the portable lanes. Null for dim > kMaxDim. `lane_q` selects
+/// the per-lane-Q variant (see PredictBlock).
+inline PredictBlockFn SimdPredictFn(size_t dim, bool lane_q = false) {
 #if KC_BATCH_HAVE_AVX2
-  return PredictBlockFnForDim<LaneAvx>(dim);
+  using Lane = LaneAvx;
 #else
-  return PredictBlockFnForDim<LanePortable>(dim);
+  using Lane = LanePortable;
 #endif
+  return lane_q ? PredictBlockFnForDim<Lane, true>(dim)
+                : PredictBlockFnForDim<Lane, false>(dim);
 }
 
 /// The portable instantiation, always available (the runtime simd=off
 /// path and the reference side of the bit-identity tests).
-inline PredictBlockFn PortablePredictFn(size_t dim) {
-  return PredictBlockFnForDim<LanePortable>(dim);
+inline PredictBlockFn PortablePredictFn(size_t dim, bool lane_q = false) {
+  return lane_q ? PredictBlockFnForDim<LanePortable, true>(dim)
+                : PredictBlockFnForDim<LanePortable, false>(dim);
 }
 
 }  // namespace batch

@@ -191,10 +191,10 @@ void KalmanPredictor::Init(const Reading& first) {
   } else {
     private_.reset();
   }
-  if (config_.adaptive.has_value()) {
+  if (adaptive_.has_value()) {
+    adaptive_->Reset();  // The private filter restarts from the base model.
+  } else if (config_.adaptive.has_value()) {
     adaptive_.emplace(*config_.adaptive);
-  } else {
-    adaptive_.reset();
   }
   consecutive_rejects_ = 0;
   outliers_rejected_ = 0;
@@ -239,12 +239,11 @@ void KalmanPredictor::ObserveLocal(const Reading& measured) {
   }
 
   // A failed update (singular S) cannot happen with validated PD R; assert
-  // in debug, skip the sample in release.
+  // in debug, skip the sample (and its adaptation step) in release.
   Status s = private_->Update(measured.value);
   assert(s.ok());
-  (void)s;
   last_nis_ = private_->last_nis();
-  if (adaptive_.has_value()) adaptive_->AfterUpdate(*private_);
+  if (s.ok() && adaptive_.has_value()) adaptive_->AfterUpdate(*private_);
 }
 
 Vector KalmanPredictor::Target() const {

@@ -13,6 +13,7 @@
 #include "fleet/pool.h"
 #include "fleet/sharded_server.h"
 #include "fleet/thread_pool.h"
+#include "kalman/adaptive.h"
 #include "kalman/ekf.h"
 #include "kalman/imm.h"
 #include "kalman/kalman_filter.h"
@@ -417,6 +418,94 @@ TEST(ZeroAllocTest, PooledPredictorSuppressedTicksStayAllocationFree) {
   double acc = 0.0;
   for (int64_t s = 6; s <= 205; ++s) acc += tick(s);
   EXPECT_EQ(AllocCount() - before, 0) << "accumulated drift " << acc;
+}
+
+TEST(ZeroAllocTest, PooledAdaptivePredictorSuppressedTicksStayAllocationFree) {
+  // The default adaptive configuration pooled: the lane-Q sweep, the gate,
+  // the update and the per-slot adaptation step (NIS ring, Q scale) all
+  // run on slab storage sized at Acquire. 320 ticks wrap the 32-entry
+  // ring ten times over.
+  FilterPoolSet pools;
+  KalmanPredictor::Config config;
+  config.model = MakeConstantVelocityModel(1.0, 0.1, 0.25);
+  config.outlier_gate_prob = 0.999;
+  config.adaptive = AdaptiveConfig{};
+  PooledKalmanPredictor predictor(config, &pools);
+  Reading first;
+  first.value = Vector{0.0};
+  predictor.Init(first);
+
+  Rng rng(7);
+  auto tick = [&](int64_t seq) {
+    Reading z;
+    z.seq = seq;
+    z.time = static_cast<double>(seq);
+    z.value = Vector{rng.Gaussian(0.0, 0.3)};
+    pools.PredictAll();
+    predictor.Tick();
+    predictor.ObserveLocal(z);
+    Vector err = predictor.Target() - predictor.Predict();
+    return err.NormInf();
+  };
+  for (int64_t s = 1; s <= 5; ++s) tick(s);
+  long before = AllocCount();
+  double acc = 0.0;
+  for (int64_t s = 6; s <= 325; ++s) acc += tick(s);
+  EXPECT_EQ(AllocCount() - before, 0) << "accumulated drift " << acc;
+  // The adaptation really ran in the measured window.
+  EXPECT_NE(predictor.pool()->CumulativeQScaleOf(predictor.private_slot()),
+            1.0);
+}
+
+TEST(ZeroAllocTest, AdaptiveEstimatorSteadyStateIsAllocationFree) {
+  // The per-object estimator's history lives in fixed rings sized at
+  // construction, so steady-state updates — Q and R adaptation both,
+  // across many ring wraps — never touch the heap. (The deque it replaced
+  // allocated a node every few dozen updates.)
+  for (bool adapt_r : {false, true}) {
+    SCOPED_TRACE(adapt_r);
+    AdaptiveConfig config;
+    config.adapt_r = adapt_r;
+    config.window = 16;
+    AdaptiveNoiseEstimator est(config);
+    KalmanFilter kf(MakeConstantVelocityModel(1.0, 0.1, 0.25), Vector(2),
+                    Matrix::ScalarDiagonal(2, 1.0));
+    Rng rng(11);
+    auto step = [&] {
+      kf.Predict();
+      ASSERT_TRUE(kf.Update(Vector{rng.Gaussian(0.0, 2.0)}).ok());
+      est.AfterUpdate(kf);
+    };
+    for (int i = 0; i < 5; ++i) step();
+    long before = AllocCount();
+    for (int i = 0; i < 400; ++i) step();
+    EXPECT_EQ(AllocCount() - before, 0);
+    EXPECT_NE(est.cumulative_q_scale(), 1.0);
+  }
+
+  // And through the per-object predictor, re-Init included: a resync
+  // resets the estimator in place rather than rebuilding its rings.
+  KalmanPredictor::Config config;
+  config.model = MakeRandomWalkModel(0.01, 0.09);
+  config.adaptive = AdaptiveConfig{};
+  KalmanPredictor predictor(std::move(config));
+  Reading first;
+  first.value = Vector{0.0};
+  predictor.Init(first);
+  Rng rng(13);
+  auto tick = [&](int64_t seq) {
+    Reading z;
+    z.seq = seq;
+    z.time = static_cast<double>(seq);
+    z.value = Vector{rng.Gaussian(0.0, 0.5)};
+    predictor.Tick();
+    predictor.ObserveLocal(z);
+    if (seq == 160) predictor.Init(z);
+  };
+  for (int64_t s = 1; s <= 5; ++s) tick(s);
+  long before = AllocCount();
+  for (int64_t s = 6; s <= 325; ++s) tick(s);
+  EXPECT_EQ(AllocCount() - before, 0);
 }
 
 // ----------------------------------------------------------- SmallBuf edges

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "fleet/pool.h"
@@ -286,6 +287,81 @@ TEST(BatchKernels, MaskedStoresTouchOnlyActiveLanes) {
   }
 }
 
+// The per-lane-Q variant adaptive pools sweep with: each lane adds its own
+// Q from a lane-interleaved slab. For every dim 1..8 and every one of the
+// 16 store masks, SIMD and portable lanes agree bit-for-bit on the whole
+// block, active lanes match the scalar sequence run with that lane's Q,
+// and inactive lanes keep their sentinels.
+TEST(BatchKernels, LaneQKernelMatchesPortableAndScalarEveryDimAndMask) {
+  const double kSentinel = 1234.5;
+  for (size_t dim = 1; dim <= batch::kMaxDim; ++dim) {
+    batch::PredictBlockFn simd_fn = batch::SimdPredictFn(dim, /*lane_q=*/true);
+    batch::PredictBlockFn port_fn =
+        batch::PortablePredictFn(dim, /*lane_q=*/true);
+    ASSERT_NE(simd_fn, nullptr);
+    ASSERT_NE(port_fn, nullptr);
+    for (unsigned mask = 0; mask <= batch::kFullMask; ++mask) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << " mask " << mask);
+      BlockFixture simd_fx(dim, 0xE000 + dim);
+      // Distinct symmetric Q per lane: the fixture's diagonal scaled per
+      // lane plus lane-dependent off-diagonal coupling.
+      std::vector<double> q_blk(dim * dim * kLanes);
+      std::vector<std::vector<double>> lane_q(kLanes);
+      for (size_t l = 0; l < kLanes; ++l) {
+        lane_q[l].assign(dim * dim, 0.0);
+        for (size_t r = 0; r < dim; ++r) {
+          for (size_t c = 0; c < dim; ++c) {
+            double v = (r == c) ? simd_fx.q[r * dim + c] * (1.0 + 0.37 * l)
+                                : 0.001 * static_cast<double>(l);
+            lane_q[l][r * dim + c] = v;
+            q_blk[(r * dim + c) * kLanes + l] = v;
+          }
+        }
+      }
+      for (size_t l = 0; l < kLanes; ++l) {
+        if (mask & (1u << l)) continue;
+        for (size_t e = 0; e < dim; ++e) {
+          simd_fx.x_blk[e * kLanes + l] = kSentinel;
+        }
+        for (size_t i = 0; i < dim * dim; ++i) {
+          simd_fx.p_blk[i * kLanes + l] = kSentinel;
+        }
+      }
+      BlockFixture port_fx = simd_fx;
+      Vector x_ref[kLanes];
+      Matrix p_ref[kLanes];
+      for (size_t l = 0; l < kLanes; ++l) {
+        x_ref[l] = simd_fx.XOf(l);
+        p_ref[l] = simd_fx.POf(l);
+      }
+      for (int step = 0; step < 3; ++step) {
+        simd_fn(simd_fx.f.data(), q_blk.data(), simd_fx.x_blk.data(),
+                simd_fx.p_blk.data(), mask);
+        port_fn(port_fx.f.data(), q_blk.data(), port_fx.x_blk.data(),
+                port_fx.p_blk.data(), mask);
+        ASSERT_EQ(simd_fx.x_blk, port_fx.x_blk) << "step " << step;
+        ASSERT_EQ(simd_fx.p_blk, port_fx.p_blk) << "step " << step;
+        for (size_t l = 0; l < kLanes; ++l) {
+          const bool active = (mask & (1u << l)) != 0;
+          if (active) ScalarPredict(simd_fx.f, lane_q[l], dim, &x_ref[l],
+                                    &p_ref[l]);
+          Vector x_got = simd_fx.XOf(l);
+          Matrix p_got = simd_fx.POf(l);
+          for (size_t e = 0; e < dim; ++e) {
+            ASSERT_EQ(active ? x_ref[l][e] : kSentinel, x_got[e])
+                << "lane " << l << " step " << step;
+          }
+          for (size_t i = 0; i < dim * dim; ++i) {
+            ASSERT_EQ(active ? p_ref[l].data()[i] : kSentinel,
+                      p_got.data()[i])
+                << "lane " << l << " step " << step;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------- Pool-level equivalence
 
 /// A valid model of any state dimension n (observing component 0).
@@ -302,12 +378,15 @@ StateSpaceModel MakeDimModel(size_t n) {
 
 /// Drives two pools — one simd, one scalar — through an identical mixed
 /// workload (sweeps, per-slot predicts, updates, gates, serialization)
-/// and asserts every slot stays bit-identical throughout.
-void DrivePoolSimdEquivalence(size_t dim, size_t slots,
-                              KalmanFilter::UpdateForm form) {
+/// and asserts every slot stays bit-identical throughout. With `adaptive`
+/// both are adaptive pools and every update is followed by AdaptSlot, so
+/// the lane-Q sweep runs over slots whose Q has diverged.
+void DrivePoolSimdEquivalence(
+    size_t dim, size_t slots, KalmanFilter::UpdateForm form,
+    const std::optional<AdaptiveConfig>& adaptive = std::nullopt) {
   StateSpaceModel model = MakeDimModel(dim);
-  FilterPool simd_pool(model, form);
-  FilterPool scalar_pool(model, form);
+  FilterPool simd_pool(model, form, adaptive);
+  FilterPool scalar_pool(model, form, adaptive);
   simd_pool.set_simd(true);
   scalar_pool.set_simd(false);
 
@@ -337,6 +416,12 @@ void DrivePoolSimdEquivalence(size_t dim, size_t slots,
         ASSERT_TRUE(scalar_pool.UpdateSlot(b_slots[i], z).ok());
         ASSERT_EQ(simd_pool.LastNisOf(a_slots[i]),
                   scalar_pool.LastNisOf(b_slots[i]));
+        if (adaptive) {
+          simd_pool.AdaptSlot(a_slots[i]);
+          scalar_pool.AdaptSlot(b_slots[i]);
+          ASSERT_TRUE(simd_pool.ProcessNoiseOf(a_slots[i]) ==
+                      scalar_pool.ProcessNoiseOf(b_slots[i]));
+        }
       }
       if ((t + static_cast<int>(i)) % 7 == 0) {
         // Extra per-slot predicts: the single-lane-mask path.
@@ -363,6 +448,20 @@ TEST(BatchKernels, PoolSimdOffMatchesOnEveryDimAndForm) {
   for (size_t slots : {1u, 2u, 3u, 5u, 9u}) {
     DrivePoolSimdEquivalence(/*dim=*/2, slots,
                              KalmanFilter::UpdateForm::kJoseph);
+  }
+}
+
+// The same protocol on adaptive pools: per-slot Qs diverge as each slot
+// adapts to its own readings, and the lane-Q sweep must stay SIMD-
+// invariant over them.
+TEST(BatchKernels, AdaptivePoolSimdOffMatchesOnEveryDim) {
+  AdaptiveConfig adaptive;
+  adaptive.warmup = 2;
+  adaptive.window = 4;
+  adaptive.smoothing = 0.5;
+  for (size_t dim = 1; dim <= batch::kMaxDim; ++dim) {
+    DrivePoolSimdEquivalence(dim, /*slots=*/7,
+                             KalmanFilter::UpdateForm::kJoseph, adaptive);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -79,12 +80,39 @@ void ExpectBitEqual(const std::vector<double>& a, const std::vector<double>& b,
   }
 }
 
+void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what,
+                    int tick) {
+  ASSERT_EQ(a.rows(), b.rows()) << what << " @" << tick;
+  ASSERT_EQ(a.cols(), b.cols()) << what << " @" << tick;
+  for (size_t i = 0; i < a.data().size(); ++i) {
+    EXPECT_EQ(a.data()[i], b.data()[i]) << what << "[" << i << "] @" << tick;
+  }
+}
+
+/// What the per-object private filter's Q did over an adaptive run, read
+/// off its tick-to-tick changes (so the pins below can prove the branches
+/// they claim to cover actually ran).
+struct AdaptiveTrace {
+  int q_changes = 0;        ///< Ticks on which Q moved.
+  bool max_clamp = false;   ///< A step scaled by exactly the max clamp.
+  bool min_clamp = false;   ///< ... by exactly the min clamp.
+  bool floor_hit = false;   ///< A diagonal entry sat on variance_floor.
+  /// Fewest private-filter updates (since Init) before a Q change; the
+  /// warm-up bound says this is at least `warmup`.
+  int min_updates_before_change = 1 << 30;
+  int base_q_restores = 0;  ///< Re-Inits that restored the base Q.
+};
+
 /// Drives a per-object KalmanPredictor and a pooled equivalent through an
 /// identical history — predicts, gated observations (accepts, rejects, and
 /// forced-accept runs), corrections, full syncs, and re-Inits — and
 /// asserts every externally visible value is bit-identical at every tick.
+/// With an adaptive config it also pins the private filter's adapted Q
+/// against the pooled private slot's Q every tick, checks the shadows
+/// never adapt, and that each re-Init restores the base Q, filling
+/// `trace_out` (when given) with what Q did.
 void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
-                      uint64_t seed) {
+                      uint64_t seed, AdaptiveTrace* trace_out = nullptr) {
   KalmanPredictor object(config);
   FilterPoolSet pools;
   PooledKalmanPredictor pooled(config, &pools);
@@ -94,6 +122,16 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
   Reading first = stream.Next();
   object.Init(first);
   pooled.Init(first);
+
+  const bool adaptive =
+      config.adaptive.has_value() &&
+      config.sync_mode != KalmanPredictor::SyncMode::kMeasurement;
+  const Matrix& base_q = config.model.q;
+  AdaptiveTrace local_trace;
+  AdaptiveTrace& trace = trace_out != nullptr ? *trace_out : local_trace;
+  Matrix prev_q = base_q;
+  int updates_since_init = 0;
+  int64_t rejects_before = 0;
 
   for (int t = 1; t <= ticks; ++t) {
     object.Tick();
@@ -114,6 +152,36 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
     EXPECT_EQ(object.OutliersRejected(), pooled.OutliersRejected())
         << "rejects @" << t;
 
+    if (adaptive) {
+      const Matrix& q = object.private_filter().model().q;
+      ExpectBitEqual(q, pooled.pool()->ProcessNoiseOf(pooled.private_slot()),
+                     "adapted Q", t);
+      if (object.OutliersRejected() == rejects_before) ++updates_since_init;
+      rejects_before = object.OutliersRejected();
+      if (!(q == prev_q)) {
+        ++trace.q_changes;
+        trace.min_updates_before_change =
+            std::min(trace.min_updates_before_change, updates_since_init);
+        const AdaptiveConfig& a = *config.adaptive;
+        double step = q(0, 0) / prev_q(0, 0);
+        auto near = [](double x, double y) {
+          return std::fabs(x - y) <= 1e-9 * y;
+        };
+        if (near(step, std::exp(a.smoothing *
+                                std::log(a.max_scale_per_step)))) {
+          trace.max_clamp = true;
+        }
+        if (near(step, std::exp(a.smoothing *
+                                std::log(a.min_scale_per_step)))) {
+          trace.min_clamp = true;
+        }
+      }
+      for (size_t i = 0; i < q.rows(); ++i) {
+        if (q(i, i) == config.adaptive->variance_floor) trace.floor_hit = true;
+      }
+      prev_q = q;
+    }
+
     if (t % 7 == 0) {
       std::vector<double> pa = object.EncodeCorrection(r);
       std::vector<double> pb = pooled.EncodeCorrection(r);
@@ -132,9 +200,29 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
       // Re-Init (the agent's re-anchor path): slots are reused in place.
       object.Init(r);
       pooled.Init(r);
+      if (adaptive) {
+        // A resync restarts adaptation from the base model on both paths.
+        bool moved = !(prev_q == base_q);
+        ExpectBitEqual(object.private_filter().model().q, base_q, "reset Q",
+                       t);
+        ExpectBitEqual(pooled.pool()->ProcessNoiseOf(pooled.private_slot()),
+                       base_q, "pooled reset Q", t);
+        EXPECT_EQ(pooled.pool()->CumulativeQScaleOf(pooled.private_slot()),
+                  1.0);
+        if (moved) ++trace.base_q_restores;
+        prev_q = base_q;
+        updates_since_init = 0;
+        rejects_before = 0;
+      }
     }
   }
-  if (config.sync_mode != KalmanPredictor::SyncMode::kMeasurement) {
+  if (config.adaptive.has_value()) {
+    // The shadow is the server's view: it never adapts.
+    ExpectBitEqual(pooled.pool()->ProcessNoiseOf(pooled.shadow_slot()),
+                   config.model.q, "shadow Q", ticks);
+  }
+  if (config.sync_mode != KalmanPredictor::SyncMode::kMeasurement &&
+      config.outlier_gate_prob > 0.0) {
     // The outlier gate protects the state-sync modes only; in measurement
     // sync every reading flows into the filter.
     EXPECT_GT(object.OutliersRejected(), 0) << "gate never fired";
@@ -214,6 +302,160 @@ TEST(PoolEquivalenceTest, BatchedSweepMatchesLazyCatchUp) {
     ExpectBitEqual(lazy.Target(), swept.Target(), "Target", t);
     ExpectBitEqual(lazy.EncodeFullState(), swept.EncodeFullState(), "full", t);
   }
+}
+
+// ------------------------------------------- Adaptive equivalence (adapt_q)
+
+/// MakeDimModel(n) with the default adaptive config (window 32, warmup 8).
+KalmanPredictor::Config AdaptiveConfigFor(size_t n, bool gated) {
+  KalmanPredictor::Config config =
+      gated ? GatedConfig(MakeDimModel(n)) : KalmanPredictor::Config{};
+  if (!gated) config.model = MakeDimModel(n);
+  config.adaptive = AdaptiveConfig{};
+  return config;
+}
+
+TEST(PoolAdaptiveEquivalenceTest, BitIdenticalAcrossDimsModesFormsAndGate) {
+  for (size_t n : {1, 2, 4}) {
+    for (auto mode : {KalmanPredictor::SyncMode::kState,
+                      KalmanPredictor::SyncMode::kStateAndCov}) {
+      for (auto form : {KalmanFilter::UpdateForm::kJoseph,
+                        KalmanFilter::UpdateForm::kStandard}) {
+        for (bool gated : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << "dim " << n << " mode " << static_cast<int>(mode)
+                       << " form " << static_cast<int>(form) << " gate "
+                       << gated);
+          KalmanPredictor::Config config = AdaptiveConfigFor(n, gated);
+          config.sync_mode = mode;
+          config.update_form = form;
+          AdaptiveTrace trace;
+          DriveEquivalence(config, /*ticks=*/520, /*seed=*/0x51ED + n,
+                           &trace);
+          // Q really adapted, never before the warm-up count of updates,
+          // well past the 32-entry window, and each re-Init restored it.
+          EXPECT_GT(trace.q_changes, 50);
+          EXPECT_GE(trace.min_updates_before_change,
+                    static_cast<int>(config.adaptive->warmup));
+          EXPECT_GE(trace.base_q_restores, 5);
+        }
+      }
+    }
+  }
+}
+
+TEST(PoolAdaptiveEquivalenceTest, ClampsFloorAndRingWrapBitIdentical) {
+  for (size_t n : {1, 2, 4}) {
+    SCOPED_TRACE(n);
+    // Inflation: far noisier readings than Q=0.01 expects, with full-
+    // strength steps, so the max clamp binds. An odd short ring wraps
+    // every five updates.
+    KalmanPredictor::Config inflate = AdaptiveConfigFor(n, /*gated=*/false);
+    inflate.adaptive->window = 5;
+    inflate.adaptive->warmup = 3;
+    inflate.adaptive->smoothing = 1.0;
+    inflate.adaptive->max_scale_per_step = 2.0;
+    AdaptiveTrace up;
+    DriveEquivalence(inflate, 500, 0xC1A + n, &up);
+    EXPECT_TRUE(up.max_clamp);
+    EXPECT_GE(up.min_updates_before_change, 3);
+
+    // Deflation: Q 100x too large gives a tiny NIS, so the min clamp binds
+    // and Q's diagonal sinks onto variance_floor.
+    KalmanPredictor::Config deflate = AdaptiveConfigFor(n, /*gated=*/false);
+    deflate.model.q = Matrix::ScalarDiagonal(n, 100.0);
+    deflate.adaptive->smoothing = 1.0;
+    deflate.adaptive->min_scale_per_step = 0.5;
+    deflate.adaptive->variance_floor = 1.0;
+    AdaptiveTrace down;
+    DriveEquivalence(deflate, 500, 0xF100 + n, &down);
+    EXPECT_TRUE(down.min_clamp);
+    EXPECT_TRUE(down.floor_hit);
+  }
+}
+
+TEST(PoolAdaptiveEquivalenceTest, ResyncRestoresBaseQAndAdaptsAgain) {
+  KalmanPredictor::Config config = AdaptiveConfigFor(2, /*gated=*/false);
+  FilterPoolSet pools;
+  KalmanPredictor object(config);
+  PooledKalmanPredictor pooled(config, &pools);
+  ReadingStream stream(1, 0x5E5);
+  Reading first = stream.Next();
+  object.Init(first);
+  pooled.Init(first);
+  auto run = [&](int ticks) {
+    for (int t = 0; t < ticks; ++t) {
+      pools.PredictAll();  // The fleet's batched (lane-Q) sweep.
+      object.Tick();
+      pooled.Tick();
+      Reading r = stream.Next();
+      object.ObserveLocal(r);
+      pooled.ObserveLocal(r);
+      ExpectBitEqual(object.private_filter().model().q,
+                     pooled.pool()->ProcessNoiseOf(pooled.private_slot()),
+                     "Q", t);
+      ExpectBitEqual(object.EncodeCorrection(r), pooled.EncodeCorrection(r),
+                     "correction", t);
+    }
+  };
+  run(100);
+  const int32_t slot = pooled.private_slot();
+  EXPECT_NE(pooled.pool()->CumulativeQScaleOf(slot), 1.0);
+  EXPECT_FALSE(pooled.pool()->ProcessNoiseOf(slot) == config.model.q);
+
+  Reading resync = stream.Next();
+  object.Init(resync);
+  pooled.Init(resync);
+  EXPECT_EQ(pooled.private_slot(), slot);  // Reused in place.
+  ExpectBitEqual(pooled.pool()->ProcessNoiseOf(slot), config.model.q,
+                 "resync Q", 0);
+  EXPECT_EQ(pooled.pool()->CumulativeQScaleOf(slot), 1.0);
+  run(100);
+  EXPECT_NE(pooled.pool()->CumulativeQScaleOf(slot), 1.0);
+}
+
+TEST(PoolAdaptiveEquivalenceTest, ManySlotsEachAdaptTheirOwnQ) {
+  // Nine adaptive sources share one pool (18 slots over five blocks),
+  // each fed readings of a different volatility, so every private slot's
+  // Q drifts to its own level. The lane-Q sweep must add each slot its
+  // own Q: every source stays bit-identical to its per-object twin.
+  constexpr int kSources = 9;
+  KalmanPredictor::Config config = AdaptiveConfigFor(2, /*gated=*/false);
+  FilterPoolSet pools;
+  std::vector<std::unique_ptr<KalmanPredictor>> objects;
+  std::vector<std::unique_ptr<PooledKalmanPredictor>> pooled;
+  std::vector<ReadingStream> streams;
+  for (int i = 0; i < kSources; ++i) {
+    objects.push_back(std::make_unique<KalmanPredictor>(config));
+    pooled.push_back(std::make_unique<PooledKalmanPredictor>(config, &pools));
+    streams.emplace_back(1, 0xAB00 + static_cast<uint64_t>(i));
+    Reading first = streams.back().Next();
+    objects.back()->Init(first);
+    pooled.back()->Init(first);
+  }
+  for (int t = 1; t <= 300; ++t) {
+    pools.PredictAll();
+    for (int i = 0; i < kSources; ++i) {
+      objects[i]->Tick();
+      pooled[i]->Tick();
+      Reading r = streams[i].Next();
+      r.value[0] *= 0.05 * (1 + i * i);  // Volatility differs per source.
+      objects[i]->ObserveLocal(r);
+      pooled[i]->ObserveLocal(r);
+      ExpectBitEqual(objects[i]->private_filter().model().q,
+                     pooled[i]->pool()->ProcessNoiseOf(
+                         pooled[i]->private_slot()),
+                     "Q", t);
+      ExpectBitEqual(objects[i]->EncodeCorrection(r),
+                     pooled[i]->EncodeCorrection(r), "correction", t);
+      ExpectBitEqual(objects[i]->Predict(), pooled[i]->Predict(), "Predict",
+                     t);
+    }
+  }
+  EXPECT_EQ(pools.num_pools(), 1u);
+  EXPECT_GE(pools.pool(0)->num_blocks(), 5u);
+  EXPECT_NE(pooled[0]->pool()->ProcessNoiseOf(pooled[0]->private_slot()),
+            pooled[8]->pool()->ProcessNoiseOf(pooled[8]->private_slot()));
 }
 
 // ------------------------------------------------------- Batched kernels
@@ -513,8 +755,13 @@ TEST(PoolFactoryTest, PoolsOnlyEligiblePredictors) {
   KalmanPredictor::Config adaptive_config = GatedConfig(MakeDimModel(2));
   adaptive_config.adaptive = AdaptiveConfig{};
   KalmanPredictor adaptive(adaptive_config);
-  EXPECT_EQ(MakePooledPredictor(adaptive, &pools), nullptr)
-      << "adaptive configs mutate the model and must stay per-object";
+  EXPECT_NE(MakePooledPredictor(adaptive, &pools), nullptr)
+      << "adapt_q configs pool with per-slot Q";
+
+  adaptive_config.adaptive->adapt_r = true;
+  KalmanPredictor adaptive_r(adaptive_config);
+  EXPECT_EQ(MakePooledPredictor(adaptive_r, &pools), nullptr)
+      << "adapt_r re-estimates a per-filter R and must stay per-object";
 
   ValueCachePredictor value_cache;
   EXPECT_EQ(MakePooledPredictor(value_cache, &pools), nullptr)
@@ -533,6 +780,19 @@ TEST(PoolFactoryTest, PoolsShareByModelAndForm) {
   EXPECT_NE(a, c);
   EXPECT_NE(a, d);
   EXPECT_EQ(pools.num_pools(), 3u);
+
+  // Adaptive and plain sources never share a pool, nor an interned config.
+  FilterPool* e =
+      pools.PoolFor(m1, KalmanFilter::UpdateForm::kJoseph, AdaptiveConfig{});
+  EXPECT_NE(a, e);
+  EXPECT_EQ(e->adaptive(), AdaptiveConfig{});
+  EXPECT_EQ(e, pools.PoolFor(m1, KalmanFilter::UpdateForm::kJoseph,
+                             AdaptiveConfig{}));
+  KalmanPredictor::Config plain = GatedConfig(m1);
+  KalmanPredictor::Config adaptive = plain;
+  adaptive.adaptive = AdaptiveConfig{};
+  EXPECT_NE(pools.InternConfig(plain), pools.InternConfig(adaptive));
+  EXPECT_EQ(pools.InternConfig(adaptive), pools.InternConfig(adaptive));
 }
 
 }  // namespace

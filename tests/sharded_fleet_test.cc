@@ -382,6 +382,125 @@ TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectUnderFaultsWithSweeps) {
                           "pooled simd parallel-sweep vs per-object (lossy)");
 }
 
+/// The default adaptive predictor (MakeDefaultKalmanPredictor: adapt_q
+/// with per-slot Q when pooled) on a faulty channel with recovery,
+/// metrics and the precision auditor on. Returns the message books plus
+/// every deterministic export, and the number of pooled filter slots.
+struct AdaptiveFleetRun {
+  Fingerprint books;
+  std::string metrics;
+  std::string audit_text;
+  std::string audit_json;
+  std::string audit_summary;
+  size_t pooled_slots = 0;
+};
+
+AdaptiveFleetRun RunAdaptiveFleet(size_t threads, bool pooling,
+                                  size_t sweep_threads = 0, bool simd = true) {
+  ShardedFleet::Config config;
+  config.seed = 9090;
+  config.threads = threads;
+  config.num_shards = 4;
+  config.pooling = pooling;
+  config.sweep_threads = sweep_threads;
+  config.simd = simd;
+  config.channel.loss_prob = 0.05;
+  config.channel.latency_ticks = 2;
+  config.channel.faults.burst_enter_prob = 0.02;
+  config.channel.faults.burst_exit_prob = 0.3;
+  config.channel.faults.burst_loss_prob = 0.9;
+  config.channel.faults.partition_start = 120;
+  config.channel.faults.partition_length = 10;
+  config.control_channel.loss_prob = 0.05;
+  config.recovery.enabled = true;
+  config.recovery.suspect_after_silent_ticks = 8;
+  config.agent_base.heartbeat_every = 8;
+  ShardedFleet fleet(config);
+  fleet.EnableMetrics();
+  obs::AuditConfig audit;
+  audit.sample_every = 2;
+  fleet.EnableAudit(audit);
+  for (int i = 0; i < 14; ++i) {
+    // Volatility spread over two orders of magnitude: each private slot
+    // adapts its Q to a different level.
+    RandomWalkGenerator::Config walk;
+    walk.start = 2.0 * i;
+    walk.step_sigma = 0.02 * (1 + i * i);
+    fleet.AddSource(std::make_unique<RandomWalkGenerator>(walk),
+                    MakeDefaultKalmanPredictor(0.01, 0.09),
+                    /*delta=*/0.4 + 0.05 * (i % 5));
+  }
+  EXPECT_TRUE(fleet.Run(2).ok());
+  auto avg = ParseQuery("SELECT AVG(s0, s2, s4, s6, s8, s10, s12) WITHIN 5");
+  EXPECT_TRUE(avg.ok());
+  EXPECT_TRUE(fleet.server().AddQuery("avg", *avg).ok());
+
+  AdaptiveFleetRun out;
+  Fingerprint& fp = out.books;
+  for (int t = 0; t < 400; ++t) {
+    EXPECT_TRUE(fleet.Step().ok());
+    for (const QueryResult& r : fleet.server().EvaluateDue()) {
+      fp.query_values.push_back(r.value);
+      fp.query_bounds.push_back(r.bound);
+    }
+  }
+  for (int32_t id = 0; id < static_cast<int32_t>(fleet.num_sources()); ++id) {
+    auto answer = fleet.server().SourceValue(id);
+    fp.initialized.push_back(answer.ok());
+    fp.values.push_back(answer.ok() ? answer->value[0] : 0.0);
+    fp.bounds.push_back(answer.ok() ? answer->bound : 0.0);
+  }
+  fp.total_messages = fleet.TotalMessages();
+  fp.total_bytes = fleet.TotalBytes();
+  fp.messages_processed = fleet.server().messages_processed();
+  fp.net = fleet.TotalNetworkStats();
+  obs::MetricRegistry merged;
+  fleet.MergeMetricsInto(&merged);
+  out.metrics = obs::ExportText(merged, /*include_wall_clock=*/false);
+  out.audit_text = fleet.AuditReportText();
+  out.audit_json = fleet.AuditReportJson();
+  out.audit_summary = fleet.AuditSummaryLine();
+  for (size_t s = 0; s < fleet.num_shards(); ++s) {
+    out.pooled_slots += fleet.server().shard_pools(s)->num_active();
+  }
+  return out;
+}
+
+void ExpectEqualAdaptiveRuns(const AdaptiveFleetRun& a,
+                             const AdaptiveFleetRun& b,
+                             const std::string& label) {
+  ExpectEqualFingerprints(a.books, b.books, label);
+  EXPECT_EQ(a.metrics, b.metrics) << label;
+  EXPECT_EQ(a.audit_text, b.audit_text) << label;
+  EXPECT_EQ(a.audit_json, b.audit_json) << label;
+  EXPECT_EQ(a.audit_summary, b.audit_summary) << label;
+}
+
+TEST(ShardedFleetTest, DefaultAdaptivePredictorPooledBitIdenticalToPerObject) {
+  // The shipped default predictor adapts Q per source. Pooled, each slot
+  // carries its own Q and NIS ring; the answers, message books, metrics
+  // and audit must still match the per-object estimator bit-for-bit, for
+  // any thread count, sweep pool, and with the SIMD lanes on or off.
+  AdaptiveFleetRun object = RunAdaptiveFleet(/*threads=*/1, /*pooling=*/false);
+  EXPECT_EQ(object.pooled_slots, 0u);
+  EXPECT_GT(object.books.net.messages_dropped, 0);
+  EXPECT_NE(object.audit_summary.find("audit: sources=14"), std::string::npos);
+  for (size_t threads : {1u, 4u}) {
+    for (bool simd : {true, false}) {
+      for (size_t sweep : {0u, 3u}) {
+        std::string label = "threads " + std::to_string(threads) + " simd " +
+                            std::to_string(simd) + " sweep " +
+                            std::to_string(sweep);
+        AdaptiveFleetRun pooled =
+            RunAdaptiveFleet(threads, /*pooling=*/true, sweep, simd);
+        // Every source's agent and replica filters live in the pools.
+        EXPECT_GE(pooled.pooled_slots, 2u * 14u) << label;
+        ExpectEqualAdaptiveRuns(object, pooled, label);
+      }
+    }
+  }
+}
+
 TEST(ShardedFleetTest, MatchesSingleThreadedFleet) {
   // The sharded executor must reproduce the classic Fleet bit-for-bit:
   // same seed, same AddSource order => same per-source answers and the
