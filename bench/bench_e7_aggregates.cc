@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common.h"
+#include "fleet/sharded_fleet.h"
 #include "server/allocation.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
@@ -41,7 +42,7 @@ FleetResult RunFleet(int n, double avg_budget, kc::AllocationPolicy policy,
   auto volatilities = Volatilities(n);
   double sum_budget = avg_budget * n;
 
-  Fleet fleet;
+  ShardedFleet fleet;
   for (int i = 0; i < n; ++i) {
     RandomWalkGenerator::Config walk;
     walk.step_sigma = volatilities[static_cast<size_t>(i)];

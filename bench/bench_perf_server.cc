@@ -41,26 +41,10 @@ void BM_ReplicaApplyCorrection(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplicaApplyCorrection);
 
-void BM_FleetStep(benchmark::State& state) {
-  auto sources = static_cast<int>(state.range(0));
-  kc::Fleet fleet;
-  for (int i = 0; i < sources; ++i) {
-    kc::RandomWalkGenerator::Config walk;
-    walk.step_sigma = 0.3;
-    fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),
-                    kc::MakeDefaultKalmanPredictor(0.09, 0.01), 1.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fleet.Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations() * sources);
-}
-BENCHMARK(BM_FleetStep)->Arg(10)->Arg(100)->Arg(1000);
-
-// The sharded executor on the same workload: {sources, threads}. At
-// threads=1 this measures the sharding overhead (it should be near
-// BM_FleetStep); at threads=N it measures the parallel speedup. Answers
-// are bit-identical across rows with the same source count.
+// The fleet tick on the default adaptive Kalman workload: {sources,
+// threads}. At threads=1 this is the sequential tick; at threads=N it
+// measures the parallel speedup. Answers are bit-identical across rows
+// with the same source count.
 void BM_ShardedFleetStep(benchmark::State& state) {
   auto sources = static_cast<int>(state.range(0));
   kc::ShardedFleet::Config config;
@@ -182,7 +166,7 @@ BENCHMARK(BM_FleetTick_1M)
 
 void BM_AggregateEvaluate(benchmark::State& state) {
   auto members = static_cast<int>(state.range(0));
-  kc::Fleet fleet;
+  kc::ShardedFleet fleet;
   for (int i = 0; i < members; ++i) {
     kc::RandomWalkGenerator::Config walk;
     fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),

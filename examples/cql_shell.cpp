@@ -1,8 +1,8 @@
 // cql_shell: an interactive shell over a live simulated deployment.
 //
-// Four sources stream into a StreamServer; you drive time and issue
-// continuous-query-language statements against the cached predictors.
-// Works interactively or piped:
+// Four sources stream into a sharded fleet's server; you drive time and
+// issue continuous-query-language statements against the cached
+// predictors. Works interactively or piped:
 //
 //   echo "run 500
 //   query SELECT AVG(s0,s1) WITHIN 1
@@ -27,9 +27,9 @@
 #include <string>
 
 #include "common/strings.h"
+#include "fleet/sharded_fleet.h"
 #include "query/parser.h"
 #include "server/report.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
 #include "suppression/imm_policy.h"
@@ -37,10 +37,10 @@
 
 namespace {
 
-std::unique_ptr<kc::Fleet> BuildFleet() {
-  kc::Fleet::Config config;
+std::unique_ptr<kc::ShardedFleet> BuildFleet() {
+  kc::ShardedFleet::Config config;
   config.agent_base.heartbeat_every = 50;
-  auto fleet = std::make_unique<kc::Fleet>(config);
+  auto fleet = std::make_unique<kc::ShardedFleet>(config);
   fleet->server().EnableArchiving(100000);
   fleet->server().SetStalenessLimit(100);
 
@@ -82,7 +82,7 @@ void PrintResult(const kc::QueryResult& r) {
   std::printf("  %s\n", r.ToString().c_str());
 }
 
-void PrintSources(kc::Fleet& fleet) {
+void PrintSources(kc::ShardedFleet& fleet) {
   for (size_t id = 0; id < fleet.num_sources(); ++id) {
     auto answer = fleet.server().SourceValue(static_cast<int32_t>(id));
     if (!answer.ok()) {

@@ -36,10 +36,6 @@ ShardedFleet::ShardedFleet(Config config)
   });
   if (config_.recovery.enabled) server_.SetRecovery(config_.recovery);
   if (!config_.simd) server_.SetSimdEnabled(false);
-  if (config_.sweep_threads != 0 &&
-      config_.sweep_threads != std::max<size_t>(config_.threads, 1)) {
-    sweep_pool_ = std::make_unique<ThreadPool>(config_.sweep_threads);
-  }
 }
 
 int32_t ShardedFleet::AddSource(std::unique_ptr<StreamGenerator> generator,
@@ -62,8 +58,8 @@ int32_t ShardedFleet::AddSource(std::unique_ptr<StreamGenerator> generator,
     }
   }
 
-  // Identical seed derivation to the single-threaded Fleet: pure function
-  // of (fleet seed, id), never of shard or thread count.
+  // Seeds are a pure function of (fleet seed, id), never of shard or
+  // thread count.
   slot->generator = std::move(generator);
   slot->generator->Reset(SourceGeneratorSeed(config_.seed, id));
 
@@ -253,14 +249,6 @@ void ShardedFleet::EnableMetrics() {
       /*wall_clock=*/true);
 }
 
-void ShardedFleet::EnablePeriodicMetricsReport(int64_t every_n_ticks,
-                                               ReportSink sink,
-                                               obs::ExportOptions options) {
-  report_every_ = sink ? every_n_ticks : 0;
-  report_sink_ = std::move(sink);
-  report_options_ = options;
-}
-
 void ShardedFleet::StepShard(size_t index) {
   KC_TRACE_SCOPE("fleet.step_shard");
   server_.TickShard(index, /*run_pool_sweep=*/false);
@@ -312,12 +300,12 @@ Status ShardedFleet::Step() {
   KC_TRACE_SCOPE("fleet.step");
   int64_t t0 = step_latency_us_ != nullptr ? obs::TraceNowNs() : 0;
   // Phase 1: the batched filter sweep, every shard's pools flattened into
-  // one block list and chunked across the sweep driver — one big shard no
+  // one block list and chunked across the worker pool — one big shard no
   // longer serializes its million slots on a single worker. Phase 2 (the
   // shard fan-out below) then runs with run_pool_sweep=false. The split
   // is state-identical to sweeping inside TickShard: a shard's tick only
   // reads and writes its own pools, and slots are mutually independent.
-  server_.SweepPools(SweepDriver());
+  server_.SweepPools(&pool_);
   pool_.ParallelFor(shards_.size(), [this](size_t s) { StepShard(s); });
   // Barrier passed: every shard has ticked once and drained its messages;
   // the merged view is consistent.
@@ -328,14 +316,6 @@ Status ShardedFleet::Step() {
   }
   for (const Shard& shard : shards_) {
     if (!shard.status.ok()) return shard.status;
-  }
-  if (report_every_ > 0 && ticks_ % report_every_ == 0) {
-    // Merge strictly after the barrier, in shard order: the report is a
-    // pure function of the simulated history, not of thread scheduling
-    // (wall-clock metrics are excluded unless the options opt in).
-    obs::MetricRegistry merged;
-    server_.MergeMetricsInto(&merged);
-    report_sink_(obs::ExportMetrics(merged, report_options_));
   }
   if (telemetry_every_ > 0 && ticks_ % telemetry_every_ == 0) {
     // Self-merge round trip: encode the merged registry through the
@@ -381,8 +361,9 @@ Status ShardedFleet::Run(size_t ticks) {
 }
 
 int64_t ShardedFleet::MessagesOf(int32_t id) const {
-  const AgentStats& s = by_id_[id]->agent->stats();
-  return s.corrections + s.full_syncs + 1;  // +1 for INIT.
+  const SourceSlot* slot = by_id_[id];
+  return slot->channel->stats().messages_sent -
+         slot->agent->stats().heartbeats;
 }
 
 int64_t ShardedFleet::TotalMessages() const {

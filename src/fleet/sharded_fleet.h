@@ -8,7 +8,6 @@
 
 #include "fleet/sharded_server.h"
 #include "fleet/thread_pool.h"
-#include "obs/export.h"
 #include "obs/http_exporter.h"
 #include "obs/remote.h"
 #include "obs/snapshot.h"
@@ -34,8 +33,9 @@ namespace kc {
 /// source id) alone — see SourceGeneratorSeed and friends in
 /// server/simulation.h — and shard assignment is a fixed hash of the id,
 /// so per-source answers, query results, and merged NetworkStats are
-/// bit-identical for ANY `threads` and ANY `num_shards`, and identical to
-/// a single-threaded Fleet run with the same seed and AddSource order.
+/// bit-identical for ANY `threads` and ANY `num_shards` — including the
+/// sequential reference {threads=1, num_shards=1, pooling=false}, which
+/// steps every source in id order on per-object predictors.
 class ShardedFleet {
  public:
   struct Config {
@@ -65,12 +65,6 @@ class ShardedFleet {
     /// that cannot pool (adapt_r configs, non-Kalman policies) always
     /// use the per-object path regardless.
     bool pooling = true;
-    /// Threads for the phase-1 batched pool sweep (every pool's blocks
-    /// flattened into one list and chunked — parallelism *within* shards,
-    /// see ShardedServer::SweepPools). 0 reuses `threads`' pool; any other
-    /// value gets a dedicated pool of that size. Results never depend on
-    /// it (sweep chunks are mutually independent).
-    size_t sweep_threads = 0;
     /// Vectorized (lane-per-slot SIMD) sweep kernels. Bit-identical on or
     /// off — pinned by tests/batch_kernels_test.cc — so purely a bench/CI
     /// knob.
@@ -130,7 +124,9 @@ class ShardedFleet {
   const Sample& LastSampleOf(int32_t id) const {
     return by_id_[id]->last_sample;
   }
-  /// Data messages this source has sent so far.
+  /// Data messages this source has sent so far: every uplink send except
+  /// heartbeats (INIT, re-INITs, corrections, full syncs) — RunLink's
+  /// LinkReport::messages for one source of the fleet.
   int64_t MessagesOf(int32_t id) const;
 
   int64_t TotalMessages() const;
@@ -237,19 +233,6 @@ class ShardedFleet {
   std::string AuditSummaryLine() const { return server_.AuditSummaryLine(); }
   obs::HealthState HealthOf(int32_t id) const { return server_.HealthOf(id); }
 
-  /// Installs a periodic telemetry report: after the barrier of every
-  /// `every_n_ticks`-th Step, the merged metrics are exported and handed
-  /// to `sink` on the driver thread. Wall-clock metrics are included only
-  /// if `options.include_wall_clock` — exclude them (the default here)
-  /// when the report feeds golden-output comparisons. Pass every_n_ticks
-  /// <= 0 or a null sink to disable. Requires EnableMetrics().
-  using ReportSink = std::function<void(const std::string& report)>;
-  void EnablePeriodicMetricsReport(int64_t every_n_ticks, ReportSink sink,
-                                   obs::ExportOptions options = {
-                                       obs::ExportFormat::kText,
-                                       /*include_wall_clock=*/false,
-                                       /*prefix=*/{}});
-
  private:
   struct SourceSlot {
     int32_t id = 0;
@@ -269,11 +252,6 @@ class ShardedFleet {
   };
 
   void StepShard(size_t index);
-  /// The thread pool driving the phase-1 pool sweep (config.sweep_threads;
-  /// pool_ itself when 0).
-  ThreadPool* SweepDriver() {
-    return sweep_pool_ != nullptr ? sweep_pool_.get() : &pool_;
-  }
   /// Binds one slot's channels and agent to its shard's arena.
   void BindSlotMetrics(SourceSlot* slot, size_t shard_index);
   /// Binds one slot's agent to its shard's recorder ring / watchdog entry
@@ -293,14 +271,8 @@ class ShardedFleet {
   std::vector<Shard> shards_;
   std::vector<SourceSlot*> by_id_;  ///< id -> slot (owned by its shard).
   ThreadPool pool_;
-  /// Dedicated sweep pool when config.sweep_threads differs from threads;
-  /// null otherwise (the sweep borrows pool_).
-  std::unique_ptr<ThreadPool> sweep_pool_;
   int64_t ticks_ = 0;
   obs::Histogram* step_latency_us_ = nullptr;  ///< Wall-clock; driver arena.
-  int64_t report_every_ = 0;
-  ReportSink report_sink_;
-  obs::ExportOptions report_options_;
   std::unique_ptr<obs::TimeSeriesStore> timeseries_;
   int64_t timeseries_every_ = 0;
   std::unique_ptr<obs::TelemetryHttpServer> http_;

@@ -223,7 +223,7 @@ class MetricRegistry {
 };
 
 /// Process-wide default registry for single-arena deployments (examples,
-/// tests, the non-sharded Fleet). Sharded deployments use per-shard
+/// tests, a bare StreamServer). Sharded deployments use per-shard
 /// registries instead.
 MetricRegistry& DefaultRegistry();
 

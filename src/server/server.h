@@ -119,7 +119,7 @@ class StreamServer : public SourceView {
                                             double t1) const;
 
   /// Installs the downlink used to push control messages (SET_BOUND) back
-  /// to sources. The deployment (e.g. Fleet) routes by source_id.
+  /// to sources. The deployment (e.g. ShardedFleet) routes by source_id.
   using ControlSink = std::function<Status(const Message&)>;
   void SetControlSink(ControlSink sink) { control_sink_ = std::move(sink); }
 

@@ -184,112 +184,4 @@ LinkReport RunLinkTraced(StreamGenerator& generator, const Predictor& prototype,
   return RunLinkImpl(generator, prototype, config, trajectory);
 }
 
-Fleet::Fleet() : Fleet(Config()) {}
-
-Fleet::Fleet(Config config) : config_(config) {
-  // Control downlink: route SET_BOUND pushes to the addressed source's
-  // control channel.
-  server_.SetControlSink([this](const Message& msg) -> Status {
-    auto idx = static_cast<size_t>(msg.source_id);
-    if (idx >= sources_.size()) {
-      return Status::NotFound("control message for unknown source");
-    }
-    return sources_[idx]->control_channel->Send(msg);
-  });
-  if (config_.recovery.enabled) server_.SetRecovery(config_.recovery);
-}
-
-int32_t Fleet::AddSource(std::unique_ptr<StreamGenerator> generator,
-                         std::unique_ptr<Predictor> predictor, double delta) {
-  auto id = static_cast<int32_t>(sources_.size());
-  auto slot = std::make_unique<SourceSlot>();
-
-  slot->generator = std::move(generator);
-  slot->generator->Reset(SourceGeneratorSeed(config_.seed, id));
-
-  Channel::Config channel_config = config_.channel;
-  channel_config.seed = SourceUplinkSeed(config_.seed, id);
-  slot->channel = std::make_unique<Channel>(channel_config);
-  StreamServer* server = &server_;
-  const bool recovering = config_.recovery.enabled;
-  slot->channel->SetReceiver([server, recovering](const Message& msg) {
-    Status s = server->OnMessage(msg);
-    // With recovery on, a CORRECTION outliving its lost INIT is rejected
-    // here and healed later by re-INIT — not a programming error.
-    assert(s.ok() || recovering);
-    (void)s;
-  });
-
-  Status reg = server_.RegisterSource(id, predictor->Clone());
-  assert(reg.ok());
-  (void)reg;
-
-  AgentConfig agent_config = config_.agent_base;
-  agent_config.delta = delta;
-  slot->agent = std::make_unique<SourceAgent>(id, std::move(predictor),
-                                              agent_config, slot->channel.get());
-
-  // Downlink for server-pushed bound changes and resync requests.
-  Channel::Config control_config = config_.control_channel;
-  control_config.seed = SourceControlSeed(config_.seed, id);
-  slot->control_channel = std::make_unique<Channel>(control_config);
-  SourceAgent* agent = slot->agent.get();
-  slot->control_channel->SetReceiver([agent](const Message& msg) {
-    Status s = agent->OnControl(msg);
-    assert(s.ok());
-    (void)s;
-  });
-
-  sources_.push_back(std::move(slot));
-  return id;
-}
-
-Status Fleet::Step() {
-  server_.Tick();
-  for (auto& slot : sources_) {
-    slot->channel->AdvanceTick();
-    slot->control_channel->AdvanceTick();
-    slot->last_sample = slot->generator->Next();
-    KC_RETURN_IF_ERROR(slot->agent->Offer(slot->last_sample.measured));
-  }
-  ++ticks_;
-  return Status::Ok();
-}
-
-Status Fleet::Run(size_t ticks) {
-  for (size_t i = 0; i < ticks; ++i) {
-    KC_RETURN_IF_ERROR(Step());
-  }
-  return Status::Ok();
-}
-
-int64_t Fleet::MessagesOf(int32_t id) const {
-  const AgentStats& s = sources_[id]->agent->stats();
-  return s.corrections + s.full_syncs + 1;  // +1 for INIT.
-}
-
-int64_t Fleet::TotalMessages() const {
-  int64_t total = 0;
-  for (const auto& slot : sources_) {
-    total += slot->channel->stats().messages_sent;
-  }
-  return total;
-}
-
-int64_t Fleet::TotalBytes() const {
-  int64_t total = 0;
-  for (const auto& slot : sources_) {
-    total += slot->channel->stats().bytes_sent;
-  }
-  return total;
-}
-
-int64_t Fleet::TotalControlMessages() const {
-  int64_t total = 0;
-  for (const auto& slot : sources_) {
-    total += slot->control_channel->stats().messages_sent;
-  }
-  return total;
-}
-
 }  // namespace kc

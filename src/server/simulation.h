@@ -115,14 +115,14 @@ LinkReport RunLinkTraced(StreamGenerator& generator, const Predictor& prototype,
                          const LinkConfig& config,
                          std::vector<TrajectoryPoint>* trajectory);
 
-/// Deterministic per-source seed derivation shared by Fleet and the
-/// sharded multi-threaded harness (src/fleet/sharded_fleet.h). Every
-/// stochastic component of a simulated source — its generator, its uplink
-/// channel, its control downlink — draws from an RNG seeded purely from
-/// (fleet seed, source id). Because no seed depends on shard assignment
-/// or thread count, a fleet's trajectory is bit-identical for any
-/// --threads/--shards configuration: the determinism contract the
-/// scalability experiments rely on.
+/// Deterministic per-source seed derivation for the fleet driver
+/// (src/fleet/sharded_fleet.h) and every harness that rebuilds its
+/// sources. Every stochastic component of a simulated source — its
+/// generator, its uplink channel, its control downlink — draws from an
+/// RNG seeded purely from (fleet seed, source id). Because no seed
+/// depends on shard assignment or thread count, a fleet's trajectory is
+/// bit-identical for any --threads/--shards configuration: the
+/// determinism contract the scalability experiments rely on.
 inline uint64_t SourceGeneratorSeed(uint64_t fleet_seed, int32_t id) {
   return fleet_seed + static_cast<uint64_t>(id) * 7919;
 }
@@ -132,80 +132,6 @@ inline uint64_t SourceUplinkSeed(uint64_t fleet_seed, int32_t id) {
 inline uint64_t SourceControlSeed(uint64_t fleet_seed, int32_t id) {
   return fleet_seed ^ (static_cast<uint64_t>(id) << 29);
 }
-
-/// A multi-source deployment: N generator+agent pairs feeding one
-/// StreamServer over per-source channels. Drives the aggregate-query and
-/// scalability experiments (E7, E8) and the example applications.
-/// Single-threaded; see kc::ShardedFleet (src/fleet) for the sharded
-/// multi-threaded equivalent with identical (bit-for-bit) results.
-class Fleet {
- public:
-  struct Config {
-    uint64_t seed = 1;
-    AgentConfig agent_base;  ///< delta is overridden per source.
-    Channel::Config channel;
-    /// Server -> source downlink; the seed is overridden per source.
-    Channel::Config control_channel;
-    /// Loss-tolerant replica recovery, applied server-wide when enabled.
-    ReplicaRecoveryConfig recovery;
-  };
-
-  Fleet();
-  explicit Fleet(Config config);
-
-  /// Adds a source; returns its id (sequential from 0). The predictor
-  /// prototype is cloned for the agent and the server replica; the
-  /// generator is Reset with a per-source seed derived from config.seed.
-  int32_t AddSource(std::unique_ptr<StreamGenerator> generator,
-                    std::unique_ptr<Predictor> predictor, double delta);
-
-  /// Advances the whole system one stream tick.
-  Status Step();
-
-  /// Runs `ticks` steps, stopping on the first error.
-  Status Run(size_t ticks);
-
-  StreamServer& server() { return server_; }
-  const StreamServer& server() const { return server_; }
-
-  size_t num_sources() const { return sources_.size(); }
-  int64_t ticks() const { return ticks_; }
-
-  const SourceAgent& agent(int32_t id) const { return *sources_[id]->agent; }
-  /// Changes a source's precision bound (adaptive allocation).
-  void SetDelta(int32_t id, double delta) {
-    sources_[id]->agent->set_delta(delta);
-  }
-
-  /// Ground truth of the source's latest sample (scalar streams).
-  double TruthOf(int32_t id) const {
-    return sources_[id]->last_sample.truth.scalar();
-  }
-  const Sample& LastSampleOf(int32_t id) const {
-    return sources_[id]->last_sample;
-  }
-  /// Data messages this source has sent so far.
-  int64_t MessagesOf(int32_t id) const;
-
-  int64_t TotalMessages() const;
-  int64_t TotalBytes() const;
-  /// Server-to-source control traffic (SET_BOUND pushes).
-  int64_t TotalControlMessages() const;
-
- private:
-  struct SourceSlot {
-    std::unique_ptr<StreamGenerator> generator;
-    std::unique_ptr<Channel> channel;          ///< Uplink: source -> server.
-    std::unique_ptr<Channel> control_channel;  ///< Downlink: server -> source.
-    std::unique_ptr<SourceAgent> agent;
-    Sample last_sample;
-  };
-
-  Config config_;
-  StreamServer server_;
-  std::vector<std::unique_ptr<SourceSlot>> sources_;
-  int64_t ticks_ = 0;
-};
 
 }  // namespace kc
 

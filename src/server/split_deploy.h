@@ -47,7 +47,7 @@ struct SplitConfig {
   size_t ticks = 2880;
   int32_t num_sources = 0;
   /// Fleet seed: generators are Reset with SourceGeneratorSeed(seed, id),
-  /// identically to Fleet/ShardedFleet.
+  /// identically to ShardedFleet.
   uint64_t seed = 1;
   AgentConfig agent_base;      ///< delta is overridden per source.
   std::vector<double> deltas;  ///< Per-source precision bounds.

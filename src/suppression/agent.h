@@ -37,8 +37,11 @@ struct AgentStats {
   int64_t heartbeats = 0;
   int64_t suppressed = 0;
   /// Replica-requested resyncs answered (with a FULL_SYNC, or a fresh
-  /// INIT when the replica never saw one). Each is also counted in
-  /// full_syncs / corrections as appropriate.
+  /// INIT when the replica never saw one). A FULL_SYNC answer (or a plain
+  /// correction, for predictors without full state) is also counted in
+  /// full_syncs / corrections; a re-INIT, like the first INIT, is counted
+  /// in no other field. So data messages sent are the uplink's sends
+  /// minus heartbeats, not corrections + full_syncs + 1.
   int64_t resyncs_served = 0;
 
   /// Fraction of post-init ticks that required no correction.

@@ -324,14 +324,12 @@ struct AuditArtifacts {
   std::string metrics;
 };
 
-AuditArtifacts RunAuditedFleet(size_t threads, bool pooling,
-                               size_t sweep_threads) {
+AuditArtifacts RunAuditedFleet(size_t threads, bool pooling) {
   ShardedFleet::Config config;
   config.seed = 777;
   config.threads = threads;
   config.num_shards = 8;
   config.pooling = pooling;
-  config.sweep_threads = sweep_threads;
   config.channel.loss_prob = 0.1;
   config.recovery.enabled = true;
   ShardedFleet fleet(config);
@@ -362,13 +360,13 @@ AuditArtifacts RunAuditedFleet(size_t threads, bool pooling,
 
 TEST(AuditFleetTest, ReportsBitIdenticalForAnyThreadCountAndLayout) {
   // The merged audit report is part of the determinism contract: any
-  // thread count, the per-object and pooled predictor layouts, and any
-  // sweep pool must render byte-identical reports.
-  AuditArtifacts one = RunAuditedFleet(1, /*pooling=*/true,
-                                       /*sweep_threads=*/0);
-  AuditArtifacts four = RunAuditedFleet(4, true, 0);
-  AuditArtifacts object = RunAuditedFleet(2, /*pooling=*/false, 0);
-  AuditArtifacts swept = RunAuditedFleet(2, true, /*sweep_threads=*/4);
+  // thread count (which also sizes the pool sweep's workers) and the
+  // per-object and pooled predictor layouts must render byte-identical
+  // reports.
+  AuditArtifacts one = RunAuditedFleet(1, /*pooling=*/true);
+  AuditArtifacts four = RunAuditedFleet(4, true);
+  AuditArtifacts object = RunAuditedFleet(2, /*pooling=*/false);
+  AuditArtifacts three = RunAuditedFleet(3, true);
   EXPECT_EQ(one.text, four.text);
   EXPECT_EQ(one.json, four.json);
   EXPECT_EQ(one.summary, four.summary);
@@ -376,9 +374,9 @@ TEST(AuditFleetTest, ReportsBitIdenticalForAnyThreadCountAndLayout) {
   EXPECT_EQ(one.text, object.text);
   EXPECT_EQ(one.json, object.json);
   EXPECT_EQ(one.metrics, object.metrics);
-  EXPECT_EQ(one.text, swept.text);
-  EXPECT_EQ(one.json, swept.json);
-  EXPECT_EQ(one.metrics, swept.metrics);
+  EXPECT_EQ(one.text, three.text);
+  EXPECT_EQ(one.json, three.json);
+  EXPECT_EQ(one.metrics, three.metrics);
 
   // The run exercised the full surface: per-source lines, fleet totals,
   // the query ledger, and the kc.audit.* metric family.

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/sharded_fleet.h"
 #include "net/channel.h"
 #include "server/allocation.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
 
@@ -60,7 +60,7 @@ TEST(ServerControlTest, PushBoundRequiresSinkAndValidArgs) {
 }
 
 TEST(FleetControlTest, PushedBoundReachesAgentAndThenReplica) {
-  Fleet fleet;
+  ShardedFleet fleet;
   RandomWalkGenerator::Config walk;
   walk.step_sigma = 1.0;  // Chatty: corrections come quickly.
   fleet.AddSource(std::make_unique<RandomWalkGenerator>(walk),
@@ -86,7 +86,7 @@ TEST(FleetControlTest, PushedBoundReachesAgentAndThenReplica) {
 TEST(FleetControlTest, ServerDrivenReallocationLoop) {
   // The full server-side loop: archive -> (observed message counts) ->
   // adaptive allocator -> PushBound. No SetDelta back door.
-  Fleet fleet;
+  ShardedFleet fleet;
   const double sigmas[2] = {0.1, 2.0};
   for (int i = 0; i < 2; ++i) {
     RandomWalkGenerator::Config walk;

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/sharded_fleet.h"
 #include "query/parser.h"
 #include "server/allocation.h"
-#include "server/simulation.h"
 #include "streams/composite.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
@@ -24,9 +24,9 @@ class EndToEndTest : public ::testing::Test {
   void SetUp() override {
     // Heartbeats every 25 ticks let the 50-tick staleness limit
     // distinguish "suppressed because predictable" from "source died".
-    Fleet::Config config;
+    ShardedFleet::Config config;
     config.agent_base.heartbeat_every = 25;
-    fleet_ = std::make_unique<Fleet>(config);
+    fleet_ = std::make_unique<ShardedFleet>(config);
     fleet_->server().EnableArchiving(10000);
     fleet_->server().SetStalenessLimit(50);
 
@@ -67,11 +67,11 @@ class EndToEndTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<Fleet> fleet_;
+  std::unique_ptr<ShardedFleet> fleet_;
 };
 
 TEST_F(EndToEndTest, FullScenario) {
-  StreamServer& server = fleet_->server();
+  ShardedServer& server = fleet_->server();
 
   // Register the whole query menu through the language.
   auto live_avg = ParseQuery("SELECT AVG(s0, s1, s2) WITHIN 1.0 EVERY 10");

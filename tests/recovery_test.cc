@@ -350,14 +350,13 @@ TEST(RecoveryTest, ShardedMetricsBitIdenticalForAnyThreadsWithFaultsOn) {
 }
 
 TEST(RecoveryTest, FlatFleetMatchesShardedUnderFaults) {
-  // The classic single-threaded Fleet and the sharded executor must agree
-  // bit-for-bit even with the full fault model and recovery running.
-  Fleet::Config flat_config;
-  flat_config.seed = 4242;
-  flat_config.agent_base.heartbeat_every = 4;
-  flat_config.channel = FaultyFleetConfig(1).channel;
-  flat_config.recovery = FaultyFleetConfig(1).recovery;
-  Fleet flat(flat_config);
+  // The sequential reference (one thread, one shard, per-object
+  // predictors) and the sharded executor must agree bit-for-bit even with
+  // the full fault model and recovery running.
+  ShardedFleet::Config flat_config = FaultyFleetConfig(1);
+  flat_config.num_shards = 1;
+  flat_config.pooling = false;
+  ShardedFleet flat(flat_config);
   ShardedFleet sharded(FaultyFleetConfig(4));
   for (int i = 0; i < 9; ++i) {
     RandomWalkGenerator::Config walk;

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/sharded_fleet.h"
 #include "query/parser.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
 
@@ -18,7 +18,7 @@ TEST(ReportTest, EmptyServer) {
 }
 
 TEST(ReportTest, MentionsEverySectionOnLiveServer) {
-  Fleet fleet;
+  ShardedFleet fleet;
   fleet.server().EnableArchiving(1000);
   fleet.server().SetStalenessLimit(500);
   RandomWalkGenerator::Config walk;

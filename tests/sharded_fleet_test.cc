@@ -79,15 +79,13 @@ void ExpectEqualFingerprints(const Fingerprint& a, const Fingerprint& b,
 
 Fingerprint RunSharded(size_t threads, size_t shards,
                        Channel::Config channel = Channel::Config(),
-                       bool pooling = true, size_t sweep_threads = 0,
-                       bool simd = true) {
+                       bool pooling = true, bool simd = true) {
   ShardedFleet::Config config;
   config.seed = 12345;
   config.threads = threads;
   config.num_shards = shards;
   config.channel = channel;
   config.pooling = pooling;
-  config.sweep_threads = sweep_threads;
   config.simd = simd;
   ShardedFleet fleet(config);
   AddStandardSources(fleet, 12);
@@ -285,22 +283,6 @@ TEST(ShardedFleetTest, MetricsMirrorProtocolCounters) {
   EXPECT_DOUBLE_EQ(merged.GetGauge("kc.server.sources")->value(), 8.0);
 }
 
-TEST(ShardedFleetTest, PeriodicMetricsReportFiresOnCadence) {
-  ShardedFleet::Config config;
-  config.threads = 2;
-  ShardedFleet fleet(config);
-  fleet.EnableMetrics();
-  AddStandardSources(fleet, 4);
-  std::vector<std::string> reports;
-  fleet.EnablePeriodicMetricsReport(
-      10, [&](const std::string& report) { reports.push_back(report); });
-  ASSERT_TRUE(fleet.Run(35).ok());
-  ASSERT_EQ(reports.size(), 3u);  // Ticks 10, 20, 30.
-  EXPECT_NE(reports[0].find("kc.agent.decisions"), std::string::npos);
-  // Counters only grow tick over tick.
-  EXPECT_NE(reports[0], reports[2]);
-}
-
 TEST(ShardedFleetTest, BitIdenticalForAnyShardCount) {
   Fingerprint s1 = RunSharded(/*threads=*/2, /*shards=*/1);
   Fingerprint s3 = RunSharded(/*threads=*/2, /*shards=*/3);
@@ -337,37 +319,23 @@ TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectPredictors) {
                           "pooled vs per-object (lossy)");
 }
 
-TEST(ShardedFleetTest, BitIdenticalForAnySweepThreadCount) {
-  // The phase-1 parallel pool sweep: chunk boundaries depend only on the
-  // block count (ThreadPool::NumChunks), never on who executes them, so
-  // any sweep_threads setting — shared pool, dedicated 1-thread pool,
-  // dedicated 4-thread pool — must reproduce the same run bit-for-bit.
-  Fingerprint shared = RunSharded(2, 8);
-  Fingerprint dedicated1 =
-      RunSharded(2, 8, Channel::Config(), true, /*sweep_threads=*/1);
-  Fingerprint dedicated4 =
-      RunSharded(2, 8, Channel::Config(), true, /*sweep_threads=*/4);
-  ExpectEqualFingerprints(shared, dedicated1, "sweep shared vs 1");
-  ExpectEqualFingerprints(shared, dedicated4, "sweep shared vs 4");
-}
-
 TEST(ShardedFleetTest, BitIdenticalWithSimdOnAndOff) {
   // The lane kernels execute the exact scalar FP op sequence per slot, so
   // disabling them at runtime is invisible to every answer — with single-
   // and multi-threaded sweeps alike.
   Fingerprint simd_on = RunSharded(2, 8);
-  Fingerprint simd_off = RunSharded(2, 8, Channel::Config(), true, 0,
+  Fingerprint simd_off = RunSharded(2, 8, Channel::Config(), true,
                                     /*simd=*/false);
   ExpectEqualFingerprints(simd_on, simd_off, "simd on vs off");
 
-  Fingerprint simd_off_swept = RunSharded(2, 8, Channel::Config(), true,
-                                          /*sweep_threads=*/4, /*simd=*/false);
+  Fingerprint simd_off_swept = RunSharded(4, 8, Channel::Config(), true,
+                                          /*simd=*/false);
   ExpectEqualFingerprints(simd_on, simd_off_swept,
-                          "simd on vs off (parallel sweep)");
+                          "simd on vs off (4-thread sweep)");
 }
 
 TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectUnderFaultsWithSweeps) {
-  // The strongest cross-cutting pin: SIMD lanes + a parallel sweep pool +
+  // The strongest cross-cutting pin: SIMD lanes + a 4-thread sweep +
   // a faulty channel (loss, latency) on the pooled path must reproduce
   // the per-object scalar path bit-for-bit. Any FP reordering, masked-
   // store leak, or sweep/update interleaving bug shows up here.
@@ -375,7 +343,7 @@ TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectUnderFaultsWithSweeps) {
   lossy.loss_prob = 0.2;
   lossy.latency_ticks = 3;
   Fingerprint pooled = RunSharded(4, 8, lossy, /*pooling=*/true,
-                                  /*sweep_threads=*/4, /*simd=*/true);
+                                  /*simd=*/true);
   Fingerprint object = RunSharded(1, 8, lossy, /*pooling=*/false);
   EXPECT_GT(pooled.net.messages_dropped, 0);
   ExpectEqualFingerprints(pooled, object,
@@ -396,13 +364,12 @@ struct AdaptiveFleetRun {
 };
 
 AdaptiveFleetRun RunAdaptiveFleet(size_t threads, bool pooling,
-                                  size_t sweep_threads = 0, bool simd = true) {
+                                  bool simd = true) {
   ShardedFleet::Config config;
   config.seed = 9090;
   config.threads = threads;
   config.num_shards = 4;
   config.pooling = pooling;
-  config.sweep_threads = sweep_threads;
   config.simd = simd;
   config.channel.loss_prob = 0.05;
   config.channel.latency_ticks = 2;
@@ -480,34 +447,36 @@ TEST(ShardedFleetTest, DefaultAdaptivePredictorPooledBitIdenticalToPerObject) {
   // The shipped default predictor adapts Q per source. Pooled, each slot
   // carries its own Q and NIS ring; the answers, message books, metrics
   // and audit must still match the per-object estimator bit-for-bit, for
-  // any thread count, sweep pool, and with the SIMD lanes on or off.
+  // any thread count (which also sizes the sweep's worker pool: 1, 3 and 4
+  // chunk the slabs differently), and with the SIMD lanes on or off.
   AdaptiveFleetRun object = RunAdaptiveFleet(/*threads=*/1, /*pooling=*/false);
   EXPECT_EQ(object.pooled_slots, 0u);
   EXPECT_GT(object.books.net.messages_dropped, 0);
   EXPECT_NE(object.audit_summary.find("audit: sources=14"), std::string::npos);
-  for (size_t threads : {1u, 4u}) {
+  for (size_t threads : {1u, 3u, 4u}) {
     for (bool simd : {true, false}) {
-      for (size_t sweep : {0u, 3u}) {
-        std::string label = "threads " + std::to_string(threads) + " simd " +
-                            std::to_string(simd) + " sweep " +
-                            std::to_string(sweep);
-        AdaptiveFleetRun pooled =
-            RunAdaptiveFleet(threads, /*pooling=*/true, sweep, simd);
-        // Every source's agent and replica filters live in the pools.
-        EXPECT_GE(pooled.pooled_slots, 2u * 14u) << label;
-        ExpectEqualAdaptiveRuns(object, pooled, label);
-      }
+      std::string label = "threads " + std::to_string(threads) + " simd " +
+                          std::to_string(simd);
+      AdaptiveFleetRun pooled =
+          RunAdaptiveFleet(threads, /*pooling=*/true, simd);
+      // Every source's agent and replica filters live in the pools.
+      EXPECT_GE(pooled.pooled_slots, 2u * 14u) << label;
+      ExpectEqualAdaptiveRuns(object, pooled, label);
     }
   }
 }
 
 TEST(ShardedFleetTest, MatchesSingleThreadedFleet) {
-  // The sharded executor must reproduce the classic Fleet bit-for-bit:
-  // same seed, same AddSource order => same per-source answers and the
-  // same fleet-wide message accounting.
-  Fleet::Config flat_config;
+  // The sharded executor must reproduce the sequential reference — one
+  // thread, one shard, per-object predictors, every source stepped in id
+  // order — bit-for-bit: same seed, same AddSource order => same
+  // per-source answers and the same fleet-wide message accounting.
+  ShardedFleet::Config flat_config;
   flat_config.seed = 777;
-  Fleet flat(flat_config);
+  flat_config.threads = 1;
+  flat_config.num_shards = 1;
+  flat_config.pooling = false;
+  ShardedFleet flat(flat_config);
   ShardedFleet::Config sharded_config;
   sharded_config.seed = 777;
   sharded_config.threads = 4;
@@ -537,6 +506,41 @@ TEST(ShardedFleetTest, MatchesSingleThreadedFleet) {
   EXPECT_EQ(flat.TotalBytes(), sharded.TotalBytes());
   EXPECT_EQ(flat.server().messages_processed(),
             sharded.server().messages_processed());
+}
+
+TEST(ShardedFleetTest, MessagesOfCountsEveryDataSend) {
+  // MessagesOf is the source's uplink data traffic: every send except
+  // heartbeats. Nothing is sent before the first Step, and under loss
+  // with recovery the INITs re-sent for replicas that never saw theirs
+  // count like any other data message.
+  ShardedFleet::Config config;
+  config.seed = 31;
+  config.threads = 2;
+  config.num_shards = 4;
+  config.channel.loss_prob = 0.3;
+  config.recovery.enabled = true;
+  config.recovery.suspect_after_silent_ticks = 6;
+  config.agent_base.heartbeat_every = 5;
+  ShardedFleet fleet(config);
+  constexpr int kSources = 16;
+  AddStandardSources(fleet, kSources);
+  for (int32_t id = 0; id < kSources; ++id) {
+    EXPECT_EQ(fleet.MessagesOf(id), 0) << "source " << id;
+  }
+
+  ASSERT_TRUE(fleet.Run(300).ok());
+  int64_t data = 0;
+  int64_t heartbeats = 0;
+  for (int32_t id = 0; id < kSources; ++id) {
+    data += fleet.MessagesOf(id);
+    heartbeats += fleet.agent(id).stats().heartbeats;
+  }
+  NetworkStats net = fleet.TotalNetworkStats();
+  // Lost INITs were re-sent, and heartbeats flowed.
+  EXPECT_GT(net.by_type_sent[static_cast<size_t>(MessageType::kInit)],
+            kSources);
+  EXPECT_GT(heartbeats, 0);
+  EXPECT_EQ(data, fleet.TotalMessages() - heartbeats);
 }
 
 TEST(ShardedFleetTest, CrossShardQueriesAndArchives) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/sharded_fleet.h"
 #include "query/parser.h"
 #include "server/allocation.h"
 #include "streams/generators.h"
@@ -133,7 +134,7 @@ TEST(RunLinkTest, LossyChannelBreaksContractButIsCounted) {
 }
 
 TEST(FleetTest, EndToEndWithQueries) {
-  Fleet fleet;
+  ShardedFleet fleet;
   for (int i = 0; i < 4; ++i) {
     RandomWalkGenerator::Config stream;
     stream.start = 10.0 * i;
@@ -163,7 +164,7 @@ TEST(FleetTest, EndToEndWithQueries) {
 }
 
 TEST(FleetTest, PerSourceAccounting) {
-  Fleet fleet;
+  ShardedFleet fleet;
   // Source 0 is flat (cheap); source 1 is volatile (chatty).
   LinearDriftGenerator::Config flat;
   flat.slope = 0.0;
@@ -182,7 +183,7 @@ TEST(FleetTest, PerSourceAccounting) {
 }
 
 TEST(FleetTest, AdaptiveAllocationShiftsBudget) {
-  Fleet fleet;
+  ShardedFleet fleet;
   LinearDriftGenerator::Config flat;
   flat.slope = 0.0;
   flat.wobble_sigma = 0.0;

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/sharded_fleet.h"
 #include "query/parser.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
 
@@ -32,10 +32,16 @@ std::unique_ptr<Predictor> Factory(int32_t id) {
   }
 }
 
-/// Builds a fleet matching Factory() and runs it for `ticks`.
-std::unique_ptr<Fleet> RunFleet(size_t ticks) {
-  auto fleet = std::make_unique<Fleet>();
-  fleet->server().EnableArchiving(5000);
+/// Builds a one-shard, per-object fleet matching Factory() and runs it for
+/// `ticks`. Its single shard is a plain StreamServer holding every source,
+/// so the tests snapshot and query it directly.
+std::unique_ptr<ShardedFleet> RunFleet(size_t ticks) {
+  ShardedFleet::Config config;
+  config.num_shards = 1;
+  config.pooling = false;
+  auto fleet = std::make_unique<ShardedFleet>(config);
+  StreamServer& server = fleet->server().shard(0);
+  server.EnableArchiving(5000);
   for (int32_t id = 0; id < 3; ++id) {
     RandomWalkGenerator::Config walk;
     walk.step_sigma = 0.3 + 0.2 * id;
@@ -44,17 +50,17 @@ std::unique_ptr<Fleet> RunFleet(size_t ticks) {
   }
   auto spec = ParseQuery("SELECT AVG(s0, s1, s2) WITHIN 2 EVERY 5");
   EXPECT_TRUE(spec.ok());
-  EXPECT_TRUE(fleet->server().AddQuery("avg_all", *spec).ok());
+  EXPECT_TRUE(server.AddQuery("avg_all", *spec).ok());
   auto hist = ParseQuery("SELECT MAX(s0) LAST 50");
   EXPECT_TRUE(hist.ok());
-  EXPECT_TRUE(fleet->server().AddQuery("recent_max", *hist).ok());
+  EXPECT_TRUE(server.AddQuery("recent_max", *hist).ok());
   EXPECT_TRUE(fleet->Run(ticks).ok());
   return fleet;
 }
 
 TEST(SnapshotTest, RoundTripPreservesAnswers) {
   auto fleet = RunFleet(800);
-  StreamServer& original = fleet->server();
+  StreamServer& original = fleet->server().shard(0);
   std::string path = TempPath("server.snap");
   ASSERT_TRUE(SaveServerSnapshot(original, path).ok());
 
@@ -93,8 +99,9 @@ TEST(SnapshotTest, RoundTripPreservesAnswers) {
 
 TEST(SnapshotTest, RestoredServerContinuesEvolvingIdentically) {
   auto fleet = RunFleet(300);
+  StreamServer& server = fleet->server().shard(0);
   std::string path = TempPath("continue.snap");
-  ASSERT_TRUE(SaveServerSnapshot(fleet->server(), path).ok());
+  ASSERT_TRUE(SaveServerSnapshot(server, path).ok());
   StreamServer restored;
   ASSERT_TRUE(LoadServerSnapshot(path, Factory, &restored).ok());
 
@@ -105,13 +112,13 @@ TEST(SnapshotTest, RestoredServerContinuesEvolvingIdentically) {
   corr.seq = 100000;
   corr.time = 1e6;
   corr.payload = {0.75, 42.0};
-  ASSERT_TRUE(fleet->server().OnMessage(corr).ok());
+  ASSERT_TRUE(server.OnMessage(corr).ok());
   ASSERT_TRUE(restored.OnMessage(corr).ok());
   for (int i = 0; i < 10; ++i) {
-    fleet->server().Tick();
+    server.Tick();
     restored.Tick();
   }
-  auto a = fleet->server().SourceValue(1);
+  auto a = server.SourceValue(1);
   auto b = restored.SourceValue(1);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(a->value[0], b->value[0]);
@@ -120,13 +127,13 @@ TEST(SnapshotTest, RestoredServerContinuesEvolvingIdentically) {
 
 TEST(SnapshotTest, ArchivesSurviveTheRoundTrip) {
   auto fleet = RunFleet(400);
+  StreamServer& server = fleet->server().shard(0);
   std::string path = TempPath("archive.snap");
-  ASSERT_TRUE(SaveServerSnapshot(fleet->server(), path).ok());
+  ASSERT_TRUE(SaveServerSnapshot(server, path).ok());
   StreamServer restored;
   ASSERT_TRUE(LoadServerSnapshot(path, Factory, &restored).ok());
 
-  auto a = fleet->server().HistoricalAggregate(0, AggregateKind::kAvg, 0.0,
-                                               1e9);
+  auto a = server.HistoricalAggregate(0, AggregateKind::kAvg, 0.0, 1e9);
   auto b = restored.HistoricalAggregate(0, AggregateKind::kAvg, 0.0, 1e9);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(a->value, b->value);
@@ -145,9 +152,10 @@ TEST(SnapshotTest, LoadValidations) {
 
   // Non-fresh target rejected.
   auto fleet = RunFleet(50);
+  StreamServer& server = fleet->server().shard(0);
   std::string path = TempPath("valid.snap");
-  ASSERT_TRUE(SaveServerSnapshot(fleet->server(), path).ok());
-  EXPECT_FALSE(LoadServerSnapshot(path, Factory, &fleet->server()).ok());
+  ASSERT_TRUE(SaveServerSnapshot(server, path).ok());
+  EXPECT_FALSE(LoadServerSnapshot(path, Factory, &server).ok());
 
   // Corrupted magic rejected.
   {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fleet/sharded_fleet.h"
 #include "server/allocation.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
 
@@ -62,7 +62,7 @@ TEST(VolatilityEstimatorTest, BatchWithFallbacks) {
 TEST(VolatilityEstimatorTest, RanksHeterogeneousFleetFromServerSideOnly) {
   // The server profiles its own archives and derives a variance-
   // proportional allocation — no client cooperation anywhere.
-  Fleet fleet;
+  ShardedFleet fleet;
   fleet.server().EnableArchiving(10000);
   const double sigmas[3] = {0.1, 0.5, 2.0};
   for (int i = 0; i < 3; ++i) {
