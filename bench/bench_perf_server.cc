@@ -164,6 +164,9 @@ BENCHMARK(BM_FleetTick_1M)
     ->Apply(FleetTickMatrix)
     ->Unit(benchmark::kMillisecond);
 
+// Registered live-aggregate evaluation (ShardedServer::Evaluate) over
+// {members} ValueCache sources on the default fleet, back to back: the
+// warm-cache cost of the member pass alone.
 void BM_AggregateEvaluate(benchmark::State& state) {
   auto members = static_cast<int>(state.range(0));
   kc::ShardedFleet fleet;
@@ -181,8 +184,61 @@ void BM_AggregateEvaluate(benchmark::State& state) {
     auto result = fleet.server().Evaluate("avg");
     benchmark::DoNotOptimize(result.ok());
   }
+  state.SetItemsProcessed(state.iterations() * members);
+  state.counters["members"] = static_cast<double>(members);
+  state.counters["shards"] = static_cast<double>(fleet.server().num_shards());
 }
-BENCHMARK(BM_AggregateEvaluate)->Arg(4)->Arg(64)->Arg(256);
+BENCHMARK(BM_AggregateEvaluate)
+    ->Arg(4)
+    ->Arg(64)
+    ->Arg(256)
+    ->UseRealTime()
+    ->Repetitions(7)
+    ->ReportAggregatesOnly(true);
+
+// The same evaluation as kcbench's sensor_queries driver sees it: 2,000
+// default adaptive Kalman sources on 8 shards stepped by 2 threads, and
+// one untimed fleet Step() before every evaluation, so each member read
+// follows a shard worker's write on another core. {members}: the query
+// spans the first `members` sources.
+void BM_AggregateEvaluateAfterStep(benchmark::State& state) {
+  constexpr int kSources = 2000;
+  const auto members = static_cast<int>(state.range(0));
+  kc::ShardedFleet::Config config;
+  config.threads = 2;
+  config.num_shards = 8;
+  kc::ShardedFleet fleet(config);
+  for (int i = 0; i < kSources; ++i) {
+    kc::RandomWalkGenerator::Config walk;
+    walk.start = 0.01 * i;
+    walk.step_sigma = 0.3;
+    fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),
+                    kc::MakeDefaultKalmanPredictor(0.09, 0.01), 1.0);
+  }
+  (void)fleet.Run(20);  // Warm-up: every replica initialized.
+  kc::QuerySpec spec;
+  spec.kind = kc::AggregateKind::kAvg;
+  for (int i = 0; i < members; ++i) spec.sources.push_back(i);
+  (void)fleet.server().AddQuery("avg", spec);
+  for (auto _ : state) {
+    state.PauseTiming();
+    (void)fleet.Step();
+    state.ResumeTiming();
+    auto result = fleet.server().Evaluate("avg");
+    benchmark::DoNotOptimize(result.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * members);
+  state.counters["members"] = static_cast<double>(members);
+  state.counters["shards"] = static_cast<double>(config.num_shards);
+}
+BENCHMARK(BM_AggregateEvaluateAfterStep)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(2000)
+    ->UseRealTime()
+    ->Repetitions(7)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMicrosecond);
 
 // Deterministic loss-sweep smoke for the recovery protocol: one link,
 // fixed seeds, a Gilbert-Elliott channel whose stationary bad-state

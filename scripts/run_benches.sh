@@ -204,6 +204,34 @@ merged["fleet_tick_1m"] = {
     "pooled_speedup_100k": speedup,
     "adaptive_pooled_speedup_100k": adaptive_speedup,
 }
+# Live-aggregate evaluation: the BM_AggregateEvaluate families run with
+# repetitions; keep each row's median real time per member, stamped with
+# the host's CPU count and load so rows from different hosts are not
+# compared as if they were one.
+ns_per_unit = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+aggregate_rows = []
+for bench in merged["benchmarks"]:
+    if bench.get("aggregate_name") != "median":
+        continue
+    run = bench.get("run_name", "")
+    if not run.startswith("BM_AggregateEvaluate"):
+        continue
+    members = int(bench.get("members", 0))
+    real_ns = bench["real_time"] * ns_per_unit[bench.get("time_unit", "ns")]
+    aggregate_rows.append({
+        "name": run,
+        "members": members,
+        "shards": int(bench.get("shards", 0)),
+        "after_step": run.startswith("BM_AggregateEvaluateAfterStep/"),
+        "median_ns": round(real_ns, 1),
+        "ns_per_member": round(real_ns / max(members, 1), 2),
+    })
+context = merged["context"] or {}
+merged["aggregate_evaluate"] = {
+    "num_cpus": context.get("num_cpus"),
+    "load_avg": context.get("load_avg"),
+    "rows": aggregate_rows,
+}
 with open("BENCH_perf.json", "w") as f:
     json.dump(merged, f, indent=2)
     f.write("\n")
@@ -224,6 +252,9 @@ for row in audit_overhead:
 for row in telemetry_overhead:
     print(f"  telemetry overhead {row['model']}: {row['base_ns']} -> "
           f"{row['telemetry_ns']} ns ({row['overhead_pct']:+.2f}%)")
+for row in aggregate_rows:
+    print(f"  aggregate evaluate {row['name']}: {row['median_ns']:,.0f} ns "
+          f"({row['ns_per_member']} ns/member)")
 for row in fleet_tick:
     kind = "pooled" if row["pooled"] else "per-object"
     lanes = "simd" if row["simd"] else "scalar"

@@ -16,8 +16,11 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
 }
 
 double Rng::Gaussian(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // Scaling a standard draw is libstdc++'s own final step, so this is
+  // bit-identical to normal_distribution(mean, stddev) for stddev > 0 —
+  // and, unlike it, defined for stddev == 0 (a point mass at `mean`).
+  std::normal_distribution<double> dist(0.0, 1.0);
+  return dist(engine_) * stddev + mean;
 }
 
 double Rng::Exponential(double rate) {

@@ -28,7 +28,8 @@ class Rng {
   /// Uniform integer in [lo, hi] (inclusive).
   int64_t UniformInt(int64_t lo, int64_t hi);
 
-  /// Normal draw with the given mean and standard deviation.
+  /// Normal draw with the given mean and standard deviation (>= 0;
+  /// stddev 0 returns `mean`).
   double Gaussian(double mean = 0.0, double stddev = 1.0);
 
   /// Exponential draw with the given rate (mean = 1/rate).

@@ -337,9 +337,8 @@ Status ShardedFleet::Step() {
     telemetry_snapshots_->Inc();
     telemetry_snapshot_bytes_->Inc(static_cast<int64_t>(encoded.size()));
     obs::TelemetrySnapshot decoded;
-    Status s = obs::DecodeSnapshot(encoded.data(), encoded.size(), &decoded);
-    assert(s.ok());
-    (void)s;
+    KC_RETURN_IF_ERROR(
+        obs::DecodeSnapshot(encoded.data(), encoded.size(), &decoded));
     telemetry_merger_->Absorb(decoded);
   }
   if (timeseries_every_ > 0 && ticks_ % timeseries_every_ == 0) {

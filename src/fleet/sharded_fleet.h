@@ -96,7 +96,8 @@ class ShardedFleet {
   /// Advances the whole system one stream tick: shards in parallel, then
   /// the barrier. On error the first failing shard's status (lowest shard
   /// index) is returned — deterministically, regardless of thread
-  /// interleaving.
+  /// interleaving. With the telemetry plane on, a self-merge snapshot
+  /// that fails to decode is returned as well.
   Status Step();
 
   /// Runs `ticks` steps, stopping on the first error.

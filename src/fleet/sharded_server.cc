@@ -127,6 +127,12 @@ StatusOr<const TickArchive*> ShardedServer::Archive(int32_t source_id) const {
 
 int64_t ShardedServer::ticks() const { return shards_.front()->ticks(); }
 
+uint64_t ShardedServer::registration_epoch() const {
+  uint64_t epoch = 0;
+  for (const auto& shard : shards_) epoch += shard->registration_epoch();
+  return epoch;
+}
+
 StatusOr<QueryResult> ShardedServer::HistoricalAggregate(int32_t source_id,
                                                          AggregateKind kind,
                                                          double t0,

@@ -102,14 +102,16 @@ class ShardedServer : public SourceView {
 
   // --- Merged reads (call after the tick barrier) ---
 
-  StatusOr<BoundedAnswer> SourceValue(int32_t source_id) const override;
+  StatusOr<BoundedAnswer> SourceValue(int32_t source_id) const;
   const ServerReplica* replica(int32_t source_id) const override;
-  bool IsStale(int32_t source_id) const override;
-  bool IsDesynced(int32_t source_id) const override;
+  bool IsStale(int32_t source_id) const;
+  bool IsDesynced(int32_t source_id) const;
   StatusOr<const TickArchive*> Archive(int32_t source_id) const override;
   /// The merged stream clock. All shards tick together, so this is shard
   /// 0's clock.
   int64_t ticks() const override;
+  /// The sum of the shards' epochs: any shard's (un)registration moves it.
+  uint64_t registration_epoch() const override;
 
   StatusOr<QueryResult> HistoricalAggregate(int32_t source_id,
                                             AggregateKind kind, double t0,
@@ -233,7 +235,7 @@ class ShardedServer : public SourceView {
   int64_t AuditExhaustedSources() const;
 
   /// The watchdog's merged verdict for one source (kOk when disabled).
-  obs::HealthState HealthOf(int32_t source_id) const override;
+  obs::HealthState HealthOf(int32_t source_id) const;
 
   /// Fleet-wide black-box dump / health summary, sources in ascending-id
   /// order (deterministic for any thread count). Empty when disabled.

@@ -180,7 +180,7 @@ class HealthMonitor {
   /// source without knowing its true obs_dim.
   SourceHealth* FindMutable(int32_t source_id);
 
-  /// kOk for unknown sources (mirrors SourceView::IsDesynced).
+  /// kOk for unknown sources (mirrors StreamServer::IsDesynced).
   HealthState StateOf(int32_t source_id) const;
 
   /// Registered source ids, ascending.

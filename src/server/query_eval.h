@@ -30,29 +30,19 @@ struct BoundedAnswer {
 /// owning shard. Keeping evaluation against this interface is what lets
 /// one query span sources scattered over many shards while every shard
 /// keeps exclusive ownership of its replicas and archives.
+///
+/// Live aggregates touch the view only to resolve member ids to replica
+/// handles; value, bound and the stale/degraded/health flags are then read
+/// straight from each replica. A handle stays valid until its source is
+/// unregistered, and every RegisterSource/UnregisterSource moves
+/// registration_epoch(), so handles resolved at one epoch may be reused
+/// for as long as the epoch is unchanged.
 class SourceView {
  public:
   virtual ~SourceView() = default;
 
-  /// The current bounded answer for one source.
-  virtual StatusOr<BoundedAnswer> SourceValue(int32_t source_id) const = 0;
-
   /// Direct replica access; nullptr if unknown.
   virtual const ServerReplica* replica(int32_t source_id) const = 0;
-
-  /// True if the source exists, is initialized, and has exceeded the
-  /// staleness limit (false when staleness tracking is disabled).
-  virtual bool IsStale(int32_t source_id) const = 0;
-
-  /// True if the source's replica is quarantined pending resync (always
-  /// false when loss-tolerant recovery is disabled).
-  virtual bool IsDesynced(int32_t /*source_id*/) const { return false; }
-
-  /// The health watchdog's verdict for one source (kOk when the watchdog
-  /// is disabled or the source is unknown).
-  virtual obs::HealthState HealthOf(int32_t /*source_id*/) const {
-    return obs::HealthState::kOk;
-  }
 
   /// The archive for one source; error if archiving is disabled or the
   /// source is unknown/non-scalar.
@@ -60,25 +50,40 @@ class SourceView {
 
   /// The view's stream clock (ticks elapsed).
   virtual int64_t ticks() const = 0;
+
+  /// A counter that changes on every source registration or removal
+  /// anywhere in the view, and on nothing else.
+  virtual uint64_t registration_epoch() const = 0;
 };
 
 /// Checks that every source a spec references exists in the view and is
 /// scalar (aggregates are defined over scalar sources only).
 Status ValidateSpecSources(const SourceView& view, const QuerySpec& spec);
 
-/// Evaluates a spec against the view: live aggregates read each member's
-/// bounded answer; historical specs (FROM..TO / LAST n) read the single
-/// source's archive. A LAST n window larger than the recorded history is
-/// clamped to the archive's oldest time rather than silently querying
-/// t < 0.
+/// Evaluates a spec against the view: live aggregates resolve each member
+/// once and read its replica; historical specs (FROM..TO / LAST n) read
+/// the single source's archive. A LAST n window larger than the recorded
+/// history is clamped to the archive's oldest time rather than silently
+/// querying t < 0.
 StatusOr<QueryResult> EvaluateSpecOn(const SourceView& view,
                                      const QuerySpec& spec,
                                      const std::string& name);
 
 /// The registered-continuous-query table shared by StreamServer and
 /// ShardedServer: name -> spec plus the EVERY-cadence bookkeeping that
-/// EvaluateDue needs. Not thread-safe; the driver evaluates queries from
-/// one thread after the tick barrier.
+/// EvaluateDue needs.
+///
+/// Each live query keeps a member plan: its members' replica handles in
+/// spec order, resolved when the query is added and re-resolved on the
+/// first evaluation after the view's registration_epoch() moves. An
+/// unregistered member so re-resolves to null and the query fails with
+/// NotFound; a re-registered id picks up its new replica. The plan also
+/// owns the per-query value/bound scratch, so a steady-state evaluation
+/// allocates nothing per member.
+///
+/// Not thread-safe, including the const evaluators, which refresh plans
+/// in place: the driver evaluates queries from one thread after the tick
+/// barrier, when no shard worker is touching a replica.
 class QueryTable {
  public:
   /// Validates the spec (including its sources against `view`) and
@@ -110,7 +115,19 @@ class QueryTable {
   struct Entry {
     QuerySpec spec;
     int64_t last_due_eval = -1;  ///< Tick of the last EvaluateDue() firing.
+    /// The member plan (live specs only; see the class comment).
+    mutable std::vector<const ServerReplica*> members;
+    mutable uint64_t plan_epoch = 0;
+    mutable std::vector<double> values;
+    mutable std::vector<double> bounds;
   };
+
+  /// Evaluates one entry into `result`. `epoch` is the view's current
+  /// registration epoch; a plan resolved at another epoch is re-resolved
+  /// first.
+  static Status EvaluateEntry(const SourceView& view, uint64_t epoch,
+                              const std::string& name, const Entry& entry,
+                              QueryResult* result);
 
   std::map<std::string, Entry> entries_;
 };

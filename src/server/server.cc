@@ -67,9 +67,11 @@ Status StreamServer::RegisterSource(int32_t source_id,
   auto replica = std::make_unique<ServerReplica>(source_id, std::move(predictor));
   if (registry_ != nullptr) replica->BindMetrics(registry_);
   if (recovery_.enabled) replica->SetRecovery(recovery_);
+  replica->SetStalenessLimit(staleness_limit_);
   InstallControlSender(replica.get());
   BindReplicaObservability(replica.get());
   replicas_[source_id] = std::move(replica);
+  ++registration_epoch_;
   if (metrics_.sources != nullptr) {
     metrics_.sources->Set(static_cast<double>(replicas_.size()));
   }
@@ -80,6 +82,7 @@ Status StreamServer::UnregisterSource(int32_t source_id) {
   if (replicas_.erase(source_id) == 0) {
     return Status::NotFound(StrFormat("unknown source %d", source_id));
   }
+  ++registration_epoch_;
   // Drop the archive with the replica: a re-registered id must not resume
   // the dead source's history (Record's non-decreasing-time invariant can
   // fire after a snapshot restore otherwise).
@@ -289,11 +292,16 @@ obs::HealthState StreamServer::HealthOf(int32_t source_id) const {
                             : health_->StateOf(source_id);
 }
 
+void StreamServer::SetStalenessLimit(int64_t max_silent_ticks) {
+  staleness_limit_ = max_silent_ticks;
+  for (auto& [id, replica] : replicas_) {
+    replica->SetStalenessLimit(max_silent_ticks);
+  }
+}
+
 bool StreamServer::IsStale(int32_t source_id) const {
-  if (staleness_limit_ <= 0) return false;
   auto it = replicas_.find(source_id);
-  if (it == replicas_.end() || !it->second->initialized()) return false;
-  return it->second->TicksSinceHeard() > staleness_limit_;
+  return it != replicas_.end() && it->second->stale();
 }
 
 const ServerReplica* StreamServer::replica(int32_t source_id) const {

@@ -57,7 +57,7 @@ class StreamServer : public SourceView {
   Status OnMessage(const Message& msg);
 
   /// The current bounded answer for one source.
-  StatusOr<BoundedAnswer> SourceValue(int32_t source_id) const override;
+  StatusOr<BoundedAnswer> SourceValue(int32_t source_id) const;
 
   /// Registers a named continuous query. Fails if the spec is invalid,
   /// the name is taken, or a referenced source is unknown.
@@ -80,17 +80,16 @@ class StreamServer : public SourceView {
   /// per tick (after Tick()) for paper-style continuous query semantics.
   std::vector<QueryResult> EvaluateDue();
 
-  /// Sets the liveness threshold: a source silent (no message, heartbeats
-  /// included) for more than `max_silent_ticks` replica ticks marks every
-  /// query touching it stale. 0 disables staleness tracking (default).
-  void SetStalenessLimit(int64_t max_silent_ticks) {
-    staleness_limit_ = max_silent_ticks;
-  }
+  /// Sets the liveness threshold on every replica, current and future: a
+  /// source silent (no message, heartbeats included) for more than
+  /// `max_silent_ticks` replica ticks marks every query touching it stale.
+  /// 0 disables staleness tracking (default).
+  void SetStalenessLimit(int64_t max_silent_ticks);
   int64_t staleness_limit() const { return staleness_limit_; }
 
   /// True if the source exists, is initialized, and has exceeded the
   /// staleness limit.
-  bool IsStale(int32_t source_id) const override;
+  bool IsStale(int32_t source_id) const;
 
   /// Enables loss-tolerant recovery on every replica, current and future:
   /// wire-seq gap detection, silence escalation, RESYNC_REQUEST emission
@@ -100,7 +99,7 @@ class StreamServer : public SourceView {
   const ReplicaRecoveryConfig& recovery() const { return recovery_; }
 
   /// True if the source's replica is quarantined pending resync.
-  bool IsDesynced(int32_t source_id) const override;
+  bool IsDesynced(int32_t source_id) const;
 
   /// Enables per-tick archiving of every *scalar* source's bounded view
   /// into a ring of `capacity` points (multi-dimensional sources are
@@ -132,6 +131,8 @@ class StreamServer : public SourceView {
   size_t num_sources() const { return replicas_.size(); }
   size_t num_queries() const { return queries_.size(); }
   int64_t ticks() const override { return ticks_; }
+  /// Bumped by every RegisterSource/UnregisterSource.
+  uint64_t registration_epoch() const override { return registration_epoch_; }
   int64_t messages_processed() const { return messages_processed_; }
 
   /// Direct replica access (diagnostics/tests); nullptr if unknown.
@@ -178,7 +179,7 @@ class StreamServer : public SourceView {
   void BindHealth(obs::HealthMonitor* health);
 
   /// The watchdog's verdict for one source (kOk when no watchdog bound).
-  obs::HealthState HealthOf(int32_t source_id) const override;
+  obs::HealthState HealthOf(int32_t source_id) const;
 
   /// Attaches the precision auditor's query ledger: every evaluation on
   /// this server is tallied per query name (served/failed/stale/degraded/
@@ -228,6 +229,7 @@ class StreamServer : public SourceView {
   obs::PrecisionAuditor* auditor_ = nullptr;
   size_t archive_capacity_ = 0;  ///< 0 = archiving disabled.
   int64_t ticks_ = 0;
+  uint64_t registration_epoch_ = 0;
   int64_t messages_processed_ = 0;
   int64_t staleness_limit_ = 0;
 };

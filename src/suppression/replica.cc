@@ -111,6 +111,10 @@ void ServerReplica::BindObservability(obs::SourceRecorder* recorder,
   health_ = health;
 }
 
+obs::HealthState ServerReplica::health() const {
+  return health_ == nullptr ? obs::HealthState::kOk : health_->state();
+}
+
 Status ServerReplica::OnMessage(const Message& msg) {
   if (msg.source_id != source_id_) {
     return Status::InvalidArgument("message routed to wrong replica");

@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "net/message.h"
+#include "obs/health_state.h"
 #include "suppression/predictor.h"
 
 namespace kc {
@@ -121,6 +122,22 @@ class ServerReplica {
                                    : ticks_ - tick_at_last_heard_;
   }
 
+  /// Liveness threshold in replica ticks (0, the default, disables
+  /// staleness tracking). Set by the owning server for every replica.
+  void SetStalenessLimit(int64_t max_silent_ticks) {
+    staleness_limit_ = max_silent_ticks;
+  }
+
+  /// True if the replica is initialized and its source has been silent
+  /// for more than the staleness limit.
+  bool stale() const {
+    return staleness_limit_ > 0 && initialized_ &&
+           TicksSinceHeard() > staleness_limit_;
+  }
+
+  /// The bound watchdog entry's verdict (kOk when none is bound).
+  obs::HealthState health() const;
+
   const Predictor& predictor() const { return *predictor_; }
 
   /// Registers kc.replica.{messages_applied,messages_ignored,full_syncs,
@@ -158,6 +175,7 @@ class ServerReplica {
   obs::SourceRecorder* recorder_ = nullptr;  ///< Optional black box.
   obs::SourceHealth* health_ = nullptr;      ///< Optional watchdog feed.
   ReplicaRecoveryConfig recovery_;
+  int64_t staleness_limit_ = 0;
   ControlSender control_sender_;
   bool initialized_ = false;
   bool desynced_ = false;

@@ -27,6 +27,7 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "server/query.h"
 #include "suppression/policies.h"
 
 namespace {
@@ -385,6 +386,46 @@ TEST(ZeroAllocTest, ParallelVectorizedSweepSteadyStateIsAllocationFree) {
   long before = AllocCount();
   for (int t = 0; t < 200; ++t) server.SweepPools(&workers);
   EXPECT_EQ(AllocCount() - before, 0);
+}
+
+/// Heap allocations of one EvaluateDue() over a single AVG query of
+/// `members` sources on an 8-shard server with metrics and audit on,
+/// measured after a warm-up evaluation.
+long CountEvaluateDueAllocs(int32_t members) {
+  ShardedServer server(8);
+  server.EnableMetrics();
+  server.EnableAudit();
+  QuerySpec spec;
+  spec.kind = AggregateKind::kAvg;
+  for (int32_t id = 0; id < members; ++id) {
+    EXPECT_TRUE(
+        server.RegisterSource(id, std::make_unique<ValueCachePredictor>())
+            .ok());
+    Message init;
+    init.source_id = id;
+    init.type = MessageType::kInit;
+    init.payload = {0.5, static_cast<double>(id)};  // delta, value.
+    EXPECT_TRUE(server.OnMessage(init).ok());
+    spec.sources.push_back(id);
+  }
+  EXPECT_TRUE(server.AddQuery("avg", spec).ok());
+  server.Tick();
+  EXPECT_EQ(server.EvaluateDue().size(), 1u);  // Warm-up.
+  server.Tick();
+  long before = AllocCount();
+  std::vector<QueryResult> due = server.EvaluateDue();
+  long allocs = AllocCount() - before;
+  EXPECT_EQ(due.size(), 1u);
+  return allocs;
+}
+
+TEST(ZeroAllocTest, EvaluateDueAllocationsDoNotGrowWithMembers) {
+  // The member plan owns its scratch, so a due evaluation allocates only
+  // for its result list, never per member.
+  const long small = CountEvaluateDueAllocs(4);
+  const long large = CountEvaluateDueAllocs(512);
+  EXPECT_EQ(small, large);
+  EXPECT_LE(small, 1);
 }
 
 TEST(ZeroAllocTest, PooledPredictorSuppressedTicksStayAllocationFree) {

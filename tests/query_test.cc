@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "server/server.h"
+#include "suppression/policies.h"
+
 namespace kc {
 namespace {
 
@@ -97,6 +102,124 @@ TEST(QueryResultTest, ToStringMentionsBoundAndTrigger) {
   EXPECT_NE(s.find("q1"), std::string::npos);
   EXPECT_NE(s.find("3.5"), std::string::npos);
   EXPECT_NE(s.find("MAYBE"), std::string::npos);
+}
+
+// ------------------------------------------------ registered-query plans
+
+Message InitMessage(int32_t source, double delta, double value) {
+  Message msg;
+  msg.source_id = source;
+  msg.type = MessageType::kInit;
+  msg.payload = {delta, value};
+  return msg;
+}
+
+/// Sources 0..n-1 reporting 10*id under bound 0.5.
+void AddReportingSources(StreamServer* server, int n) {
+  for (int32_t id = 0; id < n; ++id) {
+    ASSERT_TRUE(
+        server->RegisterSource(id, std::make_unique<ValueCachePredictor>())
+            .ok());
+    ASSERT_TRUE(server->OnMessage(InitMessage(id, 0.5, 10.0 * id)).ok());
+  }
+}
+
+TEST(QueryPlanTest, UnregisteredMemberFailsWithNotFound) {
+  StreamServer server;
+  AddReportingSources(&server, 4);
+  QuerySpec spec;
+  spec.kind = AggregateKind::kAvg;
+  spec.sources = {0, 2, 3};
+  ASSERT_TRUE(server.AddQuery("avg", spec).ok());
+  ASSERT_TRUE(server.Evaluate("avg").ok());
+
+  ASSERT_TRUE(server.UnregisterSource(2).ok());
+  auto result = server.Evaluate("avg");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(result.status().ToString().find("unknown source 2"),
+            std::string::npos)
+      << result.status();
+  // EvaluateDue skips it (it stays due); EvaluateAll folds the error in.
+  EXPECT_TRUE(server.EvaluateDue().empty());
+  std::vector<QueryResult> all = server.EvaluateAll();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_NE(all[0].name.find("unknown source 2"), std::string::npos);
+}
+
+TEST(QueryPlanTest, ReregisteredMemberAnswersFromNewReplica) {
+  StreamServer server;
+  AddReportingSources(&server, 3);
+  QuerySpec spec;
+  spec.kind = AggregateKind::kSum;
+  spec.sources = {2, 1};
+  ASSERT_TRUE(server.AddQuery("sum", spec).ok());
+  auto before = server.Evaluate("sum");
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->value, 30.0);
+  EXPECT_EQ(before->bound, 1.0);
+
+  ASSERT_TRUE(server.UnregisterSource(1).ok());
+  ASSERT_TRUE(
+      server.RegisterSource(1, std::make_unique<ValueCachePredictor>()).ok());
+  auto uninitialized = server.Evaluate("sum");
+  ASSERT_FALSE(uninitialized.ok());
+  EXPECT_EQ(uninitialized.status().code(), StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(server.OnMessage(InitMessage(1, 3.0, -7.0)).ok());
+  auto after = server.Evaluate("sum");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->value, 20.0 - 7.0);
+  EXPECT_EQ(after->bound, 0.5 + 3.0);
+  std::vector<QueryResult> due = server.EvaluateDue();
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].value, after->value);
+  EXPECT_EQ(due[0].bound, after->bound);
+}
+
+TEST(QueryPlanTest, FirstFailingMemberInSpecOrderDecidesTheError) {
+  StreamServer server;
+  AddReportingSources(&server, 2);
+  ASSERT_TRUE(
+      server.RegisterSource(5, std::make_unique<ValueCachePredictor>()).ok());
+  QuerySpec spec;
+  spec.kind = AggregateKind::kMax;
+  spec.sources = {0, 5, 9};  // Reporting, uninitialized, unknown.
+  auto uninitialized = server.EvaluateSpec(spec);
+  ASSERT_FALSE(uninitialized.ok());
+  EXPECT_EQ(uninitialized.status().code(), StatusCode::kFailedPrecondition);
+  spec.sources = {0, 9, 5};
+  auto unknown = server.EvaluateSpec(spec);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+}
+
+TEST(QueryPlanTest, StalenessLimitReachesEveryReplica) {
+  StreamServer server;
+  AddReportingSources(&server, 1);
+  server.SetStalenessLimit(3);  // After source 0, before source 1.
+  ASSERT_TRUE(
+      server.RegisterSource(1, std::make_unique<ValueCachePredictor>()).ok());
+  ASSERT_TRUE(server.OnMessage(InitMessage(1, 0.5, 10.0)).ok());
+  QuerySpec first;
+  first.kind = AggregateKind::kValue;
+  first.sources = {0};
+  QuerySpec second = first;
+  second.sources = {1};
+  ASSERT_TRUE(server.AddQuery("first", first).ok());
+  ASSERT_TRUE(server.AddQuery("second", second).ok());
+  for (int t = 0; t < 4; ++t) server.Tick();
+  for (const char* name : {"first", "second"}) {
+    auto result = server.Evaluate(name);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result->stale) << name;
+  }
+  server.SetStalenessLimit(0);
+  for (const char* name : {"first", "second"}) {
+    auto result = server.Evaluate(name);
+    ASSERT_TRUE(result.ok());
+    EXPECT_FALSE(result->stale) << name;
+  }
 }
 
 }  // namespace

@@ -63,6 +63,25 @@ TEST(RngTest, GaussianMomentsApproximatelyCorrect) {
   EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
 }
 
+TEST(RngTest, GaussianBitIdenticalToStdNormalDistribution) {
+  Rng rng(2024);
+  std::mt19937_64 engine(2024);
+  for (int i = 0; i < 10000; ++i) {
+    const double mean = -3.0 + 0.001 * i;
+    const double stddev = 0.05 + 0.0007 * i;
+    std::normal_distribution<double> dist(mean, stddev);
+    const double expected = dist(engine);
+    ASSERT_EQ(rng.Gaussian(mean, stddev), expected) << "draw " << i;
+  }
+}
+
+TEST(RngTest, GaussianWithZeroStddevReturnsMean) {
+  Rng rng(7);
+  for (double mean : {0.0, -2.5, 41.0}) {
+    EXPECT_EQ(rng.Gaussian(mean, 0.0), mean);
+  }
+}
+
 TEST(RngTest, ExponentialMeanMatchesRate) {
   Rng rng(13);
   RunningStats stats;

@@ -584,6 +584,233 @@ TEST(ShardedFleetTest, CrossShardQueriesAndArchives) {
   EXPECT_FALSE(fleet.server().Evaluate("all").ok());
 }
 
+/// The per-member semantics a live aggregate must keep, spelled out
+/// against the servers' per-source accessors: the first member (in spec
+/// order) without a bounded answer decides the error; the result is stale
+/// if any initialized member has been silent past the staleness limit,
+/// degraded if any member is quarantined, and carries the worst member
+/// health verdict.
+template <typename Server>
+StatusOr<QueryResult> ReferenceEvaluate(const Server& server,
+                                        const QuerySpec& spec,
+                                        const std::string& name) {
+  std::vector<double> values;
+  std::vector<double> bounds;
+  for (int32_t id : spec.sources) {
+    auto answer = server.SourceValue(id);
+    if (!answer.ok()) return answer.status();
+    values.push_back(answer->value[0]);
+    bounds.push_back(answer->bound);
+  }
+  QueryResult result;
+  result.name = name;
+  result.value = AggregateValues(spec.kind, values);
+  result.bound = AggregateErrorBound(spec.kind, bounds);
+  result.meets_within = spec.within <= 0.0 || result.bound <= spec.within;
+  for (int32_t id : spec.sources) {
+    const int64_t limit = server.staleness_limit();
+    result.stale = result.stale ||
+                   (limit > 0 && server.replica(id)->TicksSinceHeard() > limit);
+    result.degraded = result.degraded || server.IsDesynced(id);
+    result.health = std::max(result.health, server.HealthOf(id));
+  }
+  if (spec.threshold.has_value()) {
+    result.trigger = EvaluateTrigger(result.value, result.bound,
+                                     *spec.threshold, spec.above);
+  }
+  return result;
+}
+
+void ExpectSameResult(const QueryResult& a, const QueryResult& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.name, b.name) << label;
+  EXPECT_EQ(a.value, b.value) << label;
+  EXPECT_EQ(a.bound, b.bound) << label;
+  EXPECT_EQ(a.meets_within, b.meets_within) << label;
+  EXPECT_EQ(a.stale, b.stale) << label;
+  EXPECT_EQ(a.degraded, b.degraded) << label;
+  EXPECT_EQ(a.health, b.health) << label;
+  EXPECT_EQ(a.trigger, b.trigger) << label;
+}
+
+/// Every due query result of a faulty run with recovery, a staleness limit
+/// and the health watchdog on, checked tick by tick against
+/// ReferenceEvaluate. With one shard the same queries also run on the
+/// shard's own StreamServer, whose results must match too.
+struct FlagRun {
+  std::vector<QueryResult> results;
+  int64_t stale = 0;
+  int64_t degraded = 0;
+  int64_t unhealthy = 0;
+  int64_t failed = 0;  ///< Queries that could not be evaluated on a tick.
+};
+
+void RunFlagWorkload(size_t threads, size_t shards, FlagRun* run) {
+  ShardedFleet::Config config;
+  config.seed = 4242;
+  config.threads = threads;
+  config.num_shards = shards;
+  config.channel.loss_prob = 0.05;
+  config.channel.faults.burst_enter_prob = 0.02;
+  config.channel.faults.burst_exit_prob = 0.3;
+  config.channel.faults.burst_loss_prob = 0.9;
+  config.channel.faults.partition_start = 80;
+  config.channel.faults.partition_length = 10;
+  config.recovery.enabled = true;
+  config.recovery.suspect_after_silent_ticks = 6;
+  ShardedFleet fleet(config);
+  obs::HealthConfig health;
+  health.nis_window = 8;
+  health.windows_to_diverge = 2;
+  health.rate_window_ticks = 32;
+  fleet.EnableHealth(health);
+  AddStandardSources(fleet, 12);
+  // Four filters that believe their walk barely moves: the watchdog's NIS
+  // detector flags them.
+  for (int i = 0; i < 4; ++i) {
+    RandomWalkGenerator::Config walk;
+    walk.start = -10.0 * i;
+    walk.step_sigma = 0.5;
+    fleet.AddSource(std::make_unique<RandomWalkGenerator>(walk),
+                    std::make_unique<KalmanPredictor>(ScalarKalman(1e-6)),
+                    /*delta=*/0.5);
+  }
+  fleet.server().SetStalenessLimit(4);
+
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"avg_all",
+       "SELECT AVG(s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, "
+       "s13, s14, s15)"},
+      {"max_even", "SELECT MAX(s0, s2, s4, s6, s8, s10, s12, s14) WHEN > 20"},
+      {"min_odd", "SELECT MIN(s1, s3, s5, s13, s15) WHEN < 0 EVERY 3"},
+      {"sum_few", "SELECT SUM(s12, s3, s9) WITHIN 2"},
+      {"value", "SELECT VALUE(s7) EVERY 5"},
+  };
+  std::vector<QuerySpec> specs;
+  for (const auto& [name, text] : queries) {
+    auto spec = ParseQuery(text);
+    EXPECT_TRUE(spec.ok()) << text;
+    specs.push_back(*spec);
+    EXPECT_TRUE(fleet.server().AddQuery(name, *spec).ok()) << name;
+    if (shards == 1) {
+      EXPECT_TRUE(fleet.server().shard(0).AddQuery(name, *spec).ok()) << name;
+    }
+  }
+
+  for (int t = 0; t < 300; ++t) {
+    EXPECT_TRUE(fleet.Step().ok());
+    const std::string tick = " tick " + std::to_string(t);
+    for (size_t q = 0; q < specs.size(); ++q) {
+      const std::string& name = queries[q].first;
+      auto expected = ReferenceEvaluate(fleet.server(), specs[q], name);
+      auto sharded = fleet.server().Evaluate(name);
+      ASSERT_EQ(sharded.ok(), expected.ok()) << name << tick;
+      if (!expected.ok()) {
+        EXPECT_EQ(sharded.status().ToString(), expected.status().ToString());
+        ++run->failed;
+        continue;
+      }
+      ExpectSameResult(*sharded, *expected, name + tick);
+      if (shards == 1) {
+        auto local = fleet.server().shard(0).Evaluate(name);
+        ASSERT_TRUE(local.ok()) << name << tick;
+        ExpectSameResult(*local, *expected, name + " (shard)" + tick);
+      }
+    }
+    for (QueryResult& r : fleet.server().EvaluateDue()) {
+      run->stale += r.stale;
+      run->degraded += r.degraded;
+      run->unhealthy += r.health != obs::HealthState::kOk;
+      run->results.push_back(std::move(r));
+    }
+  }
+}
+
+TEST(ShardedFleetTest, QueryFlagsMatchPerSourceSemanticsUnderFaults) {
+  FlagRun one;
+  RunFlagWorkload(/*threads=*/1, /*shards=*/1, &one);
+  if (HasFatalFailure()) return;
+  // Every flag is exercised, so the comparisons above saw each one set.
+  EXPECT_GT(one.stale, 0);
+  EXPECT_GT(one.degraded, 0);
+  EXPECT_GT(one.unhealthy, 0);
+  EXPECT_GT(one.results.size(), 300u);
+
+  FlagRun eight;
+  RunFlagWorkload(/*threads=*/2, /*shards=*/8, &eight);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(one.failed, eight.failed);
+  ASSERT_EQ(one.results.size(), eight.results.size());
+  for (size_t i = 0; i < one.results.size(); ++i) {
+    ExpectSameResult(one.results[i], eight.results[i],
+                     "{1,1} vs {2,8} result " + std::to_string(i));
+  }
+}
+
+TEST(ShardedFleetTest, QueryPlanFollowsUnregisterAndReregister) {
+  ShardedServer server(8);
+  auto init = [&server](int32_t id, double value, double delta) {
+    Message msg;
+    msg.source_id = id;
+    msg.type = MessageType::kInit;
+    msg.payload = {delta, value};
+    return server.OnMessage(msg);
+  };
+  for (int32_t id = 0; id < 16; ++id) {
+    ASSERT_TRUE(
+        server.RegisterSource(id, std::make_unique<ValueCachePredictor>())
+            .ok());
+    ASSERT_TRUE(init(id, 10.0 * id, 0.5).ok());
+  }
+  QuerySpec spec;
+  spec.kind = AggregateKind::kSum;
+  spec.sources = {3, 11, 5};
+  ASSERT_TRUE(server.AddQuery("sum", spec).ok());
+  auto before = server.Evaluate("sum");
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->value, 190.0);
+  EXPECT_EQ(before->bound, 1.5);
+
+  // Churn elsewhere re-resolves the plan to the same replicas.
+  ASSERT_TRUE(server.UnregisterSource(0).ok());
+  ASSERT_TRUE(
+      server.RegisterSource(20, std::make_unique<ValueCachePredictor>()).ok());
+  auto unchanged = server.Evaluate("sum");
+  ASSERT_TRUE(unchanged.ok()) << unchanged.status();
+  ExpectSameResult(*unchanged, *before, "after unrelated churn");
+
+  // A removed member fails the query with NotFound, on every evaluator.
+  // Source 5 lives on shard 7, so only the merged epoch sees the change.
+  ASSERT_NE(server.ShardOf(5), 0u);
+  ASSERT_TRUE(server.UnregisterSource(5).ok());
+  auto removed = server.Evaluate("sum");
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(removed.status().ToString().find("unknown source 5"),
+            std::string::npos)
+      << removed.status();
+  EXPECT_TRUE(server.EvaluateDue().empty());
+  std::vector<QueryResult> all = server.EvaluateAll();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_NE(all[0].name.find("unknown source 5"), std::string::npos);
+
+  // The same id registered again: first uninitialized, then it answers
+  // from the new replica.
+  ASSERT_TRUE(
+      server.RegisterSource(5, std::make_unique<ValueCachePredictor>()).ok());
+  auto uninitialized = server.Evaluate("sum");
+  ASSERT_FALSE(uninitialized.ok());
+  EXPECT_EQ(uninitialized.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(init(5, -40.0, 2.0).ok());
+  auto after = server.Evaluate("sum");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->value, 30.0 + 110.0 - 40.0);
+  EXPECT_EQ(after->bound, 0.5 + 0.5 + 2.0);
+  std::vector<QueryResult> due = server.EvaluateDue();
+  ASSERT_EQ(due.size(), 1u);
+  ExpectSameResult(due[0], *after, "EvaluateDue after re-register");
+}
+
 TEST(ShardedFleetTest, SourceLifecycleOnShards) {
   ShardedServer server(4);
   ASSERT_TRUE(
