@@ -18,7 +18,6 @@
 #include "kalman/ekf.h"
 #include "kalman/imm.h"
 #include "kalman/kalman_filter.h"
-#include "kalman/ukf.h"
 #include "suppression/policies.h"
 
 namespace {
@@ -262,21 +261,6 @@ void BM_EkfPredictUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EkfPredictUpdate);
-
-void BM_UkfPredictUpdate(benchmark::State& state) {
-  kc::NonlinearModel model =
-      kc::MakeCoordinatedTurnModel(1.0, 0.01, 0.05, 1e-4, 0.25);
-  kc::Vector x0(5);
-  x0[2] = 5.0;
-  kc::UnscentedKalmanFilter ukf(model, x0, kc::Matrix::ScalarDiagonal(5, 1.0));
-  kc::Rng rng(5);
-  for (auto _ : state) {
-    ukf.Predict();
-    benchmark::DoNotOptimize(
-        ukf.Update(kc::Vector{rng.Gaussian(), rng.Gaussian()}).ok());
-  }
-}
-BENCHMARK(BM_UkfPredictUpdate);
 
 void BM_ImmPredictUpdate(benchmark::State& state) {
   std::vector<kc::KalmanFilter> filters;

@@ -67,40 +67,6 @@ BENCHMARK(BM_ShardedFleetStep)
     ->Args({1000, 4})
     ->Args({10000, 4});
 
-// Telemetry-plane tax: the sharded fleet with the full distributed
-// telemetry plane on — per-shard metric arenas, plus a snapshot
-// encode/decode/self-merge loopback every `telemetry_every` ticks — vs
-// the bare step. {sources, telemetry_every}; every=0 is the baseline.
-// run_benches.sh pairs the rows into BENCH_perf.json's
-// telemetry_overhead table, and check_bench_regress.sh diffs it. The
-// amortized per-tick cost at the default cadence (32) is the number the
-// docs quote; the every=1 row is the worst case (a snapshot per tick).
-void BM_FleetStepTelemetry(benchmark::State& state) {
-  const auto sources = static_cast<int>(state.range(0));
-  const auto every = static_cast<int64_t>(state.range(1));
-  kc::ShardedFleet::Config config;
-  config.threads = 1;
-  config.num_shards = 4;
-  kc::ShardedFleet fleet(config);
-  if (every > 0) fleet.EnableTelemetryPlane(every);
-  for (int i = 0; i < sources; ++i) {
-    kc::RandomWalkGenerator::Config walk;
-    walk.step_sigma = 0.3;
-    fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),
-                    kc::MakeDefaultKalmanPredictor(0.09, 0.01), 1.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fleet.Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations() * sources);
-  state.counters["sources"] = static_cast<double>(sources);
-  state.counters["telemetry_every"] = static_cast<double>(every);
-}
-BENCHMARK(BM_FleetStepTelemetry)
-    ->Args({1000, 0})
-    ->Args({1000, 32})
-    ->Args({1000, 1});
-
 // Fleet-scale tick throughput: {sources, pooled, threads, simd, adaptive}.
 // The pooled rows run the SoA FilterPool path (per-shard lane-interleaved
 // x/P slabs swept by the vectorized batched kernels once per tick);

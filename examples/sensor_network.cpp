@@ -55,16 +55,16 @@
 //   --connect=HOST:PORT    run the sensor-fleet half against a listening
 //                          server; prints its send books on exit.
 //   --telemetry[=N]        distributed telemetry plane, one snapshot per N
-//                          ticks (default 32). In split mode the client
-//                          ships metric/trace/send-log snapshots over the
+//                          ticks (default 32), split mode only (a
+//                          simulated run rejects it). The client ships
+//                          metric/trace/send-log snapshots over the
 //                          control stream and the server merges them into
 //                          kc.remote.client.* rows (plus clock-offset and
-//                          one-way wire-latency tracking); in simulated
-//                          mode the fleet self-merges through the same
-//                          codec path. Combine with --http-port on the
-//                          split server for a one-scrape view of both
-//                          processes, and with --trace-export for a
-//                          stitched cross-process trace.
+//                          one-way wire-latency tracking). Combine with
+//                          --http-port on the split server for a
+//                          one-scrape view of both processes, and with
+//                          --trace-export for a stitched cross-process
+//                          trace.
 //   --ticks=N              override the run length (default 2880).
 //   --net-stats            after a simulated run, print the same
 //                          normalized "uplink sent/delivered" book lines
@@ -404,6 +404,12 @@ int main(int argc, char** argv) {
                         kAvgBudget, telemetry_every, /*http_port=*/-1,
                         /*serve_seconds=*/0, trace_file);
   }
+  if (telemetry_every > 0) {
+    // The plane ships snapshots between two processes; a simulated run has
+    // one, and its /metrics already shows every row.
+    std::fprintf(stderr, "--telemetry needs --listen or --connect\n");
+    return 1;
+  }
   const bool faulty = fleet_config.channel.faults.any_enabled() ||
                       fleet_config.channel.loss_prob > 0.0;
   if (faulty) {
@@ -426,10 +432,6 @@ int main(int argc, char** argv) {
     fleet.EnableAudit(audit_config);
   }
   if (timeseries_every > 0) fleet.EnableTimeseries(timeseries_every);
-  // Simulated-mode telemetry plane: the fleet snapshots itself through the
-  // same codec + merger path the split deployment ships over sockets, so
-  // the encode/decode/fold surface is exercised without a second process.
-  if (telemetry_every > 0) fleet.EnableTelemetryPlane(telemetry_every);
   if (http_port >= 0) {
     kc::Status s = fleet.EnableHttpTelemetry(http_port);
     if (!s.ok()) {

@@ -2,9 +2,8 @@
 # Diffs BENCH_perf.json against the previous commit's:
 #  - fleet_tick_1m: warns on any row whose sources/sec dropped more
 #    than 20%.
-#  - observability_overhead / recorder_overhead / audit_overhead /
-#    telemetry_overhead: warns when a model's overhead_pct grew by more
-#    than 5 percentage points.
+#  - observability_overhead / recorder_overhead / audit_overhead: warns
+#    when a model's overhead_pct grew by more than 5 percentage points.
 #  - loss_sweep_recovery: fully deterministic (fixed seed), so ANY change
 #    is flagged as a protocol change, not noise.
 # Advisory (always exits 0 unless the working-tree file is unreadable):
@@ -79,7 +78,7 @@ def overhead_rows(report, table):
             for r in report.get(table, [])}
 
 for table in ("observability_overhead", "recorder_overhead",
-              "audit_overhead", "telemetry_overhead"):
+              "audit_overhead"):
     old_pct, new_pct = overhead_rows(old, table), overhead_rows(new, table)
     if not old_pct:
         print(f"check_bench_regress: previous commit has no {table} rows")

@@ -111,37 +111,6 @@ for key in sorted(plain.keys() & audited.keys()):
         "overhead_pct": round(100.0 * (aud - base) / base, 2),
     })
 merged["audit_overhead"] = audit_overhead
-# Telemetry-plane tax: BM_FleetStepTelemetry rows pair the bare sharded
-# fleet step (telemetry_every=0) with the full snapshot/self-merge
-# loopback at each cadence. The acceptance bar is <= 5% amortized
-# per-tick overhead at the default cadence (every 32 ticks).
-telem_base = {}
-telem_on = {}
-for bench in merged["benchmarks"]:
-    if bench.get("run_type") != "iteration":
-        continue
-    run = bench.get("run_name", bench.get("name", ""))
-    if not run.startswith("BM_FleetStepTelemetry/"):
-        continue
-    sources = int(bench.get("sources", 0))
-    every = int(bench.get("telemetry_every", 0))
-    if every == 0:
-        telem_base[sources] = bench
-    else:
-        telem_on[(sources, every)] = bench
-telemetry_overhead = []
-for (sources, every) in sorted(telem_on.keys()):
-    if sources not in telem_base:
-        continue
-    base = telem_base[sources]["real_time"]
-    telem = telem_on[(sources, every)]["real_time"]
-    telemetry_overhead.append({
-        "model": f"fleet-{sources}s-every{every}",
-        "base_ns": round(base, 2),
-        "telemetry_ns": round(telem, 2),
-        "overhead_pct": round(100.0 * (telem - base) / base, 2),
-    })
-merged["telemetry_overhead"] = telemetry_overhead
 # Recovery-protocol loss sweep: BM_LossSweepRecovery runs a fixed-seed
 # faulty link per bad-state fraction and reports its healing counters.
 # Fully deterministic, so any diff here is a protocol change.
@@ -249,9 +218,6 @@ for row in recorder_overhead:
 for row in audit_overhead:
     print(f"  audit overhead {row['model']}: {row['base_ns']} -> "
           f"{row['audited_ns']} ns ({row['overhead_pct']:+.2f}%)")
-for row in telemetry_overhead:
-    print(f"  telemetry overhead {row['model']}: {row['base_ns']} -> "
-          f"{row['telemetry_ns']} ns ({row['overhead_pct']:+.2f}%)")
 for row in aggregate_rows:
     print(f"  aggregate evaluate {row['name']}: {row['median_ns']:,.0f} ns "
           f"({row['ns_per_member']} ns/member)")

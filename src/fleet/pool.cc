@@ -287,15 +287,6 @@ void FilterPool::AdaptSlot(int32_t slot) {
                      &q_scale_[s], &QAt(slot, 0, 0), /*q_stride=*/kLanes});
 }
 
-size_t FilterPool::UpdateBatch(const int32_t* slots, const Vector* zs,
-                               size_t n) {
-  size_t updated = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (UpdateSlot(slots[i], zs[i]).ok()) ++updated;
-  }
-  return updated;
-}
-
 double FilterPool::GateSlot(int32_t slot, const Vector& z) {
   assert(IsActive(slot));
   // Exactly KalmanPredictor's gate: nu = z - H x; S = H P H^T + R;
@@ -311,11 +302,6 @@ double FilterPool::GateSlot(int32_t slot, const Vector& z) {
   if (!Cholesky::FactorInto(ws_.s, &ws_.l)) return -1.0;
   Cholesky::SolveInto(ws_.l, ws_.nu, &ws_.sinv_nu);
   return ws_.nu.Dot(ws_.sinv_nu);
-}
-
-void FilterPool::GateBatch(const int32_t* slots, const Vector* zs, size_t n,
-                           double* nis_out) {
-  for (size_t i = 0; i < n; ++i) nis_out[i] = GateSlot(slots[i], zs[i]);
 }
 
 Vector FilterPool::StateOf(int32_t slot) const {

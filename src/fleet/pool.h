@@ -132,16 +132,6 @@ class FilterPool {
   /// their zero activity mask).
   size_t num_blocks() const { return block_mask_.size(); }
 
-  /// Measurement-updates each (slot, z) pair in order. Returns the number
-  /// of successful updates; a failed update (singular S) skips that slot
-  /// without touching its state, exactly like KalmanFilter::Update.
-  size_t UpdateBatch(const int32_t* slots, const Vector* zs, size_t n);
-
-  /// Computes the gate NIS of z against each slot (see GateSlot) into
-  /// nis_out[i], without mutating any state.
-  void GateBatch(const int32_t* slots, const Vector* zs, size_t n,
-                 double* nis_out);
-
   // --- Per-slot operations (same kernels, one slot at a time) ---------
 
   /// One time update: x <- F x, P <- F P F^T + Q. Bumps the predict epoch.
@@ -479,7 +469,7 @@ class PooledKalmanPredictor : public Predictor {
 /// (per-slot Q lives in the pool) and within the inline state_dim/obs_dim
 /// <= 8 envelope — returns a pooled equivalent backed by `pools`. Returns
 /// nullptr when the prototype must stay on the virtual per-object path
-/// (EKF/UKF/IMM-style predictors, adapt_r configs, whose R re-estimation
+/// (EKF/IMM-style predictors, adapt_r configs, whose R re-estimation
 /// needs a per-filter R and innovation history, oversized models).
 std::unique_ptr<Predictor> MakePooledPredictor(const Predictor& prototype,
                                                FilterPoolSet* pools);

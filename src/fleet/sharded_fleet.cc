@@ -195,22 +195,14 @@ Status ShardedFleet::EnableHttpTelemetry(int port,
   // order: timeseries_ before http_, so http_ is destroyed first).
   if (timeseries_ != nullptr) http_->SetTimeseriesSource(timeseries_.get());
   // Scrapes before the first publish see the startup state, not 404s.
-  PublishTelemetry();
+  obs::MetricRegistry merged;
+  server_.MergeMetricsInto(&merged);
+  PublishTelemetry(merged);
   return Status::Ok();
 }
 
-void ShardedFleet::PublishTelemetry() {
-  if (http_ == nullptr) return;
-  obs::MetricRegistry merged;
-  server_.MergeMetricsInto(&merged);
-  if (telemetry_merger_ != nullptr) {
-    // One scrape covers both "processes": the merger's namespaced remote
-    // rows join the local ones, exactly as on a split deployment's
-    // server.
-    http_->PublishMetrics(telemetry_merger_->MergedRows(merged.Rows()));
-  } else {
-    http_->PublishMetrics(merged.Rows());
-  }
+void ShardedFleet::PublishTelemetry(const obs::MetricRegistry& merged) {
+  http_->PublishMetrics(merged.Rows());
   std::string body = StrFormat("ticks=%lld sources=%lld\n",
                                static_cast<long long>(ticks_),
                                static_cast<long long>(by_id_.size()));
@@ -223,19 +215,6 @@ void ShardedFleet::PublishTelemetry() {
     http_->PublishAuditDoc(server_.AuditReportDoc());
   }
   http_->PublishHealthz(healthy, std::move(body));
-}
-
-void ShardedFleet::EnableTelemetryPlane(int64_t every_n_ticks) {
-  if (telemetry_merger_ != nullptr) return;
-  EnableMetrics();
-  telemetry_merger_ =
-      std::make_unique<obs::RemoteTelemetryMerger>(obs::RemoteTelemetryMerger::Options());
-  telemetry_merger_->BindMetrics(server_.driver_metrics());
-  telemetry_snapshots_ =
-      server_.driver_metrics()->GetCounter("kc.telemetry.snapshots");
-  telemetry_snapshot_bytes_ = server_.driver_metrics()->GetCounter(
-      "kc.telemetry.snapshot_bytes", /*wall_clock=*/true);
-  telemetry_every_ = std::max<int64_t>(every_n_ticks, 1);
 }
 
 void ShardedFleet::EnableMetrics() {
@@ -317,38 +296,18 @@ Status ShardedFleet::Step() {
   for (const Shard& shard : shards_) {
     if (!shard.status.ok()) return shard.status;
   }
-  if (telemetry_every_ > 0 && ticks_ % telemetry_every_ == 0) {
-    // Self-merge round trip: encode the merged registry through the
-    // snapshot codec and absorb it, the exact path a split deployment's
-    // server runs on its client's snapshots. Rows already under the
-    // merger's namespace are excluded — re-snapshotting them would grow
-    // "kc.remote.client.remote.client.*" names without bound.
+  const bool capture =
+      timeseries_every_ > 0 && ticks_ % timeseries_every_ == 0;
+  const bool publish = publish_every_ > 0 && ticks_ % publish_every_ == 0;
+  if (capture || publish) {
+    // One post-barrier merge feeds both consumers, so a tick's capture and
+    // its scrape see the same view, deterministic across threads. The
+    // scrape's kc.ts.* rows therefore predate this tick's capture.
     obs::MetricRegistry merged;
     server_.MergeMetricsInto(&merged);
-    obs::TelemetrySnapshot snapshot;
-    snapshot.tick = ticks_;
-    for (obs::MetricRow& row : merged.Rows()) {
-      if (row.name.compare(0, 10, "kc.remote.") == 0) continue;
-      if (row.name.compare(0, 13, "kc.telemetry.") == 0) continue;
-      snapshot.rows.push_back(std::move(row));
-    }
-    std::vector<uint8_t> encoded;
-    obs::EncodeSnapshot(snapshot, &encoded);
-    telemetry_snapshots_->Inc();
-    telemetry_snapshot_bytes_->Inc(static_cast<int64_t>(encoded.size()));
-    obs::TelemetrySnapshot decoded;
-    KC_RETURN_IF_ERROR(
-        obs::DecodeSnapshot(encoded.data(), encoded.size(), &decoded));
-    telemetry_merger_->Absorb(decoded);
+    if (capture) timeseries_->Capture(merged, ticks_);
+    if (publish) PublishTelemetry(merged);
   }
-  if (timeseries_every_ > 0 && ticks_ % timeseries_every_ == 0) {
-    // Same post-barrier merge discipline: each capture snapshots the
-    // merged registry, so the rings are deterministic across threads.
-    obs::MetricRegistry merged;
-    server_.MergeMetricsInto(&merged);
-    timeseries_->Capture(merged, ticks_);
-  }
-  if (publish_every_ > 0 && ticks_ % publish_every_ == 0) PublishTelemetry();
   return Status::Ok();
 }
 

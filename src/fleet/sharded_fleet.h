@@ -9,8 +9,6 @@
 #include "fleet/sharded_server.h"
 #include "fleet/thread_pool.h"
 #include "obs/http_exporter.h"
-#include "obs/remote.h"
-#include "obs/snapshot.h"
 #include "obs/timeseries.h"
 #include "server/simulation.h"
 
@@ -96,8 +94,7 @@ class ShardedFleet {
   /// Advances the whole system one stream tick: shards in parallel, then
   /// the barrier. On error the first failing shard's status (lowest shard
   /// index) is returned — deterministically, regardless of thread
-  /// interleaving. With the telemetry plane on, a self-merge snapshot
-  /// that fails to decode is returned as well.
+  /// interleaving.
   Status Step();
 
   /// Runs `ticks` steps, stopping on the first error.
@@ -204,24 +201,6 @@ class ShardedFleet {
   Status EnableHttpTelemetry(int port, int64_t publish_every_n_ticks = 64);
   obs::TelemetryHttpServer* http() { return http_.get(); }
 
-  /// Turns on the distributed-telemetry plane in self-merge mode: after
-  /// the barrier of every `every_n_ticks`-th Step, the merged registry is
-  /// encoded through the snapshot codec (obs/snapshot.h) and absorbed by
-  /// a RemoteTelemetryMerger exactly as a split deployment's server
-  /// absorbs its client's snapshots — so the single-process run exercises
-  /// the same codec/merge path the split smoke pins, and /metrics gains
-  /// the same kc.remote.client.* namespaced rows. Deterministic: rows are
-  /// merged in shard order, and the only run-dependent products
-  /// (kc.telemetry.snapshot_bytes, remote copies of wall-clock rows) are
-  /// wall_clock-flagged, so deterministic exports stay bit-identical for
-  /// any thread count. Requires EnableMetrics (called implicitly).
-  /// Idempotent.
-  void EnableTelemetryPlane(int64_t every_n_ticks = 32);
-  bool telemetry_plane_enabled() const { return telemetry_merger_ != nullptr; }
-  const obs::RemoteTelemetryMerger* telemetry_merger() const {
-    return telemetry_merger_.get();
-  }
-
   /// Fleet-wide deterministic dumps (empty when the facility is off);
   /// driver thread, after the barrier. Forwarded from ShardedServer.
   std::string DumpFlightRecorderText() const {
@@ -264,8 +243,9 @@ class ShardedFleet {
   /// One shard's audit pass: samples every initialized source at `tick`
   /// (shard worker, inside the step — single writer, allocation-free).
   void AuditShard(size_t index, int64_t tick);
-  /// Republishes every HTTP snapshot from the merged post-barrier view.
-  void PublishTelemetry();
+  /// Republishes every HTTP snapshot from `merged`, the post-barrier
+  /// registry merge.
+  void PublishTelemetry(const obs::MetricRegistry& merged);
 
   Config config_;
   ShardedServer server_;
@@ -278,12 +258,6 @@ class ShardedFleet {
   int64_t timeseries_every_ = 0;
   std::unique_ptr<obs::TelemetryHttpServer> http_;
   int64_t publish_every_ = 0;
-  std::unique_ptr<obs::RemoteTelemetryMerger> telemetry_merger_;
-  int64_t telemetry_every_ = 0;
-  obs::Counter* telemetry_snapshots_ = nullptr;  ///< kc.telemetry.snapshots
-  /// kc.telemetry.snapshot_bytes — wall-clock (varint sizes depend on
-  /// wall-clock histogram values).
-  obs::Counter* telemetry_snapshot_bytes_ = nullptr;
 };
 
 }  // namespace kc

@@ -433,10 +433,6 @@ std::vector<QueryResult> ShardedServer::EvaluateDue() {
   return results;
 }
 
-StatusOr<QuerySpec> ShardedServer::GetQuery(const std::string& name) const {
-  return queries_.Get(name);
-}
-
 std::vector<std::string> ShardedServer::QueryNames() const {
   return queries_.Names();
 }

@@ -149,7 +149,6 @@ class ShardedServer : public SourceView {
                                      const std::string& name = "adhoc") const;
   std::vector<QueryResult> EvaluateAll() const;
   std::vector<QueryResult> EvaluateDue();
-  StatusOr<QuerySpec> GetQuery(const std::string& name) const;
   std::vector<std::string> QueryNames() const;
   size_t num_queries() const { return queries_.size(); }
 

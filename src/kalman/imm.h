@@ -10,7 +10,7 @@ namespace kc {
 
 /// Interacting Multiple Model estimator.
 ///
-/// Where ModelBank hard-switches to the best-scoring filter, the IMM
+/// Rather than hard-switching to the best-scoring filter, the IMM
 /// soft-mixes a bank of filters that share one state space (e.g. a quiet
 /// low-Q model and a maneuvering high-Q model) according to a Markov
 /// mode-transition matrix. This is the classical answer to streams that

@@ -171,14 +171,6 @@ Status QueryTable::Remove(const std::string& name) {
   return Status::Ok();
 }
 
-StatusOr<QuerySpec> QueryTable::Get(const std::string& name) const {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown query: " + name);
-  }
-  return it->second.spec;
-}
-
 Status QueryTable::EvaluateEntry(const SourceView& view, uint64_t epoch,
                                  const std::string& name, const Entry& entry,
                                  QueryResult* result) {

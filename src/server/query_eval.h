@@ -92,8 +92,6 @@ class QueryTable {
 
   Status Remove(const std::string& name);
 
-  StatusOr<QuerySpec> Get(const std::string& name) const;
-
   /// Evaluates one registered query now.
   StatusOr<QueryResult> Evaluate(const SourceView& view,
                                  const std::string& name) const;

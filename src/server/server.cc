@@ -84,8 +84,7 @@ Status StreamServer::UnregisterSource(int32_t source_id) {
   }
   ++registration_epoch_;
   // Drop the archive with the replica: a re-registered id must not resume
-  // the dead source's history (Record's non-decreasing-time invariant can
-  // fire after a snapshot restore otherwise).
+  // the dead source's history.
   archives_.erase(source_id);
   if (metrics_.sources != nullptr) {
     metrics_.sources->Set(static_cast<double>(replicas_.size()));
@@ -318,26 +317,6 @@ std::vector<int32_t> StreamServer::SourceIds() const {
   ids.reserve(replicas_.size());
   for (const auto& [id, replica] : replicas_) ids.push_back(id);
   return ids;
-}
-
-StatusOr<QuerySpec> StreamServer::GetQuery(const std::string& name) const {
-  return queries_.Get(name);
-}
-
-Status StreamServer::RestoreArchivePoint(int32_t source_id, double time,
-                                         double value, double bound) {
-  if (archive_capacity_ == 0) {
-    return Status::FailedPrecondition("archiving not enabled");
-  }
-  if (replicas_.count(source_id) == 0) {
-    return Status::NotFound(StrFormat("unknown source %d", source_id));
-  }
-  auto it = archives_.find(source_id);
-  if (it == archives_.end()) {
-    it = archives_.emplace(source_id, TickArchive(archive_capacity_)).first;
-  }
-  it->second.Record(time, value, bound);
-  return Status::Ok();
 }
 
 }  // namespace kc

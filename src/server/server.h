@@ -144,18 +144,6 @@ class StreamServer : public SourceView {
   /// Registered source ids (sorted).
   std::vector<int32_t> SourceIds() const;
 
-  /// The spec of a registered query.
-  StatusOr<QuerySpec> GetQuery(const std::string& name) const;
-
-  /// Restores the server clock (snapshot loading only; see
-  /// server/snapshot.h). Must be called before any Tick().
-  void RestoreTicks(int64_t ticks) { ticks_ = ticks; }
-
-  /// Appends one archived point for a source (snapshot loading only).
-  /// Requires archiving enabled.
-  Status RestoreArchivePoint(int32_t source_id, double time, double value,
-                             double bound);
-
   /// Binds the serving path's telemetry to a metric arena: kc.server.*
   /// counters/gauges, the wall-clock tick-latency histogram, and the
   /// per-tick bound-width distribution. The binding propagates to every

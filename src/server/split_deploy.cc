@@ -83,10 +83,12 @@ StatusOr<SplitClientReport> RunSplitClient(
     (void)s;
   });
   // Flow control: the server echoes each tick barrier once it has
-  // processed the tick. Running at most one unacknowledged tick keeps
-  // the datagrams in flight bounded by one tick's worth, so the server's
-  // UDP buffer cannot overflow no matter how fast this process runs —
-  // loss stays a property of the network, not of the harness.
+  // processed the tick, and this loop runs at most one unacknowledged
+  // tick. That bounds what is in flight to one tick's datagrams, but not
+  // below the server's SO_RCVBUF: the server reads UDP only at the
+  // barrier, and the tick-0 INIT burst of every source overflows the
+  // default buffer, so about half the uplink is lost on loopback
+  // (ROADMAP item 6 bounds a tick's burst by credit).
   int64_t acked = -1;
   control->SetTickSink([&acked](int64_t tick) { acked = tick; });
 

@@ -215,7 +215,6 @@ Status ServerReplica::OnMessage(const Message& msg) {
       return Status::InvalidArgument("control message is not an uplink message");
   }
   last_heard_seq_ = msg.seq;
-  last_heard_time_ = msg.time;
   last_wire_seq_ = std::max(last_wire_seq_, msg.wire_seq);
   tick_at_last_heard_ = ticks_;
   ++messages_applied_;

@@ -102,9 +102,6 @@ class ServerReplica {
 
   /// Bookkeeping for staleness/liveness monitoring.
   int64_t last_heard_seq() const { return last_heard_seq_; }
-  double last_heard_time() const { return last_heard_time_; }
-  /// Highest wire sequence number seen from the source (-1 before any).
-  int64_t last_wire_seq() const { return last_wire_seq_; }
   int64_t ticks() const { return ticks_; }
   int64_t messages_applied() const { return messages_applied_; }
   /// Duplicate or out-of-order messages dropped by the sequencing guard.
@@ -182,7 +179,6 @@ class ServerReplica {
   double delta_ = 0.0;
   int64_t last_heard_seq_ = -1;
   int64_t last_wire_seq_ = -1;
-  double last_heard_time_ = 0.0;
   int64_t ticks_ = 0;
   int64_t tick_at_last_heard_ = -1;
   int64_t messages_applied_ = 0;

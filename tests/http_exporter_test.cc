@@ -294,7 +294,6 @@ TEST(HttpExporterTest, FleetEndToEndScrape) {
   audit.sample_every = 1;
   fleet.EnableAudit(audit);
   fleet.EnableTimeseries(/*every_n_ticks=*/10);
-  fleet.EnableTelemetryPlane(/*every_n_ticks=*/10);
   ASSERT_TRUE(fleet.EnableHttpTelemetry(/*port=*/0,
                                         /*publish_every_n_ticks=*/10)
                   .ok());
@@ -317,14 +316,6 @@ TEST(HttpExporterTest, FleetEndToEndScrape) {
   EXPECT_NE(metrics.body.find("kc_agent_decisions_total"),
             std::string::npos);
   EXPECT_NE(metrics.body.find("kc_audit_samples_total"), std::string::npos);
-  // With the telemetry plane on, the fleet self-merges its own snapshot
-  // loopback: the scrape carries the remote namespace next to the local
-  // rows — the same shape a split deployment's server exposes.
-  EXPECT_NE(metrics.body.find("kc_remote_client_agent_decisions_total"),
-            std::string::npos)
-      << metrics.body.substr(0, 400);
-  EXPECT_NE(metrics.body.find("kc_remote_snapshots_total"),
-            std::string::npos);
 
   // Lossless run: the audited fleet is healthy with full containment.
   HttpResponse healthz = Get(port, "/healthz");

@@ -12,12 +12,11 @@
 #include "suppression/ekf_policy.h"
 #include "suppression/imm_policy.h"
 #include "suppression/policies.h"
-#include "suppression/ukf_policy.h"
 
 namespace kc {
 namespace {
 
-/// A mildly nonlinear scalar model (tanh-saturated drift) so the UKF
+/// A mildly nonlinear scalar model (tanh-saturated drift) so the EKF
 /// policy can join the scalar protocol sweep.
 NonlinearModel ScalarNonlinearModel() {
   NonlinearModel m;
@@ -46,12 +45,6 @@ std::unique_ptr<Predictor> MakeByName(const std::string& name) {
     config.model = ScalarNonlinearModel();
     config.init_state = [](const Vector& z) { return z; };
     return std::make_unique<EkfPredictor>(std::move(config));
-  }
-  if (name == "ukf") {
-    UkfPredictor::Config config;
-    config.model = ScalarNonlinearModel();
-    config.init_state = [](const Vector& z) { return z; };
-    return std::make_unique<UkfPredictor>(std::move(config));
   }
   if (name == "kalman" || name == "kalman_cov" || name == "kalman_meas" ||
       name == "kalman_gated") {
@@ -176,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(AllScalarPolicies, ProtocolSweepTest,
                          ::testing::Values("value_cache", "linear", "ewma",
                                            "kalman", "kalman_cov",
                                            "kalman_meas", "kalman_gated",
-                                           "imm", "ekf", "ukf"));
+                                           "imm", "ekf"));
 
 }  // namespace
 }  // namespace kc

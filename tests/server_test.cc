@@ -188,8 +188,7 @@ TEST(StreamServerTest, QueryOnUninitializedSourceFails) {
 TEST(StreamServerTest, UnregisterErasesArchiveForIdReuse) {
   // Regression: UnregisterSource used to leave the source's TickArchive
   // behind, so re-registering the same id resumed the dead source's
-  // history (and Record's non-decreasing-time invariant could fire after
-  // a snapshot restore rewound the clock).
+  // history.
   StreamServer server;
   server.EnableArchiving(16);
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
@@ -212,16 +211,28 @@ TEST(StreamServerTest, UnregisterErasesArchiveForIdReuse) {
   ASSERT_TRUE(archive.ok());
   EXPECT_EQ((*archive)->size(), 1u);
   EXPECT_EQ((*archive)->total_recorded(), 1);
+  EXPECT_DOUBLE_EQ((*archive)->oldest_time(), 6.0);
 
-  // Snapshot-restore style id reuse onto a rewound clock: with the stale
-  // archive erased, restoring earlier points must be accepted.
+  // A second reuse, read back through the archive's range and aggregate
+  // paths: every point belongs to the live source's lifetime (ticks 7-9,
+  // value 9), none to the two dead ones.
   ASSERT_TRUE(server.UnregisterSource(0).ok());
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
                   .ok());
-  EXPECT_TRUE(server.RestoreArchivePoint(0, 1.0, 2.0, 0.5).ok());
+  ASSERT_TRUE(server.OnMessage(InitMessage(0, 0.5, 9.0)).ok());
+  for (int i = 0; i < 3; ++i) server.Tick();
   archive = server.Archive(0);
   ASSERT_TRUE(archive.ok());
-  EXPECT_DOUBLE_EQ((*archive)->oldest_time(), 1.0);
+  EXPECT_EQ((*archive)->total_recorded(), 3);
+  std::vector<TickArchive::Point> points = (*archive)->Range(0.0, 100.0);
+  ASSERT_EQ(points.size(), 3u);
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_DOUBLE_EQ(points[i].time, 7.0 + static_cast<double>(i));
+    EXPECT_DOUBLE_EQ(points[i].value, 9.0);
+  }
+  auto avg = (*archive)->Aggregate(AggregateKind::kAvg, 0.0, 100.0);
+  ASSERT_TRUE(avg.ok());
+  EXPECT_DOUBLE_EQ(avg->value, 9.0);
 }
 
 TEST(StreamServerTest, LastWindowLargerThanHistoryClamps) {
