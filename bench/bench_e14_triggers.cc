@@ -10,11 +10,10 @@
 #include <memory>
 
 #include "common.h"
+#include "fleet/sharded_fleet.h"
 #include "query/parser.h"
-#include "server/server.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
-#include "suppression/agent.h"
 #include "suppression/policies.h"
 
 namespace {
@@ -34,31 +33,24 @@ TriggerQuality RunTrigger(double delta) {
   wave.period = 400.0;
   NoiseConfig noise;
   noise.gaussian_sigma = 0.4;
-  NoisyStream stream(std::make_unique<SinusoidGenerator>(wave), noise);
-  stream.Reset(67);
   constexpr double kThreshold = 22.0;
 
-  StreamServer server;
-  (void)server.RegisterSource(0, MakeDefaultKalmanPredictor(0.05, 0.16));
-  Channel channel;
-  channel.SetReceiver([&server](const Message& m) {
-    (void)server.OnMessage(m);
-  });
-  AgentConfig agent_config;
-  agent_config.delta = delta;
-  SourceAgent agent(0, MakeDefaultKalmanPredictor(0.05, 0.16), agent_config,
-                    &channel);
+  ShardedFleet::Config config;
+  config.seed = 67;
+  config.num_shards = 1;
+  ShardedFleet fleet(config);
+  fleet.AddSource(std::make_unique<NoisyStream>(
+                      std::make_unique<SinusoidGenerator>(wave), noise),
+                  MakeDefaultKalmanPredictor(0.05, 0.16), delta);
   auto spec = ParseQuery("SELECT VALUE(s0) WHEN > 22");
-  (void)server.AddQuery("hot", *spec);
+  (void)fleet.server().AddQuery("hot", *spec);
 
   TriggerQuality q;
   for (int t = 0; t < 20000; ++t) {
-    Sample s = stream.Next();
-    server.Tick();
-    if (!agent.Offer(s.measured).ok()) break;
-    auto result = server.Evaluate("hot");
+    if (!fleet.Step().ok()) break;
+    auto result = fleet.server().Evaluate("hot");
     if (!result.ok()) continue;
-    bool truly_over = s.truth.scalar() > kThreshold;
+    bool truly_over = fleet.TruthOf(0) > kThreshold;
     switch (*result->trigger) {
       case TriggerState::kYes:
         ++q.yes;
@@ -73,7 +65,7 @@ TriggerQuality RunTrigger(double delta) {
         break;
     }
   }
-  q.messages = channel.stats().messages_sent;
+  q.messages = fleet.TotalMessages();
   return q;
 }
 

@@ -51,7 +51,7 @@ PhaseStats RunVariant(const kc::Predictor& proto) {
   config.delta = 0.75;
   config.seed = 31;
   std::vector<kc::TrajectoryPoint> trajectory;
-  (void)kc::RunLinkTraced(*stream, proto, config, &trajectory);
+  (void)kc::RunLink(*stream, proto, config, &trajectory);
 
   PhaseStats out;
   kc::RunningStats err[3];

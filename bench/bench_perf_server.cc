@@ -9,9 +9,9 @@
 #include <string>
 #include <thread>
 
+#include "fleet/link.h"
 #include "fleet/sharded_fleet.h"
 #include "query/parser.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
 

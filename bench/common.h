@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "server/simulation.h"
+#include "fleet/link.h"
 #include "streams/generator.h"
 #include "suppression/predictor.h"
 

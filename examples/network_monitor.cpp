@@ -10,10 +10,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "net/channel.h"
+#include "fleet/link.h"
+#include "fleet/sharded_fleet.h"
 #include "query/parser.h"
-#include "server/server.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
 #include "suppression/budget.h"
@@ -26,32 +25,23 @@ int main() {
   kc::BurstyTrafficGenerator::Config traffic;
   traffic.base_rate = 10.0;
   traffic.pareto_scale = 8.0;
-  kc::BurstyTrafficGenerator gen(traffic);
-  gen.Reset(1);
-
-  kc::StreamServer server;
-  (void)server.RegisterSource(0, kc::MakeDefaultKalmanPredictor(0.5, 0.25));
-  kc::Channel channel;
-  channel.SetReceiver([&server](const kc::Message& m) {
-    (void)server.OnMessage(m);
-  });
-  kc::AgentConfig agent_config;
-  agent_config.delta = 2.0;
-  kc::SourceAgent agent(0, kc::MakeDefaultKalmanPredictor(0.5, 0.25),
-                        agent_config, &channel);
+  kc::ShardedFleet::Config fleet_config;
+  fleet_config.seed = 1;
+  fleet_config.num_shards = 1;
+  kc::ShardedFleet fleet(fleet_config);
+  fleet.AddSource(std::make_unique<kc::BurstyTrafficGenerator>(traffic),
+                  kc::MakeDefaultKalmanPredictor(0.5, 0.25), /*delta=*/2.0);
 
   auto spec = kc::ParseQuery("SELECT VALUE(s0) WHEN > 25 WITHIN 2");
-  if (!spec.ok() || !server.AddQuery("hot_link", *spec).ok()) {
+  if (!spec.ok() || !fleet.server().AddQuery("hot_link", *spec).ok()) {
     std::fprintf(stderr, "query setup failed\n");
     return 1;
   }
 
   int64_t yes = 0, maybe = 0, no = 0, true_over = 0, missed_definite = 0;
   for (size_t t = 0; t < kTicks; ++t) {
-    kc::Sample s = gen.Next();
-    server.Tick();
-    if (!agent.Offer(s.measured).ok()) return 1;
-    auto result = server.Evaluate("hot_link");
+    if (!fleet.Step().ok()) return 1;
+    auto result = fleet.server().Evaluate("hot_link");
     if (!result.ok()) continue;
     switch (*result->trigger) {
       case kc::TriggerState::kYes:
@@ -64,12 +54,13 @@ int main() {
         ++no;
         break;
     }
-    bool actually_over = s.truth.scalar() > 25.0;
+    double truth = fleet.TruthOf(0);
+    bool actually_over = truth > 25.0;
     if (actually_over) ++true_over;
     // A definite NO while truly over threshold would be a soundness bug
     // (modulo the filter-smoothing semantics of the contract target).
     if (actually_over && *result->trigger == kc::TriggerState::kNo &&
-        s.truth.scalar() > 25.0 + 2.0 * result->bound) {
+        truth > 25.0 + 2.0 * result->bound) {
       ++missed_definite;
     }
   }
@@ -81,9 +72,10 @@ int main() {
   std::printf("  ticks truly over threshold: %lld;  confident misses: %lld\n",
               static_cast<long long>(true_over),
               static_cast<long long>(missed_definite));
+  const int64_t messages = fleet.TotalMessages();
   std::printf("  messages used: %lld (%.2f%% of naive streaming)\n\n",
-              static_cast<long long>(channel.stats().messages_sent),
-              100.0 * static_cast<double>(channel.stats().messages_sent) /
+              static_cast<long long>(messages),
+              100.0 * static_cast<double>(messages) /
                   static_cast<double>(kTicks));
 
   // Part 2: hard message budget via the adaptive-delta controller. ---------

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "server/simulation.h"
+#include "fleet/link.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
 #include "suppression/policies.h"

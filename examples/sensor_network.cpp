@@ -86,6 +86,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "fleet/sharded_fleet.h"
 #include "obs/export.h"
 #include "obs/health.h"
@@ -534,6 +535,7 @@ int main(int argc, char** argv) {
 
   if (faulty) {
     kc::NetworkStats net = fleet.TotalNetworkStats();
+    kc::NetworkStats control = fleet.TotalControlNetworkStats();
     std::printf("\nfault injection: %lld dropped (%lld burst, %lld "
                 "partition), %lld duplicated, %lld reordered; %lld control "
                 "msgs (resync requests + bound pushes)\n",
@@ -542,7 +544,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(net.partition_drops),
                 static_cast<long long>(net.messages_duplicated),
                 static_cast<long long>(net.messages_reordered),
-                static_cast<long long>(fleet.TotalControlMessages()));
+                static_cast<long long>(control.messages_sent));
   }
 
   if (health_enabled) {

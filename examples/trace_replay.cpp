@@ -18,7 +18,7 @@
 #include <memory>
 #include <string>
 
-#include "server/simulation.h"
+#include "fleet/link.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
 #include "streams/resample.h"

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "common/strings.h"
 #include "obs/trace.h"
+#include "server/simulation.h"
 
 namespace kc {
 
@@ -263,13 +263,7 @@ void ShardedFleet::AuditShard(size_t index, int64_t tick) {
     // L-inf distance between the replica's cached answer and the contract
     // target the agent is suppressing against — the exact quantity the
     // protocol bounds.
-    Vector predicted = replica->Value();
-    Vector target = slot->agent->ContractTarget();
-    double err = 0.0;
-    size_t dims = std::min(predicted.size(), target.size());
-    for (size_t d = 0; d < dims; ++d) {
-      err = std::max(err, std::abs(predicted[d] - target[d]));
-    }
+    double err = MaxAbsDiff(replica->Value(), slot->agent->ContractTarget());
     slot->audit->Sample(tick, err, replica->bound(), replica->TicksSinceHeard(),
                         replica->desynced());
   }
@@ -340,21 +334,22 @@ int64_t ShardedFleet::TotalBytes() const {
   return total;
 }
 
-int64_t ShardedFleet::TotalControlMessages() const {
-  int64_t total = 0;
-  for (const SourceSlot* slot : by_id_) {
-    total += slot->control_channel->stats().messages_sent;
-  }
-  return total;
+NetworkStats ShardedFleet::TotalNetworkStats() const {
+  return MergedStats(&SourceSlot::channel);
 }
 
-NetworkStats ShardedFleet::TotalNetworkStats() const {
+NetworkStats ShardedFleet::TotalControlNetworkStats() const {
+  return MergedStats(&SourceSlot::control_channel);
+}
+
+NetworkStats ShardedFleet::MergedStats(
+    std::unique_ptr<Channel> SourceSlot::*link) const {
   NetworkStats merged;
   // Merge shard by shard, id order within each shard: deterministic, and
   // int64 sums are order-independent anyway.
   for (const Shard& shard : shards_) {
     for (const auto& slot : shard.sources) {
-      merged.Merge(slot->channel->stats());
+      merged.Merge((slot.get()->*link)->stats());
     }
   }
   return merged;

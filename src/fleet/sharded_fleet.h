@@ -8,9 +8,11 @@
 
 #include "fleet/sharded_server.h"
 #include "fleet/thread_pool.h"
+#include "net/channel.h"
 #include "obs/http_exporter.h"
 #include "obs/timeseries.h"
-#include "server/simulation.h"
+#include "streams/generator.h"
+#include "suppression/agent.h"
 
 namespace kc {
 
@@ -129,13 +131,14 @@ class ShardedFleet {
 
   int64_t TotalMessages() const;
   int64_t TotalBytes() const;
-  /// Server-to-source control traffic (SET_BOUND pushes).
-  int64_t TotalControlMessages() const;
 
   /// Shard-local uplink NetworkStats merged on read (driver thread, after
   /// the barrier): the fleet-wide sent/delivered/dropped/bytes/per-type
   /// accounting the overhead experiments report.
   NetworkStats TotalNetworkStats() const;
+  /// The same merge over the server -> source control downlinks
+  /// (SET_BOUND pushes and RESYNC_REQUESTs).
+  NetworkStats TotalControlNetworkStats() const;
 
   // --- Telemetry ---
 
@@ -232,6 +235,8 @@ class ShardedFleet {
   };
 
   void StepShard(size_t index);
+  /// Merges one link of every source (uplink or control downlink).
+  NetworkStats MergedStats(std::unique_ptr<Channel> SourceSlot::*link) const;
   /// Binds one slot's channels and agent to its shard's arena.
   void BindSlotMetrics(SourceSlot* slot, size_t shard_index);
   /// Binds one slot's agent to its shard's recorder ring / watchdog entry

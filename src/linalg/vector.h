@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <initializer_list>
 #include <string>
@@ -133,6 +134,16 @@ bool operator==(const Vector& a, const Vector& b);
 
 /// True if a and b have equal size and entries within `tol` of each other.
 bool AlmostEqual(const Vector& a, const Vector& b, double tol = 1e-9);
+
+/// L-infinity distance; dimensions must match.
+inline double MaxAbsDiff(const Vector& a, const Vector& b) {
+  assert(a.size() == b.size());
+  double m = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    m = std::max(m, std::fabs(a[i] - b[i]));
+  }
+  return m;
+}
 
 }  // namespace kc
 

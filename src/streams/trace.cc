@@ -1,5 +1,6 @@
 #include "streams/trace.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -64,6 +65,12 @@ StatusOr<std::vector<Sample>> LoadTraceCsv(const std::string& path) {
     if (!seq.ok() || !time.ok()) {
       return Status::DataLoss(StrFormat("bad seq/time at line %zu", line_no));
     }
+    // Resampling turns the time span into a sample count; an infinite or
+    // NaN timestamp has no such count.
+    if (!std::isfinite(*time)) {
+      return Status::DataLoss(
+          StrFormat("non-finite time at line %zu", line_no));
+    }
     s.truth.seq = *seq;
     s.truth.time = *time;
     s.truth.value = Vector(dims);
@@ -79,6 +86,8 @@ StatusOr<std::vector<Sample>> LoadTraceCsv(const std::string& path) {
     }
     trace.push_back(std::move(s));
   }
+  // A replay needs at least one sample to stand for the stream.
+  if (trace.empty()) return Status::DataLoss("trace has no samples: " + path);
   return trace;
 }
 

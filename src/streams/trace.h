@@ -20,6 +20,7 @@ Status SaveTraceCsv(const std::string& path, const std::vector<Sample>& trace);
 
 /// Reads a trace written by SaveTraceCsv (or any CSV with the same layout,
 /// which is how real-world traces are dropped into the benchmark suite).
+/// DataLoss for a trace with no samples or a non-finite time.
 StatusOr<std::vector<Sample>> LoadTraceCsv(const std::string& path);
 
 /// Generator that replays a materialized trace. Next() past the end clamps

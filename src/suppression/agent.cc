@@ -10,20 +10,6 @@
 
 namespace kc {
 
-namespace {
-
-/// L-infinity distance between measurement and prediction.
-double MaxAbsError(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  double m = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::fabs(a[i] - b[i]));
-  }
-  return m;
-}
-
-}  // namespace
-
 SourceAgent::SourceAgent(int32_t source_id, std::unique_ptr<Predictor> predictor,
                          AgentConfig config, Channel* channel)
     : source_id_(source_id),
@@ -103,7 +89,7 @@ Status SourceAgent::Offer(const Reading& measured) {
 
   predictor_->Tick();
   predictor_->ObserveLocal(measured);
-  double err = MaxAbsError(predictor_->Target(), predictor_->Predict());
+  double err = MaxAbsDiff(predictor_->Target(), predictor_->Predict());
   if (metrics_.decisions != nullptr) {
     metrics_.decisions->Inc();
     metrics_.innovation->Record(err);

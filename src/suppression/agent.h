@@ -79,9 +79,9 @@ class SourceAgent {
 
   /// Current precision bound.
   double delta() const { return config_.delta; }
-  /// Adjusts the bound (used by BudgetController in resource-constrained
-  /// mode). Takes effect from the next Offer; the server learns the new
-  /// bound with the next message.
+  /// Adjusts the bound (resource-constrained mode applies BudgetController's
+  /// verdicts here). Takes effect from the next Offer; the server learns the
+  /// new bound with the next message.
   void set_delta(double delta) { config_.delta = delta; }
 
   int32_t source_id() const { return source_id_; }

@@ -14,11 +14,11 @@ int64_t BudgetController::MessagesSent(const SourceAgent& agent) {
   return s.corrections + s.full_syncs;
 }
 
-void BudgetController::OnTick(SourceAgent* agent) {
+std::optional<double> BudgetController::OnTick(const SourceAgent& agent) {
   ++ticks_in_window_;
-  if (ticks_in_window_ < config_.window) return;
+  if (ticks_in_window_ < config_.window) return std::nullopt;
 
-  int64_t sent = MessagesSent(*agent);
+  int64_t sent = MessagesSent(agent);
   double rate = static_cast<double>(sent - messages_at_window_start_) /
                 static_cast<double>(config_.window);
   last_window_rate_ = rate;
@@ -36,10 +36,9 @@ void BudgetController::OnTick(SourceAgent* agent) {
     step = std::pow(ratio, config_.gamma);
     step = std::clamp(step, 1.0 / config_.max_step, config_.max_step);
   }
-  double new_delta =
-      std::clamp(agent->delta() * step, config_.min_delta, config_.max_delta);
-  agent->set_delta(new_delta);
   ++adjustments_;
+  return std::clamp(agent.delta() * step, config_.min_delta,
+                    config_.max_delta);
 }
 
 }  // namespace kc

@@ -1,6 +1,8 @@
 #ifndef KALMANCAST_SUPPRESSION_BUDGET_H_
 #define KALMANCAST_SUPPRESSION_BUDGET_H_
 
+#include <optional>
+
 #include "suppression/agent.h"
 
 namespace kc {
@@ -32,9 +34,10 @@ class BudgetController {
  public:
   explicit BudgetController(BudgetConfig config = {});
 
-  /// Call once per tick after agent->Offer(). Adjusts agent->set_delta()
-  /// every config.window ticks.
-  void OnTick(SourceAgent* agent);
+  /// Call once per tick after the agent's Offer(). Every config.window
+  /// ticks, returns the bound the driver should apply next (via
+  /// SourceAgent::set_delta or ShardedFleet::SetDelta); nullopt otherwise.
+  std::optional<double> OnTick(const SourceAgent& agent);
 
   /// Message rate observed in the last completed window.
   double last_window_rate() const { return last_window_rate_; }

@@ -36,34 +36,44 @@ std::atomic<long> g_news{0};
 }  // namespace
 
 // Counting global allocator. Covers the plain, array, sized, and nothrow
-// forms so no allocation path escapes the counters.
-void* operator new(std::size_t size) {
+// forms so no allocation path escapes the counters. Every form stays out
+// of line: inlined, GCC sees std::free paired with an operator new (not
+// knowing this operator new is malloc) and raises -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_news;
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void* operator new[](std::size_t size) {
-  ++g_news;
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
 }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   ++g_news;
   return std::malloc(size);
 }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_news;
-  return std::malloc(size);
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  ::operator delete(p);
 }
 
 namespace kc {

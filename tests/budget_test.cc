@@ -2,17 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include "net/channel.h"
+#include <memory>
+
+#include "fleet/sharded_fleet.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
-#include "suppression/replica.h"
 
 namespace kc {
 namespace {
 
-/// Runs a volatile random walk through a value-cache agent steered by the
-/// budget controller; returns the realized message rate of the last
-/// quarter of the run and the final delta.
+/// Runs a volatile random walk through a value-cache agent on a one-source
+/// fleet, steered by the budget controller; returns the realized message
+/// rate of the last quarter of the run and the final delta.
 struct BudgetRun {
   double tail_rate;
   double final_delta;
@@ -21,28 +22,21 @@ struct BudgetRun {
 
 BudgetRun RunWithBudget(BudgetConfig budget, double initial_delta,
                         size_t ticks) {
-  Channel channel;
-  ServerReplica replica(0, std::make_unique<ValueCachePredictor>());
-  channel.SetReceiver([&replica](const Message& m) {
-    (void)replica.OnMessage(m);
-  });
-  AgentConfig agent_config;
-  agent_config.delta = initial_delta;
-  SourceAgent agent(0, std::make_unique<ValueCachePredictor>(), agent_config,
-                    &channel);
+  ShardedFleet::Config config;
+  config.seed = 1;
+  config.num_shards = 1;
+  ShardedFleet fleet(config);
+  fleet.AddSource(std::make_unique<RandomWalkGenerator>(
+                      RandomWalkGenerator::Config{.step_sigma = 1.0}),
+                  std::make_unique<ValueCachePredictor>(), initial_delta);
+  const SourceAgent& agent = fleet.agent(0);
   BudgetController controller(budget);
-
-  RandomWalkGenerator gen({.start = 0.0, .step_sigma = 1.0, .drift = 0.0,
-                           .dt = 1.0, .seed = 1});
-  gen.Reset(1);
 
   int64_t tail_start_msgs = 0;
   size_t tail_start = ticks - ticks / 4;
   for (size_t i = 0; i < ticks; ++i) {
-    Sample s = gen.Next();
-    replica.Tick();
-    EXPECT_TRUE(agent.Offer(s.measured).ok());
-    controller.OnTick(&agent);
+    EXPECT_TRUE(fleet.Step().ok());
+    if (auto next = controller.OnTick(agent)) fleet.SetDelta(0, *next);
     if (i == tail_start) {
       tail_start_msgs = agent.stats().corrections + agent.stats().full_syncs;
     }
@@ -55,6 +49,15 @@ BudgetRun RunWithBudget(BudgetConfig budget, double initial_delta,
   out.final_delta = agent.delta();
   out.adjustments = controller.adjustments();
   return out;
+}
+
+/// A one-source fleet that never steps: its agent has sent nothing.
+std::unique_ptr<ShardedFleet> IdleFleet(double delta) {
+  auto fleet = std::make_unique<ShardedFleet>();
+  fleet->AddSource(
+      std::make_unique<RandomWalkGenerator>(RandomWalkGenerator::Config{}),
+      std::make_unique<ValueCachePredictor>(), delta);
+  return fleet;
 }
 
 TEST(BudgetControllerTest, ConvergesDownToBudgetFromTightDelta) {
@@ -94,38 +97,34 @@ TEST(BudgetControllerTest, RespectsDeltaFloorAndCeiling) {
 }
 
 TEST(BudgetControllerTest, NoAdjustmentBeforeWindowFills) {
-  Channel channel;
-  channel.SetReceiver([](const Message&) {});
-  AgentConfig agent_config;
-  agent_config.delta = 1.0;
-  SourceAgent agent(0, std::make_unique<ValueCachePredictor>(), agent_config,
-                    &channel);
+  auto fleet = IdleFleet(1.0);
   BudgetConfig budget;
   budget.window = 100;
   BudgetController controller(budget);
-  for (int i = 0; i < 99; ++i) controller.OnTick(&agent);
+  for (int i = 0; i < 99; ++i) {
+    EXPECT_FALSE(controller.OnTick(fleet->agent(0)).has_value());
+  }
   EXPECT_EQ(controller.adjustments(), 0);
-  EXPECT_DOUBLE_EQ(agent.delta(), 1.0);
-  controller.OnTick(&agent);
+  EXPECT_DOUBLE_EQ(fleet->agent(0).delta(), 1.0);
+  EXPECT_TRUE(controller.OnTick(fleet->agent(0)).has_value());
   EXPECT_EQ(controller.adjustments(), 1);
 }
 
 TEST(BudgetControllerTest, PerStepChangeIsClamped) {
-  Channel channel;
-  channel.SetReceiver([](const Message&) {});
-  AgentConfig agent_config;
-  agent_config.delta = 1.0;
-  SourceAgent agent(0, std::make_unique<ValueCachePredictor>(), agent_config,
-                    &channel);
+  auto fleet = IdleFleet(1.0);
   BudgetConfig budget;
   budget.window = 10;
   budget.max_step = 2.0;
   budget.target_rate = 1e-9;  // Wants a huge increase.
   BudgetController controller(budget);
-  // Force some traffic so rate > 0 — actually zero traffic maps to the
-  // maximum shrink; either way the step is bounded by max_step.
-  for (int i = 0; i < 10; ++i) controller.OnTick(&agent);
-  double after_one = agent.delta();
+  // Zero traffic maps to the maximum shrink; either way the step is
+  // bounded by max_step.
+  for (int i = 0; i < 10; ++i) {
+    if (auto next = controller.OnTick(fleet->agent(0))) {
+      fleet->SetDelta(0, *next);
+    }
+  }
+  double after_one = fleet->agent(0).delta();
   EXPECT_LE(after_one, 2.0 + 1e-12);
   EXPECT_GE(after_one, 0.5 - 1e-12);
 }

@@ -70,7 +70,7 @@ TEST(FleetControlTest, PushedBoundReachesAgentAndThenReplica) {
 
   ASSERT_TRUE(fleet.server().PushBound(0, 3.0).ok());
   EXPECT_DOUBLE_EQ(fleet.agent(0).delta(), 3.0);  // Synchronous downlink.
-  EXPECT_EQ(fleet.TotalControlMessages(), 1);
+  EXPECT_EQ(fleet.TotalControlNetworkStats().messages_sent, 1);
 
   // The replica still reports the old bound until the next data message
   // confirms it (the contract is never overstated)...
@@ -113,7 +113,7 @@ TEST(FleetControlTest, ServerDrivenReallocationLoop) {
   }
   // Budget flowed to the volatile source, entirely via the control path.
   EXPECT_GT(fleet.agent(1).delta(), 2.0 * fleet.agent(0).delta());
-  EXPECT_EQ(fleet.TotalControlMessages(), 20);
+  EXPECT_EQ(fleet.TotalControlNetworkStats().messages_sent, 20);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "server/simulation.h"
+#include "fleet/link.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
 #include "suppression/policies.h"

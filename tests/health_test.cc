@@ -14,10 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/link.h"
 #include "kalman/model.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
 #include "suppression/policies.h"

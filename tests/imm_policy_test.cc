@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "server/simulation.h"
+#include "fleet/link.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
 

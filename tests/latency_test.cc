@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/link.h"
 #include "net/channel.h"
-#include "server/simulation.h"
+#include "server/server.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
 #include "suppression/replica.h"

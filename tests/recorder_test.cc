@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/link.h"
 #include "kalman/model.h"
 #include "obs/metrics.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
 

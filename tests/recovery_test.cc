@@ -14,13 +14,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "fleet/link.h"
 #include "fleet/sharded_fleet.h"
 #include "net/channel.h"
 #include "net/fault.h"
 #include "net/message.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "server/simulation.h"
 #include "streams/generators.h"
 #include "suppression/agent.h"
 #include "suppression/policies.h"
@@ -49,8 +49,11 @@ KalmanPredictor::Config MeasurementSyncKalman() {
   return config;
 }
 
-/// One faulty link, wired exactly like RunLinkImpl: uplink with faults,
-/// lossless zero-latency control downlink, recovery-enabled replica.
+/// One faulty link wired by hand at the class level (agent, replica and
+/// both channels, stepped in the fleet's per-tick order): uplink with
+/// faults, lossless zero-latency control downlink, recovery-enabled
+/// replica. Unit tests of the recovery protocol itself; RunLink drives
+/// the same protocol through a one-source ShardedFleet.
 struct RecoveryLink {
   explicit RecoveryLink(const Channel::Config& uplink_config,
                         const ReplicaRecoveryConfig& recovery,
@@ -316,7 +319,7 @@ std::string RunFaultyShardedExport(size_t threads, NetworkStats* net_out,
   }
   EXPECT_TRUE(fleet.Run(400).ok());
   *net_out = fleet.TotalNetworkStats();
-  *control_out = fleet.TotalControlMessages();
+  *control_out = fleet.TotalControlNetworkStats().messages_sent;
   obs::MetricRegistry merged;
   fleet.MergeMetricsInto(&merged);
   return obs::ExportText(merged, /*include_wall_clock=*/false);
@@ -380,7 +383,8 @@ TEST(RecoveryTest, FlatFleetMatchesShardedUnderFaults) {
   }
   EXPECT_EQ(flat.TotalMessages(), sharded.TotalMessages());
   EXPECT_EQ(flat.TotalBytes(), sharded.TotalBytes());
-  EXPECT_EQ(flat.TotalControlMessages(), sharded.TotalControlMessages());
+  EXPECT_EQ(flat.TotalControlNetworkStats().messages_sent,
+            sharded.TotalControlNetworkStats().messages_sent);
 }
 
 TEST(RecoveryTest, DegradedSourcePropagatesIntoQueryAnswers) {

@@ -834,7 +834,7 @@ TEST(ShardedFleetTest, ControlPushReachesSource) {
                   std::make_unique<ValueCachePredictor>(), 1.0);
   ASSERT_TRUE(fleet.Run(3).ok());
   ASSERT_TRUE(fleet.server().PushBound(0, 2.5).ok());
-  EXPECT_EQ(fleet.TotalControlMessages(), 1);
+  EXPECT_EQ(fleet.TotalControlNetworkStats().messages_sent, 1);
   ASSERT_TRUE(fleet.Run(1).ok());
   EXPECT_DOUBLE_EQ(fleet.agent(0).delta(), 2.5);
 }

@@ -1,4 +1,8 @@
-#include "server/simulation.h"
+#include "fleet/link.h"
+
+#include <map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -109,7 +113,7 @@ TEST(RunLinkTest, TracedRunExposesTrajectory) {
   config.ticks = 500;
   config.delta = 1.0;
   std::vector<TrajectoryPoint> trajectory;
-  LinkReport report = RunLinkTraced(gen, proto, config, &trajectory);
+  LinkReport report = RunLink(gen, proto, config, &trajectory);
   ASSERT_EQ(trajectory.size(), 500u);  // Every tick incl. the INIT tick.
   int64_t sends = 0;
   for (const auto& p : trajectory) sends += p.message_sent ? 1 : 0;
@@ -131,6 +135,101 @@ TEST(RunLinkTest, LossyChannelBreaksContractButIsCounted) {
   EXPECT_GT(report.net.messages_dropped, 0);
   // With half the corrections lost, violations are expected.
   EXPECT_GT(report.contract_violations, 0);
+}
+
+/// One lossy link with every optional facility on: recovery, budget
+/// control, the health watchdog, a flight recorder and a trajectory.
+LinkConfig FullyLoadedLinkConfig() {
+  LinkConfig config;
+  config.ticks = 3000;
+  config.delta = 0.5;
+  config.seed = 11;
+  config.agent.heartbeat_every = 4;
+  config.channel.loss_prob = 0.1;
+  config.channel.seed = 21;
+  config.control_channel.loss_prob = 0.1;
+  config.control_channel.seed = 31;
+  config.recovery.enabled = true;
+  config.recovery.suspect_after_silent_ticks = 10;
+  config.budget = BudgetConfig{};
+  config.budget->target_rate = 0.05;
+  config.budget->window = 250;
+  config.flight_recorder_capacity = 32;
+  config.health = true;
+  return config;
+}
+
+struct TracedRun {
+  LinkReport report;
+  std::vector<TrajectoryPoint> trajectory;
+};
+
+TracedRun RunFullyLoaded(const LinkConfig& config) {
+  RandomWalkGenerator gen(RandomWalkGenerator::Config{});
+  KalmanPredictor proto(ScalarKalman());
+  TracedRun run;
+  run.report = RunLink(gen, proto, config, &run.trajectory);
+  return run;
+}
+
+TEST(RunLinkTest, FullyLoadedLossyLinkIsDeterministic) {
+  const LinkConfig config = FullyLoadedLinkConfig();
+  TracedRun a = RunFullyLoaded(config);
+  TracedRun b = RunFullyLoaded(config);
+
+  // Every facility engaged...
+  EXPECT_GT(a.report.net.messages_dropped, 0);
+  EXPECT_GT(a.report.resyncs_requested, 0);
+  EXPECT_GT(a.report.control_net.messages_sent, 0);
+  EXPECT_NE(a.report.final_delta, config.delta);
+  EXPECT_FALSE(a.report.black_box.empty());
+  EXPECT_FALSE(a.report.health_summary.empty());
+  ASSERT_FALSE(a.trajectory.empty());
+
+  // ...and the run is a pure function of its config.
+  EXPECT_EQ(a.report.ToString(), b.report.ToString());
+  EXPECT_EQ(a.report.black_box, b.report.black_box);
+  EXPECT_EQ(a.report.health_summary, b.report.health_summary);
+  EXPECT_EQ(a.report.control_net.ToString(), b.report.control_net.ToString());
+  ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
+  for (size_t i = 0; i < a.trajectory.size(); ++i) {
+    const TrajectoryPoint& p = a.trajectory[i];
+    const TrajectoryPoint& q = b.trajectory[i];
+    ASSERT_EQ(p.time, q.time) << "point " << i;
+    ASSERT_EQ(p.truth, q.truth) << "point " << i;
+    ASSERT_EQ(p.measured, q.measured) << "point " << i;
+    ASSERT_EQ(p.server_view, q.server_view) << "point " << i;
+    ASSERT_EQ(p.delta, q.delta) << "point " << i;
+    ASSERT_EQ(p.message_sent, q.message_sent) << "point " << i;
+    ASSERT_EQ(p.cumulative_messages, q.cumulative_messages) << "point " << i;
+  }
+}
+
+TEST(RunLinkTest, ChannelSeedIsTheLinksOwn) {
+  // The uplink draws its losses from LinkConfig::channel.seed, not from a
+  // seed derived from LinkConfig::seed; the generator draws from
+  // LinkConfig::seed alone.
+  LinkConfig config = FullyLoadedLinkConfig();
+  TracedRun base = RunFullyLoaded(config);
+  config.channel.seed += 1;
+  TracedRun reseeded = RunFullyLoaded(config);
+
+  EXPECT_NE(base.report.net.messages_dropped,
+            reseeded.report.net.messages_dropped);
+
+  std::map<double, std::pair<double, double>> samples;
+  for (const TrajectoryPoint& p : base.trajectory) {
+    samples[p.time] = {p.truth, p.measured};
+  }
+  size_t matched = 0;
+  for (const TrajectoryPoint& p : reseeded.trajectory) {
+    auto it = samples.find(p.time);
+    if (it == samples.end()) continue;
+    ++matched;
+    ASSERT_EQ(it->second.first, p.truth) << "t=" << p.time;
+    ASSERT_EQ(it->second.second, p.measured) << "t=" << p.time;
+  }
+  EXPECT_GT(matched, config.ticks / 2);
 }
 
 TEST(FleetTest, EndToEndWithQueries) {

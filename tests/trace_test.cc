@@ -96,6 +96,35 @@ TEST(TraceCsvTest, LoadRejectsNonNumeric) {
   std::remove(path.c_str());
 }
 
+TEST(TraceCsvTest, LoadRejectsHeaderOnly) {
+  // A replay of zero samples has no stream to stand for.
+  std::string path = TempPath("header_only.csv");
+  {
+    std::ofstream out(path);
+    out << "seq,time,truth_0,meas_0\n";
+  }
+  auto loaded = LoadTraceCsv(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST(TraceCsvTest, LoadRejectsNonFiniteTime) {
+  std::string path = TempPath("inf_time.csv");
+  for (const char* time : {"inf", "-inf", "nan"}) {
+    {
+      std::ofstream out(path);
+      out << "seq,time,truth_0,meas_0\n";
+      out << "0,0.0,1.0,1.0\n";
+      out << "1," << time << ",2.0,2.0\n";
+    }
+    auto loaded = LoadTraceCsv(path);
+    ASSERT_FALSE(loaded.ok()) << time;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << time;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ReplayGeneratorTest, ReplaysExactly) {
   RandomWalkGenerator gen(RandomWalkGenerator::Config{});
   auto trace = Materialize(gen, 50, 5);

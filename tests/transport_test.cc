@@ -500,7 +500,9 @@ TEST(UdpTransportTest, SendTimestampLogRecordsFlowStampedSends) {
     EXPECT_EQ(records[i].type,
               static_cast<uint8_t>(MessageType::kCorrection));
     EXPECT_GT(records[i].send_ns, 0);
-    if (i > 0) EXPECT_GE(records[i].send_ns, records[i - 1].send_ns);
+    if (i > 0) {
+      EXPECT_GE(records[i].send_ns, records[i - 1].send_ns);
+    }
   }
   // Draining empties the log; the next drain returns nothing new.
   link.tx->DrainSendTimestamps(&records);
