@@ -29,7 +29,6 @@
 #include "common/strings.h"
 #include "fleet/sharded_fleet.h"
 #include "query/parser.h"
-#include "server/report.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
 #include "suppression/imm_policy.h"

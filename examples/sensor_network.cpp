@@ -3,7 +3,7 @@
 //
 // Demonstrates the multi-source deployment surface: the sharded fleet
 // executor (pass --threads=N to spread shards over N worker threads —
-// the reported numbers are identical for every N), StreamServer, the CQL
+// the reported numbers are identical for every N), ShardedServer, the CQL
 // parser, per-query error budgets, bound allocation across aggregate
 // members, and three-valued threshold triggers.
 //

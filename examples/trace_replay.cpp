@@ -81,6 +81,11 @@ int Replay(const std::string& path, double delta, const std::string& policy,
   config.ticks = replay.size();
   config.delta = delta;
   kc::LinkReport report = kc::RunLink(replay, *proto, config);
+  if (!report.status.ok()) {
+    std::fprintf(stderr, "replay failed: %s\n",
+                 report.status.ToString().c_str());
+    return 1;
+  }
 
   std::printf("trace:        %s (%zu samples, %zu-dim)\n", path.c_str(),
               replay.size(), replay.dims());

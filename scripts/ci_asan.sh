@@ -11,6 +11,10 @@
 # malformed-datagram/stream cases, so "decoding arbitrary bytes never
 # trips ASan/UBSan" is pinned here on every run.
 #
+# The tree is a Debug build with -D_GLIBCXX_ASSERTIONS: the release
+# configurations define NDEBUG, so this is the lane where every assert
+# and the standard library's bounds/precondition checks run.
+#
 # Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
 
 set -euo pipefail
@@ -19,8 +23,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
+  -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 
 cmake --build "$BUILD_DIR" -j

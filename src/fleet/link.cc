@@ -1,6 +1,5 @@
 #include "fleet/link.h"
 
-#include <cassert>
 #include <memory>
 #include <sstream>
 
@@ -55,10 +54,11 @@ LinkReport RunLink(const StreamGenerator& generator,
   fleet_config.uplink_factory = FixedChannel(config.channel);
   fleet_config.control_factory = FixedChannel(config.control_channel);
   ShardedFleet fleet(fleet_config);
+  // A fresh fleet has no source yet, so neither Enable can fail.
   if (config.flight_recorder_capacity > 0) {
-    fleet.EnableFlightRecorder(config.flight_recorder_capacity);
+    (void)fleet.EnableFlightRecorder(config.flight_recorder_capacity);
   }
-  if (config.health) fleet.EnableHealth(config.health_config);
+  if (config.health) (void)fleet.EnableHealth(config.health_config);
   const int32_t id =
       fleet.AddSource(generator.Clone(), prototype.Clone(), config.delta);
   const ServerReplica& replica = *fleet.server().replica(id);
@@ -79,9 +79,8 @@ LinkReport RunLink(const StreamGenerator& generator,
     // Server tick, in-flight deliveries, then the source's decision; with
     // zero latency, delivery is synchronous inside the agent's Offer,
     // mirroring the paper's lockstep protocol.
-    Status s = fleet.Step();
-    assert(s.ok());
-    (void)s;
+    report.status = fleet.Step();
+    if (!report.status.ok()) break;
     if (replica.desynced()) ++report.degraded_ticks;
 
     double in_force_delta = agent.delta();

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "common/status.h"
 #include "net/channel.h"
 #include "obs/health.h"
 #include "streams/generator.h"
@@ -83,6 +84,11 @@ struct LinkReport {
   /// Flight-recorder dump of the run's tail (empty unless
   /// LinkConfig::flight_recorder_capacity > 0).
   std::string black_box;
+
+  /// Ok, or the first failed tick's error (e.g. a reading the agent
+  /// rejects); the run stops at that tick and the report covers the ticks
+  /// before it.
+  Status status;
 
   std::string ToString() const;
 };

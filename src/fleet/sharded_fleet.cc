@@ -71,13 +71,11 @@ int32_t ShardedFleet::AddSource(std::unique_ptr<StreamGenerator> generator,
   // The uplink delivers straight into the owning shard's StreamServer, so
   // a shard worker's sends never cross shard boundaries.
   StreamServer* shard_server = &server_.shard(shard_index);
-  const bool recovering = config_.recovery.enabled;
-  slot->channel->SetReceiver([shard_server, recovering](const Message& msg) {
-    Status s = shard_server->OnMessage(msg);
-    // With recovery on, a CORRECTION outliving its lost INIT is rejected
-    // here and healed later by re-INIT — not a programming error.
-    assert(s.ok() || recovering);
-    (void)s;
+  slot->channel->SetReceiver([shard_server](const Message& msg) {
+    // A lossy link can lose the INIT, so the replica legitimately rejects
+    // the CORRECTIONs that outlive it (healed by re-INIT when recovery is
+    // on) — not a programming error.
+    (void)shard_server->OnMessage(msg);
   });
 
   Status reg = server_.RegisterSource(id, predictor->Clone());
@@ -102,85 +100,61 @@ int32_t ShardedFleet::AddSource(std::unique_ptr<StreamGenerator> generator,
     (void)s;
   });
 
-  if (server_.metrics_enabled()) BindSlotMetrics(slot.get(), shard_index);
-  BindSlotObservability(slot.get(), shard_index);
-  BindSlotAudit(slot.get(), shard_index);
+  WireSlot(slot.get(), shard_index);
 
   by_id_.push_back(slot.get());
   shards_[shard_index].sources.push_back(std::move(slot));
   return id;
 }
 
-void ShardedFleet::BindSlotMetrics(SourceSlot* slot, size_t shard_index) {
-  obs::MetricRegistry* arena = server_.shard_metrics(shard_index);
-  slot->channel->BindMetrics(arena);
-  slot->control_channel->BindMetrics(arena);
-  slot->agent->BindMetrics(arena);
-}
-
-void ShardedFleet::BindSlotObservability(SourceSlot* slot,
-                                         size_t shard_index) {
+void ShardedFleet::WireSlot(SourceSlot* slot, size_t shard_index) {
+  if (obs::MetricRegistry* arena = server_.shard_metrics(shard_index)) {
+    slot->channel->BindMetrics(arena);
+    slot->control_channel->BindMetrics(arena);
+    slot->agent->BindMetrics(arena);
+  }
   obs::FlightRecorder* recorder = server_.shard_recorder(shard_index);
   obs::HealthMonitor* health = server_.shard_health(shard_index);
-  if (recorder == nullptr && health == nullptr) return;
-  // Agent and replica share the same per-source ring and watchdog entry:
-  // the source lives on exactly one shard, and that shard's worker is the
-  // single writer for both ends within a tick.
-  slot->agent->BindObservability(
-      recorder == nullptr ? nullptr : recorder->ForSource(slot->id),
-      health == nullptr
-          ? nullptr
-          : health->ForSource(slot->id, slot->agent->predictor().dims()));
-}
-
-void ShardedFleet::EnableFlightRecorder(size_t capacity_per_source) {
-  if (server_.flight_recorder_enabled()) return;
-  server_.EnableFlightRecorder(capacity_per_source);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (auto& slot : shards_[s].sources) BindSlotObservability(slot.get(), s);
+  if (recorder != nullptr || health != nullptr) {
+    // Agent and replica share the same per-source ring and watchdog
+    // entry: the source lives on exactly one shard, and that shard's
+    // worker is the single writer for both ends within a tick.
+    slot->agent->BindObservability(
+        recorder == nullptr ? nullptr : recorder->ForSource(slot->id),
+        health == nullptr
+            ? nullptr
+            : health->ForSource(slot->id, slot->agent->predictor().dims()));
+  }
+  // After the replica's registration created the watchdog entry, so the
+  // audit entry resolves against it.
+  if (obs::PrecisionAuditor* auditor = server_.shard_audit(shard_index)) {
+    slot->audit = auditor->ForSource(slot->id);
   }
 }
 
-void ShardedFleet::EnableHealth(const obs::HealthConfig& config) {
-  if (server_.health_enabled()) return;
-  server_.EnableHealth(config);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (auto& slot : shards_[s].sources) BindSlotObservability(slot.get(), s);
-    // Audit enabled first: its per-source entries resolved against an
-    // absent watchdog, so re-bind now that the entries above exist.
-    if (server_.audit_enabled()) {
-      server_.shard_audit(s)->BindHealth(server_.shard_health(s));
-    }
-  }
+Status ShardedFleet::EnableMetrics() {
+  KC_RETURN_IF_ERROR(server_.EnableMetrics());
+  step_latency_us_ = server_.driver_metrics()->GetHistogram(
+      "kc.fleet.step_latency_us", obs::Buckets::Exponential(1.0, 2.0, 16),
+      /*wall_clock=*/true);
+  return Status::Ok();
 }
 
-void ShardedFleet::EnableAudit(const obs::AuditConfig& config) {
-  if (server_.audit_enabled()) return;
-  server_.EnableAudit(config);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (auto& slot : shards_[s].sources) BindSlotAudit(slot.get(), s);
-  }
-}
-
-void ShardedFleet::BindSlotAudit(SourceSlot* slot, size_t shard_index) {
-  obs::PrecisionAuditor* auditor = server_.shard_audit(shard_index);
-  if (auditor != nullptr) slot->audit = auditor->ForSource(slot->id);
-}
-
-void ShardedFleet::EnableTimeseries(int64_t every_n_ticks,
-                                    obs::TimeSeriesConfig config) {
-  if (timeseries_ != nullptr) return;
-  EnableMetrics();
+Status ShardedFleet::EnableTimeseries(int64_t every_n_ticks,
+                                      obs::TimeSeriesConfig config) {
+  KC_RETURN_IF_ERROR(EnableMetrics());
+  if (timeseries_ != nullptr) return Status::Ok();
   timeseries_ = std::make_unique<obs::TimeSeriesStore>(config);
   timeseries_->BindMetrics(server_.driver_metrics());
   timeseries_every_ = std::max<int64_t>(every_n_ticks, 1);
   if (http_ != nullptr) http_->SetTimeseriesSource(timeseries_.get());
+  return Status::Ok();
 }
 
 Status ShardedFleet::EnableHttpTelemetry(int port,
                                          int64_t publish_every_n_ticks) {
+  KC_RETURN_IF_ERROR(EnableMetrics());
   if (http_ != nullptr) return Status::Ok();
-  EnableMetrics();
   obs::TelemetryHttpServer::Config http_config;
   http_config.port = port;
   http_ = std::make_unique<obs::TelemetryHttpServer>(http_config);
@@ -215,17 +189,6 @@ void ShardedFleet::PublishTelemetry(const obs::MetricRegistry& merged) {
     http_->PublishAuditDoc(server_.AuditReportDoc());
   }
   http_->PublishHealthz(healthy, std::move(body));
-}
-
-void ShardedFleet::EnableMetrics() {
-  if (server_.metrics_enabled()) return;
-  server_.EnableMetrics();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (auto& slot : shards_[s].sources) BindSlotMetrics(slot.get(), s);
-  }
-  step_latency_us_ = server_.driver_metrics()->GetHistogram(
-      "kc.fleet.step_latency_us", obs::Buckets::Exponential(1.0, 2.0, 16),
-      /*wall_clock=*/true);
 }
 
 void ShardedFleet::StepShard(size_t index) {

@@ -141,13 +141,19 @@ class ShardedFleet {
   NetworkStats TotalControlNetworkStats() const;
 
   // --- Telemetry ---
+  //
+  // Every Enable* is legal only before the first AddSource: afterwards it
+  // returns FailedPrecondition and changes nothing. AddSource binds each
+  // new source once, both ends, to whatever its shard's observability
+  // bundle holds (ShardedServer's "Per-shard observability"). Before the
+  // first source each Enable* is idempotent and they may come in any
+  // order.
 
-  /// Turns on per-shard metric arenas (ShardedServer::EnableMetrics) and
-  /// binds every source's uplink, control channel, and agent — including
-  /// sources added later — to its owning shard's arena. Also registers
-  /// the wall-clock kc.fleet.step_latency_us histogram on the driver
-  /// arena. Idempotent; call before the Steps you want recorded.
-  void EnableMetrics();
+  /// Turns on per-shard metric arenas (ShardedServer::EnableMetrics): every
+  /// source's uplink, control channel, and agent record into its owning
+  /// shard's arena. Also registers the wall-clock kc.fleet.step_latency_us
+  /// histogram on the driver arena.
+  Status EnableMetrics();
   bool metrics_enabled() const { return server_.metrics_enabled(); }
 
   /// Merges shard arenas (shard order) then the driver arena into `out`.
@@ -156,20 +162,22 @@ class ShardedFleet {
     server_.MergeMetricsInto(out);
   }
 
-  /// Turns on per-shard flight recorders (capacity events per source) and
-  /// binds every source's agent AND replica to its shard's per-source
-  /// ring — both ends of the protocol share one black box. Idempotent;
-  /// covers sources added later.
-  void EnableFlightRecorder(
-      size_t capacity_per_source = obs::FlightRecorder::kDefaultCapacity);
+  /// Turns on per-shard flight recorders (capacity events per source):
+  /// every source's agent AND replica record into its shard's per-source
+  /// ring — both ends of the protocol share one black box.
+  Status EnableFlightRecorder(
+      size_t capacity_per_source = obs::FlightRecorder::kDefaultCapacity) {
+    return server_.EnableFlightRecorder(capacity_per_source);
+  }
   bool flight_recorder_enabled() const {
     return server_.flight_recorder_enabled();
   }
 
-  /// Turns on the per-shard filter-health watchdogs and feeds them from
-  /// every agent (ticks, NIS, decisions) and replica (resync requests).
-  /// Idempotent; covers sources added later.
-  void EnableHealth(const obs::HealthConfig& config = {});
+  /// Turns on the per-shard filter-health watchdogs, fed by every agent
+  /// (ticks, NIS, decisions) and replica (resync requests).
+  Status EnableHealth(const obs::HealthConfig& config = {}) {
+    return server_.EnableHealth(config);
+  }
   bool health_enabled() const { return server_.health_enabled(); }
 
   /// Turns on the per-shard precision auditors and the end-to-end sample
@@ -181,18 +189,19 @@ class ShardedFleet {
   /// channel containment is exactly 100% by the paper's guarantee; any
   /// violation is an injected fault or a bug. Sampling runs inside the
   /// shard's step (single writer, no locks, no allocations); merged
-  /// reports come from ShardedServer::AuditReport*. Idempotent; covers
-  /// sources added later.
-  void EnableAudit(const obs::AuditConfig& config = {});
+  /// reports come from ShardedServer::AuditReport*.
+  Status EnableAudit(const obs::AuditConfig& config = {}) {
+    return server_.EnableAudit(config);
+  }
   bool audit_enabled() const { return server_.audit_enabled(); }
 
   /// Turns on windowed metric time-series: after the barrier of every
   /// `every_n_ticks`-th Step the merged registry is snapshotted into the
   /// store's rings (counter deltas, gauge lasts, windowed histogram
   /// percentiles — see obs/timeseries.h). Requires EnableMetrics (called
-  /// implicitly). Idempotent.
-  void EnableTimeseries(int64_t every_n_ticks,
-                        obs::TimeSeriesConfig config = {});
+  /// implicitly).
+  Status EnableTimeseries(int64_t every_n_ticks,
+                          obs::TimeSeriesConfig config = {});
   bool timeseries_enabled() const { return timeseries_ != nullptr; }
   const obs::TimeSeriesStore* timeseries() const { return timeseries_.get(); }
 
@@ -237,14 +246,10 @@ class ShardedFleet {
   void StepShard(size_t index);
   /// Merges one link of every source (uplink or control downlink).
   NetworkStats MergedStats(std::unique_ptr<Channel> SourceSlot::*link) const;
-  /// Binds one slot's channels and agent to its shard's arena.
-  void BindSlotMetrics(SourceSlot* slot, size_t shard_index);
-  /// Binds one slot's agent to its shard's recorder ring / watchdog entry
-  /// (whichever facilities are enabled).
-  void BindSlotObservability(SourceSlot* slot, size_t shard_index);
-  /// Registers one slot with its shard's precision auditor (no-op when
-  /// auditing is off).
-  void BindSlotAudit(SourceSlot* slot, size_t shard_index);
+  /// Binds a new slot's channels, agent and audit entry to whatever its
+  /// shard's observability bundle holds; called once, from AddSource,
+  /// after the replica's registration.
+  void WireSlot(SourceSlot* slot, size_t shard_index);
   /// One shard's audit pass: samples every initialized source at `tick`
   /// (shard worker, inside the step — single writer, allocation-free).
   void AuditShard(size_t index, int64_t tick);

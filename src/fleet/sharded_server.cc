@@ -1,6 +1,9 @@
 #include "fleet/sharded_server.h"
 
 #include <algorithm>
+#include <sstream>
+
+#include "common/strings.h"
 
 namespace kc {
 
@@ -8,6 +11,7 @@ ShardedServer::ShardedServer(size_t num_shards) {
   size_t n = std::max<size_t>(num_shards, 1);
   pool_sets_.reserve(n);
   shards_.reserve(n);
+  bundles_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     pool_sets_.push_back(std::make_unique<FilterPoolSet>());
     shards_.push_back(std::make_unique<StreamServer>());
@@ -195,121 +199,109 @@ Status ShardedServer::RemoveQuery(const std::string& name) {
   return queries_.Remove(name);
 }
 
-void ShardedServer::EnableMetrics() {
-  if (metrics_enabled()) return;
-  shard_metrics_.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shard_metrics_.push_back(std::make_unique<obs::MetricRegistry>());
-    shards_[i]->BindMetrics(shard_metrics_[i].get());
-    // Recorder/watchdog/auditor enabled first: late-bind them to the new
-    // arenas.
-    if (!shard_recorders_.empty()) {
-      shard_recorders_[i]->BindMetrics(shard_metrics_[i].get());
-    }
-    if (!shard_health_.empty()) {
-      shard_health_[i]->BindMetrics(shard_metrics_[i].get());
-    }
-    if (!shard_audits_.empty()) {
-      shard_audits_[i]->BindMetrics(shard_metrics_[i].get());
-    }
+Status ShardedServer::CheckNoSources(const char* what) const {
+  if (registration_epoch() == 0) return Status::Ok();
+  return Status::FailedPrecondition(
+      StrFormat("%s must come before the first source", what));
+}
+
+void ShardedServer::WireShard(size_t index) {
+  ObsBundle& b = bundles_[index];
+  if (b.recorder != nullptr) b.recorder->BindMetrics(b.metrics.get());
+  if (b.health != nullptr) {
+    b.health->BindMetrics(b.metrics.get());
+    b.health->BindRecorder(b.recorder.get());
+  }
+  if (b.audit != nullptr) {
+    b.audit->BindMetrics(b.metrics.get());
+    b.audit->BindRecorder(b.recorder.get());
+    b.audit->BindHealth(b.health.get());
+  }
+  shards_[index]->BindObservability(b.metrics.get(), b.recorder.get(),
+                                    b.health.get());
+}
+
+void ShardedServer::Wire() {
+  for (size_t i = 0; i < shards_.size(); ++i) WireShard(i);
+  // The driver auditor holds only the cross-shard query ledger; its
+  // kc.audit.* metrics live in the driver arena, where the all-zero source
+  // gauges merge harmlessly.
+  if (driver_audit_ != nullptr) {
+    driver_audit_->BindMetrics(driver_metrics_.get());
+  }
+}
+
+Status ShardedServer::EnableMetrics() {
+  KC_RETURN_IF_ERROR(CheckNoSources("EnableMetrics"));
+  if (metrics_enabled()) return Status::Ok();
+  for (ObsBundle& b : bundles_) {
+    b.metrics = std::make_unique<obs::MetricRegistry>();
   }
   driver_metrics_ = std::make_unique<obs::MetricRegistry>();
   queries_served_ = driver_metrics_->GetCounter("kc.fleet.queries_served");
   queries_failed_ = driver_metrics_->GetCounter("kc.fleet.queries_failed");
   queries_stale_ = driver_metrics_->GetCounter("kc.fleet.queries_stale");
+  Wire();
+  return Status::Ok();
 }
 
-void ShardedServer::EnableFlightRecorder(size_t capacity_per_source) {
-  if (flight_recorder_enabled()) return;
-  shard_recorders_.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shard_recorders_.push_back(
-        std::make_unique<obs::FlightRecorder>(capacity_per_source));
-    if (!shard_metrics_.empty()) {
-      shard_recorders_[i]->BindMetrics(shard_metrics_[i].get());
-    }
-    if (!shard_health_.empty()) {
-      shard_health_[i]->BindRecorder(shard_recorders_[i].get());
-    }
-    if (!shard_audits_.empty()) {
-      shard_audits_[i]->BindRecorder(shard_recorders_[i].get());
-    }
-    shards_[i]->BindFlightRecorder(shard_recorders_[i].get());
+Status ShardedServer::EnableFlightRecorder(size_t capacity_per_source) {
+  KC_RETURN_IF_ERROR(CheckNoSources("EnableFlightRecorder"));
+  if (flight_recorder_enabled()) return Status::Ok();
+  for (ObsBundle& b : bundles_) {
+    b.recorder = std::make_unique<obs::FlightRecorder>(capacity_per_source);
   }
+  Wire();
+  return Status::Ok();
 }
 
-void ShardedServer::EnableHealth(const obs::HealthConfig& config) {
-  if (health_enabled()) return;
-  shard_health_.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shard_health_.push_back(std::make_unique<obs::HealthMonitor>(config));
-    if (!shard_metrics_.empty()) {
-      shard_health_[i]->BindMetrics(shard_metrics_[i].get());
-    }
-    if (!shard_recorders_.empty()) {
-      shard_health_[i]->BindRecorder(shard_recorders_[i].get());
-    }
-    shards_[i]->BindHealth(shard_health_[i].get());
-    // Audit enabled first: its sources can now feed the new watchdog.
-    if (!shard_audits_.empty()) {
-      shard_audits_[i]->BindHealth(shard_health_[i].get());
-    }
+Status ShardedServer::EnableHealth(const obs::HealthConfig& config) {
+  KC_RETURN_IF_ERROR(CheckNoSources("EnableHealth"));
+  if (health_enabled()) return Status::Ok();
+  for (ObsBundle& b : bundles_) {
+    b.health = std::make_unique<obs::HealthMonitor>(config);
   }
+  Wire();
+  return Status::Ok();
 }
 
-void ShardedServer::EnableAudit(const obs::AuditConfig& config) {
-  if (audit_enabled()) return;
-  shard_audits_.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shard_audits_.push_back(std::make_unique<obs::PrecisionAuditor>(config));
-    if (!shard_metrics_.empty()) {
-      shard_audits_[i]->BindMetrics(shard_metrics_[i].get());
-    }
-    if (!shard_recorders_.empty()) {
-      shard_audits_[i]->BindRecorder(shard_recorders_[i].get());
-    }
-    if (!shard_health_.empty()) {
-      shard_audits_[i]->BindHealth(shard_health_[i].get());
-    }
-    // Shard-local query evaluations land in the shard's own ledger;
-    // merged reports re-merge them by name.
-    shards_[i]->BindAudit(shard_audits_[i].get());
+Status ShardedServer::EnableAudit(const obs::AuditConfig& config) {
+  KC_RETURN_IF_ERROR(CheckNoSources("EnableAudit"));
+  if (audit_enabled()) return Status::Ok();
+  for (ObsBundle& b : bundles_) {
+    b.audit = std::make_unique<obs::PrecisionAuditor>(config);
   }
-  // The driver auditor holds only the cross-shard query ledger (its
-  // kc.audit.* metrics live in the driver arena, where the all-zero
-  // source gauges merge harmlessly).
   driver_audit_ = std::make_unique<obs::PrecisionAuditor>(config);
-  if (driver_metrics_ != nullptr) {
-    driver_audit_->BindMetrics(driver_metrics_.get());
-  }
+  Wire();
+  return Status::Ok();
 }
 
 obs::AuditMergeView ShardedServer::AuditView() const {
   obs::AuditMergeView view;
-  if (shard_audits_.empty()) return view;
-  view.config = &shard_audits_.front()->config();
-  view.arenas.reserve(shard_audits_.size() + 1);
-  for (const auto& arena : shard_audits_) view.arenas.push_back(arena.get());
+  if (!audit_enabled()) return view;
+  view.config = &driver_audit_->config();
+  view.arenas.reserve(bundles_.size() + 1);
+  for (const ObsBundle& b : bundles_) view.arenas.push_back(b.audit.get());
   view.arenas.push_back(driver_audit_.get());
   view.ids = SourceIds();
   view.arena_of = [this](int32_t id) -> const obs::PrecisionAuditor* {
-    return shard_audits_[ShardOf(id)].get();
+    return bundles_[ShardOf(id)].audit.get();
   };
   return view;
 }
 
 std::string ShardedServer::AuditReportText() const {
-  if (shard_audits_.empty()) return std::string();
+  if (!audit_enabled()) return std::string();
   return obs::MergedAuditReportText(AuditView());
 }
 
 std::string ShardedServer::AuditReportJson() const {
-  if (shard_audits_.empty()) return "{}";
+  if (!audit_enabled()) return "{}";
   return obs::MergedAuditReportJson(AuditView());
 }
 
 obs::AuditDoc ShardedServer::AuditReportDoc() const {
-  if (shard_audits_.empty()) {
+  if (!audit_enabled()) {
     obs::AuditDoc doc;
     doc.full = "{}";
     return doc;
@@ -318,15 +310,15 @@ obs::AuditDoc ShardedServer::AuditReportDoc() const {
 }
 
 std::string ShardedServer::AuditSummaryLine() const {
-  if (shard_audits_.empty()) return std::string();
+  if (!audit_enabled()) return std::string();
   return obs::MergedAuditSummaryLine(AuditView());
 }
 
 int64_t ShardedServer::AuditExhaustedSources() const {
-  if (shard_audits_.empty()) return 0;
+  if (!audit_enabled()) return 0;
   int64_t exhausted = 0;
   for (int32_t id : SourceIds()) {
-    const obs::SourceAudit* a = shard_audits_[ShardOf(id)]->Find(id);
+    const obs::SourceAudit* a = bundles_[ShardOf(id)].audit->Find(id);
     if (a != nullptr && a->slo_state() == obs::SloState::kExhausted) {
       ++exhausted;
     }
@@ -335,62 +327,61 @@ int64_t ShardedServer::AuditExhaustedSources() const {
 }
 
 obs::HealthState ShardedServer::HealthOf(int32_t source_id) const {
-  if (shard_health_.empty()) return obs::HealthState::kOk;
-  return shard_health_[ShardOf(source_id)]->StateOf(source_id);
+  if (!health_enabled()) return obs::HealthState::kOk;
+  return bundles_[ShardOf(source_id)].health->StateOf(source_id);
 }
 
 std::string ShardedServer::DumpFlightRecorderText() const {
-  if (shard_recorders_.empty()) return std::string();
+  if (!flight_recorder_enabled()) return std::string();
   // A source lives on exactly one shard, so walking the merged sorted id
   // list gives the same dump for any worker-thread count.
   std::string out;
   for (int32_t id : SourceIds()) {
-    out += shard_recorders_[ShardOf(id)]->DumpText(id);
+    out += bundles_[ShardOf(id)].recorder->DumpText(id);
   }
   return out;
 }
 
 std::string ShardedServer::DumpFlightRecorderJson() const {
-  if (shard_recorders_.empty()) return "[]";
+  if (!flight_recorder_enabled()) return "[]";
   std::string out = "[";
   bool first = true;
   for (int32_t id : SourceIds()) {
-    if (shard_recorders_[ShardOf(id)]->Find(id) == nullptr) continue;
+    if (bundles_[ShardOf(id)].recorder->Find(id) == nullptr) continue;
     if (!first) out += ",";
     first = false;
-    out += shard_recorders_[ShardOf(id)]->DumpJson(id);
+    out += bundles_[ShardOf(id)].recorder->DumpJson(id);
   }
   out += "]";
   return out;
 }
 
 std::string ShardedServer::HealthSummaryText() const {
-  if (shard_health_.empty()) return std::string();
+  if (!health_enabled()) return std::string();
   // Same global ascending-id walk as the recorder dump.
   std::string out;
   for (int32_t id : SourceIds()) {
-    out += shard_health_[ShardOf(id)]->SummaryLine(id);
+    out += bundles_[ShardOf(id)].health->SummaryLine(id);
   }
   return out;
 }
 
 void ShardedServer::MergeMetricsInto(obs::MetricRegistry* out) const {
-  for (const auto& arena : shard_metrics_) out->MergeFrom(*arena);
-  if (driver_metrics_ != nullptr) out->MergeFrom(*driver_metrics_);
+  if (!metrics_enabled()) return;
+  for (const ObsBundle& b : bundles_) out->MergeFrom(*b.metrics);
+  out->MergeFrom(*driver_metrics_);
 }
 
-void ShardedServer::RecordQueryOutcome(bool ok, bool stale) const {
-  if (queries_served_ == nullptr) return;
-  if (!ok) {
-    queries_failed_->Inc();
-    return;
+void ShardedServer::RecordQuery(const std::string& name,
+                                const QueryResult* result) const {
+  if (queries_served_ != nullptr) {
+    if (result == nullptr) {
+      queries_failed_->Inc();
+    } else {
+      queries_served_->Inc();
+      if (result->stale) queries_stale_->Inc();
+    }
   }
-  queries_served_->Inc();
-  if (stale) queries_stale_->Inc();
-}
-
-void ShardedServer::RecordQueryAudit(const std::string& name,
-                                     const QueryResult* result) const {
   if (driver_audit_ == nullptr) return;
   if (result == nullptr) {
     driver_audit_->OnQuery(name, /*ok=*/false, false, false, false);
@@ -402,24 +393,21 @@ void ShardedServer::RecordQueryAudit(const std::string& name,
 
 StatusOr<QueryResult> ShardedServer::Evaluate(const std::string& name) const {
   StatusOr<QueryResult> result = queries_.Evaluate(*this, name);
-  RecordQueryOutcome(result.ok(), result.ok() && result->stale);
-  RecordQueryAudit(name, result.ok() ? &*result : nullptr);
+  RecordQuery(name, result.ok() ? &*result : nullptr);
   return result;
 }
 
 StatusOr<QueryResult> ShardedServer::EvaluateSpec(
     const QuerySpec& spec, const std::string& name) const {
   StatusOr<QueryResult> result = EvaluateSpecOn(*this, spec, name);
-  RecordQueryOutcome(result.ok(), result.ok() && result->stale);
-  RecordQueryAudit(name, result.ok() ? &*result : nullptr);
+  RecordQuery(name, result.ok() ? &*result : nullptr);
   return result;
 }
 
 std::vector<QueryResult> ShardedServer::EvaluateAll() const {
   std::vector<QueryResult> results = queries_.EvaluateAll(*this);
   for (const QueryResult& r : results) {
-    RecordQueryOutcome(true, r.stale);
-    RecordQueryAudit(r.name, &r);
+    RecordQuery(r.name, &r);
   }
   return results;
 }
@@ -427,14 +415,59 @@ std::vector<QueryResult> ShardedServer::EvaluateAll() const {
 std::vector<QueryResult> ShardedServer::EvaluateDue() {
   std::vector<QueryResult> results = queries_.EvaluateDue(*this);
   for (const QueryResult& r : results) {
-    RecordQueryOutcome(true, r.stale);
-    RecordQueryAudit(r.name, &r);
+    RecordQuery(r.name, &r);
   }
   return results;
 }
 
 std::vector<std::string> ShardedServer::QueryNames() const {
   return queries_.Names();
+}
+
+std::string DescribeServer(const ShardedServer& server) {
+  std::ostringstream os;
+  os << "server @ tick " << server.ticks() << ": "
+     << server.num_sources() << " sources, " << server.num_queries()
+     << " queries, " << server.messages_processed()
+     << " messages processed\n";
+  if (server.staleness_limit() > 0) {
+    os << "staleness limit: " << server.staleness_limit() << " ticks\n";
+  }
+
+  os << "sources:\n";
+  for (int32_t id : server.SourceIds()) {
+    const ServerReplica* replica = server.replica(id);
+    if (replica == nullptr) continue;
+    os << "  s" << id << " [" << replica->predictor().name() << "] ";
+    if (!replica->initialized()) {
+      os << "(not initialized)\n";
+      continue;
+    }
+    Vector value = replica->Value();
+    os << "value=";
+    if (value.size() == 1) {
+      os << StrFormat("%.6g", value[0]);
+    } else {
+      os << value.ToString();
+    }
+    os << " +/-" << StrFormat("%.4g", replica->bound()) << " last_seq="
+       << replica->last_heard_seq() << " msgs="
+       << replica->messages_applied();
+    if (server.IsStale(id)) os << " STALE";
+    auto archive = server.Archive(id);
+    if (archive.ok()) {
+      os << " archive=" << (*archive)->size() << "pts";
+    }
+    os << "\n";
+  }
+
+  if (server.num_queries() > 0) {
+    os << "queries:\n";
+    for (const QueryResult& result : server.EvaluateAll()) {
+      os << "  " << result.ToString() << "\n";
+    }
+  }
+  return os.str();
 }
 
 }  // namespace kc

@@ -34,9 +34,10 @@ namespace kc {
 ///    (seeded from the fleet seed and source id only), so answers are
 ///    bit-identical for any shard or thread count.
 ///
-/// The cross-shard continuous-query registry lives here, evaluated
-/// against the merged SourceView; a single query may span sources on any
-/// subset of shards.
+/// This is the only query server: the continuous-query registry lives
+/// here, evaluated against the merged SourceView, so a single query may
+/// span sources on any subset of shards. One shard (the default) is the
+/// plain single-threaded server.
 class ShardedServer : public SourceView {
  public:
   explicit ShardedServer(size_t num_shards = 1);
@@ -152,21 +153,28 @@ class ShardedServer : public SourceView {
   std::vector<std::string> QueryNames() const;
   size_t num_queries() const { return queries_.size(); }
 
-  // --- Per-shard telemetry ---
+  // --- Per-shard observability ---
+  //
+  // Each shard owns one observability bundle (metric arena, flight
+  // recorder, health watchdog, precision auditor), each facility null
+  // until its Enable*. Every Enable* is legal only before the first
+  // RegisterSource — afterwards it returns FailedPrecondition and changes
+  // nothing — so a source is bound exactly once, at registration, to
+  // whatever its shard's bundle holds. Before that, each Enable* is
+  // idempotent and the four may come in any order. During a tick each
+  // shard worker records only into its own bundle, so the hot path never
+  // contends or crosses shard boundaries.
 
-  /// Creates one metric arena per shard plus a driver arena, and binds
-  /// each shard's StreamServer (replicas, predictors, later-registered
-  /// sources included) to its own arena. During a tick each shard worker
-  /// records only into its shard's arena, so the hot path never contends
-  /// or crosses shard boundaries; cross-shard query evaluations (driver
-  /// thread, post-barrier) record into the driver arena. Idempotent.
-  void EnableMetrics();
-  bool metrics_enabled() const { return !shard_metrics_.empty(); }
+  /// Creates one metric arena per shard plus a driver arena. Cross-shard
+  /// query evaluations (driver thread, post-barrier) record into the
+  /// driver arena.
+  Status EnableMetrics();
+  bool metrics_enabled() const { return driver_metrics_ != nullptr; }
 
   /// A shard's arena (nullptr before EnableMetrics). The sharded fleet
   /// binds each source's channels and agent to its owning shard's arena.
   obs::MetricRegistry* shard_metrics(size_t index) {
-    return shard_metrics_.empty() ? nullptr : shard_metrics_[index].get();
+    return bundles_[index].metrics.get();
   }
   obs::MetricRegistry* driver_metrics() { return driver_metrics_.get(); }
 
@@ -176,52 +184,47 @@ class ShardedServer : public SourceView {
   /// for any worker-thread count.
   void MergeMetricsInto(obs::MetricRegistry* out) const;
 
-  // --- Per-shard flight recorder & health watchdog ---
-
-  /// Creates one flight recorder per shard (capacity events per source)
-  /// and binds each shard's replicas — and the fleet's agents, via
-  /// shard_recorder() — to their shard's recorder. A source lives on
+  /// Creates one flight recorder per shard (capacity events per source).
+  /// Each source's replica — and the fleet's agent, via shard_recorder()
+  /// — records into its shard's per-source ring. A source lives on
   /// exactly one shard, so every dump walks sources in ascending-id order
-  /// and is bit-identical for any worker-thread count. Idempotent.
-  void EnableFlightRecorder(size_t capacity_per_source);
-  bool flight_recorder_enabled() const { return !shard_recorders_.empty(); }
+  /// and is bit-identical for any worker-thread count.
+  Status EnableFlightRecorder(size_t capacity_per_source);
+  bool flight_recorder_enabled() const {
+    return bundles_.front().recorder != nullptr;
+  }
 
-  /// Creates one health watchdog per shard, binds each to its shard's
-  /// metric arena (when metrics are enabled, in either order) and
-  /// recorder (likewise), and attaches each shard's replicas. Idempotent.
-  void EnableHealth(const obs::HealthConfig& config = {});
-  bool health_enabled() const { return !shard_health_.empty(); }
+  /// Creates one health watchdog per shard, fed by each source's replica
+  /// (and the fleet's agent).
+  Status EnableHealth(const obs::HealthConfig& config = {});
+  bool health_enabled() const { return bundles_.front().health != nullptr; }
 
   /// A shard's recorder/watchdog (nullptr before the matching Enable).
   obs::FlightRecorder* shard_recorder(size_t index) {
-    return shard_recorders_.empty() ? nullptr : shard_recorders_[index].get();
+    return bundles_[index].recorder.get();
   }
   obs::HealthMonitor* shard_health(size_t index) {
-    return shard_health_.empty() ? nullptr : shard_health_[index].get();
+    return bundles_[index].health.get();
   }
 
-  // --- Per-shard precision audit ---
-
   /// Creates one precision auditor per shard plus a driver-side auditor
-  /// for the cross-shard query ledger, each bound to its shard's metric
-  /// arena / recorder / watchdog (whichever are enabled, in either
-  /// order). The fleet feeds per-source samples into the shard auditors
-  /// from the shard workers; this server feeds its own cross-shard query
-  /// evaluations into the driver auditor. Idempotent.
-  void EnableAudit(const obs::AuditConfig& config = {});
-  bool audit_enabled() const { return !shard_audits_.empty(); }
+  /// for the cross-shard query ledger. The fleet feeds per-source samples
+  /// into the shard auditors from the shard workers; this server feeds
+  /// its own cross-shard query evaluations into the driver auditor.
+  Status EnableAudit(const obs::AuditConfig& config = {});
+  bool audit_enabled() const { return driver_audit_ != nullptr; }
 
   /// A shard's auditor / the driver-side query auditor (nullptr before
   /// EnableAudit).
   obs::PrecisionAuditor* shard_audit(size_t index) {
-    return shard_audits_.empty() ? nullptr : shard_audits_[index].get();
+    return bundles_[index].audit.get();
   }
   obs::PrecisionAuditor* driver_audit() { return driver_audit_.get(); }
 
   /// Merged fleet-wide audit reports: sources in ascending-id order,
-  /// query tallies merged by name across every arena (shard order, then
-  /// driver). Call after the tick barrier; bit-identical for any worker
-  /// thread count. Empty ("{}"/"" ) when disabled.
+  /// query tallies from the driver ledger. Call after the tick barrier;
+  /// bit-identical for any worker thread count. Empty ("{}"/"" ) when
+  /// disabled.
   std::string AuditReportText() const;
   std::string AuditReportJson() const;
   /// The JSON report as addressable pieces (obs::AuditDoc) for
@@ -243,13 +246,29 @@ class ShardedServer : public SourceView {
   std::string HealthSummaryText() const;
 
  private:
-  /// Mirrors one cross-shard query evaluation onto the driver arena.
-  void RecordQueryOutcome(bool ok, bool stale) const;
+  /// One shard's observability; see "Per-shard observability" above.
+  struct ObsBundle {
+    std::unique_ptr<obs::MetricRegistry> metrics;
+    std::unique_ptr<obs::FlightRecorder> recorder;
+    std::unique_ptr<obs::HealthMonitor> health;
+    std::unique_ptr<obs::PrecisionAuditor> audit;
+  };
 
-  /// Mirrors one cross-shard evaluation into the driver audit ledger
-  /// (null `result` = failed evaluation).
-  void RecordQueryAudit(const std::string& name,
-                        const QueryResult* result) const;
+  /// FailedPrecondition once any source has registered.
+  Status CheckNoSources(const char* what) const;
+
+  /// Binds, in dependency order (arena, recorder, watchdog, auditor),
+  /// whatever shard `index`'s bundle holds to each other and hands it to
+  /// the shard's StreamServer. Each Enable* re-wires every shard; no
+  /// source exists yet, so nothing else needs re-binding.
+  void WireShard(size_t index);
+  /// WireShard for every shard, then the driver auditor to the driver
+  /// arena.
+  void Wire();
+
+  /// Mirrors one cross-shard query evaluation onto the driver arena and
+  /// into the driver audit ledger (null `result` = failed evaluation).
+  void RecordQuery(const std::string& name, const QueryResult* result) const;
 
   /// The merged view over every audit arena (shard order, then driver).
   obs::AuditMergeView AuditView() const;
@@ -270,16 +289,19 @@ class ShardedServer : public SourceView {
   /// reuses its capacity (zero allocations per tick).
   std::vector<SweepUnit> sweep_units_;
   QueryTable queries_;
-  std::vector<std::unique_ptr<obs::MetricRegistry>> shard_metrics_;
+  std::vector<ObsBundle> bundles_;  ///< One per shard.
   std::unique_ptr<obs::MetricRegistry> driver_metrics_;
-  std::vector<std::unique_ptr<obs::FlightRecorder>> shard_recorders_;
-  std::vector<std::unique_ptr<obs::HealthMonitor>> shard_health_;
-  std::vector<std::unique_ptr<obs::PrecisionAuditor>> shard_audits_;
   std::unique_ptr<obs::PrecisionAuditor> driver_audit_;
   obs::Counter* queries_served_ = nullptr;
   obs::Counter* queries_failed_ = nullptr;
   obs::Counter* queries_stale_ = nullptr;
 };
+
+/// Renders a human-readable status report of a server: per-source
+/// bounded views, liveness, policies, query results, and archive depth.
+/// This is the operator-facing "what does the server believe right now"
+/// view used by the cql_shell example and useful in logs.
+std::string DescribeServer(const ShardedServer& server);
 
 }  // namespace kc
 

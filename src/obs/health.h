@@ -161,8 +161,7 @@ class SourceHealth {
   int64_t tick_ = 0;  ///< Ticks seen (stamps transition events).
 };
 
-/// One watchdog arena: source id -> SourceHealth. One per shard (plus
-/// one per StreamServer outside the fleet).
+/// One watchdog arena: source id -> SourceHealth. One per shard.
 class HealthMonitor {
  public:
   explicit HealthMonitor(HealthConfig config = HealthConfig());
@@ -180,7 +179,7 @@ class HealthMonitor {
   /// source without knowing its true obs_dim.
   SourceHealth* FindMutable(int32_t source_id);
 
-  /// kOk for unknown sources (mirrors StreamServer::IsDesynced).
+  /// kOk for unknown sources (mirrors ShardedServer::IsDesynced).
   HealthState StateOf(int32_t source_id) const;
 
   /// Registered source ids, ascending.

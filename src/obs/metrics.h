@@ -223,8 +223,7 @@ class MetricRegistry {
 };
 
 /// Process-wide default registry for single-arena deployments (examples,
-/// tests, a bare StreamServer). Sharded deployments use per-shard
-/// registries instead.
+/// tests). Sharded deployments use per-shard registries instead.
 MetricRegistry& DefaultRegistry();
 
 /// Estimates the q-quantile of a bucketed distribution by linear

@@ -19,7 +19,7 @@ namespace kc {
 ///
 /// FROM..TO makes the query historical: the aggregate runs over the
 /// server's archived per-tick views of a single source (see
-/// StreamServer::EnableArchiving).
+/// ShardedServer::EnableArchiving).
 ///
 /// Examples:
 ///   SELECT VALUE(s3) WITHIN 0.5

@@ -25,11 +25,10 @@ struct BoundedAnswer {
 
 /// Read-only view of a set of sources that query evaluation runs against.
 ///
-/// StreamServer implements it for a single shard; ShardedServer
-/// (src/fleet) implements it across shards by routing each lookup to the
-/// owning shard. Keeping evaluation against this interface is what lets
-/// one query span sources scattered over many shards while every shard
-/// keeps exclusive ownership of its replicas and archives.
+/// ShardedServer (src/fleet) implements it across shards by routing each
+/// lookup to the owning shard. Keeping evaluation against this interface
+/// is what lets one query span sources scattered over many shards while
+/// every shard keeps exclusive ownership of its replicas and archives.
 ///
 /// Live aggregates touch the view only to resolve member ids to replica
 /// handles; value, bound and the stale/degraded/health flags are then read
@@ -69,8 +68,7 @@ StatusOr<QueryResult> EvaluateSpecOn(const SourceView& view,
                                      const QuerySpec& spec,
                                      const std::string& name);
 
-/// The registered-continuous-query table shared by StreamServer and
-/// ShardedServer: name -> spec plus the EVERY-cadence bookkeeping that
+/// ShardedServer's registered-continuous-query table: name -> spec plus the EVERY-cadence bookkeeping that
 /// EvaluateDue needs.
 ///
 /// Each live query keeps a member plan: its members' replica handles in
@@ -97,7 +95,7 @@ class QueryTable {
                                  const std::string& name) const;
 
   /// Evaluates every registered query (order: by name). Evaluation errors
-  /// are folded into the result name, matching StreamServer semantics.
+  /// are folded into the result name.
   std::vector<QueryResult> EvaluateAll(const SourceView& view) const;
 
   /// Evaluates exactly the queries whose EVERY cadence has elapsed since

@@ -1,7 +1,8 @@
 #include "server/server.h"
 
+#include <cassert>
+
 #include "common/strings.h"
-#include "obs/audit.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -9,50 +10,28 @@
 
 namespace kc {
 
-void StreamServer::BindMetrics(obs::MetricRegistry* registry) {
+void StreamServer::BindObservability(obs::MetricRegistry* registry,
+                                     obs::FlightRecorder* recorder,
+                                     obs::HealthMonitor* health) {
+  // Sources are bound once, at registration; nothing re-binds them.
+  assert(registration_epoch_ == 0);
   registry_ = registry;
-  if (registry == nullptr) {
-    metrics_ = Metrics();
-  } else {
-    metrics_.ticks = registry->GetCounter("kc.server.ticks");
-    metrics_.messages_in = registry->GetCounter("kc.server.messages_in");
-    metrics_.control_out = registry->GetCounter("kc.server.control_out");
-    metrics_.queries_served = registry->GetCounter("kc.server.queries_served");
-    metrics_.queries_failed = registry->GetCounter("kc.server.queries_failed");
-    metrics_.queries_stale = registry->GetCounter("kc.server.queries_stale");
-    metrics_.sources = registry->GetGauge("kc.server.sources");
-    // Tick latency is run-dependent by nature; flag it wall-clock so
-    // deterministic exports can exclude it. 1us..32ms in octaves.
-    metrics_.tick_latency_us = registry->GetHistogram(
-        "kc.server.tick_latency_us", obs::Buckets::Exponential(1.0, 2.0, 16),
-        /*wall_clock=*/true);
-    // Precision bounds span tight contracts to wide budget-relaxed ones.
-    metrics_.bound_width = registry->GetHistogram(
-        "kc.server.bound_width", obs::Buckets::Exponential(0.01, 4.0, 12));
-    metrics_.sources->Set(static_cast<double>(replicas_.size()));
-  }
-  for (auto& [id, replica] : replicas_) replica->BindMetrics(registry);
-}
-
-void StreamServer::RecordQueryOutcome(bool ok, bool stale) const {
-  if (metrics_.queries_served == nullptr) return;
-  if (!ok) {
-    metrics_.queries_failed->Inc();
-    return;
-  }
-  metrics_.queries_served->Inc();
-  if (stale) metrics_.queries_stale->Inc();
-}
-
-void StreamServer::RecordQueryAudit(const std::string& name,
-                                    const QueryResult* result) const {
-  if (auditor_ == nullptr) return;
-  if (result == nullptr) {
-    auditor_->OnQuery(name, /*ok=*/false, false, false, false);
-    return;
-  }
-  auditor_->OnQuery(name, /*ok=*/true, result->stale, result->degraded,
-                    result->health != obs::HealthState::kOk);
+  recorder_ = recorder;
+  health_ = health;
+  metrics_ = Metrics();
+  if (registry == nullptr) return;
+  metrics_.ticks = registry->GetCounter("kc.server.ticks");
+  metrics_.messages_in = registry->GetCounter("kc.server.messages_in");
+  metrics_.control_out = registry->GetCounter("kc.server.control_out");
+  metrics_.sources = registry->GetGauge("kc.server.sources");
+  // Tick latency is run-dependent by nature; flag it wall-clock so
+  // deterministic exports can exclude it. 1us..32ms in octaves.
+  metrics_.tick_latency_us = registry->GetHistogram(
+      "kc.server.tick_latency_us", obs::Buckets::Exponential(1.0, 2.0, 16),
+      /*wall_clock=*/true);
+  // Precision bounds span tight contracts to wide budget-relaxed ones.
+  metrics_.bound_width = registry->GetHistogram(
+      "kc.server.bound_width", obs::Buckets::Exponential(0.01, 4.0, 12));
 }
 
 Status StreamServer::RegisterSource(int32_t source_id,
@@ -69,7 +48,11 @@ Status StreamServer::RegisterSource(int32_t source_id,
   if (recovery_.enabled) replica->SetRecovery(recovery_);
   replica->SetStalenessLimit(staleness_limit_);
   InstallControlSender(replica.get());
-  BindReplicaObservability(replica.get());
+  replica->BindObservability(
+      recorder_ == nullptr ? nullptr : recorder_->ForSource(source_id),
+      health_ == nullptr
+          ? nullptr
+          : health_->ForSource(source_id, replica->predictor().dims()));
   replicas_[source_id] = std::move(replica);
   ++registration_epoch_;
   if (metrics_.sources != nullptr) {
@@ -152,50 +135,6 @@ StatusOr<BoundedAnswer> StreamServer::SourceValue(int32_t source_id) const {
   return answer;
 }
 
-Status StreamServer::AddQuery(const std::string& name, QuerySpec spec) {
-  return queries_.Add(*this, name, std::move(spec));
-}
-
-Status StreamServer::RemoveQuery(const std::string& name) {
-  return queries_.Remove(name);
-}
-
-StatusOr<QueryResult> StreamServer::Evaluate(const std::string& name) const {
-  KC_TRACE_SCOPE("server.evaluate");
-  StatusOr<QueryResult> result = queries_.Evaluate(*this, name);
-  RecordQueryOutcome(result.ok(), result.ok() && result->stale);
-  RecordQueryAudit(name, result.ok() ? &*result : nullptr);
-  return result;
-}
-
-StatusOr<QueryResult> StreamServer::EvaluateSpec(const QuerySpec& spec,
-                                                 const std::string& name) const {
-  StatusOr<QueryResult> result = EvaluateSpecOn(*this, spec, name);
-  RecordQueryOutcome(result.ok(), result.ok() && result->stale);
-  RecordQueryAudit(name, result.ok() ? &*result : nullptr);
-  return result;
-}
-
-std::vector<QueryResult> StreamServer::EvaluateAll() const {
-  KC_TRACE_SCOPE("server.evaluate_all");
-  std::vector<QueryResult> results = queries_.EvaluateAll(*this);
-  for (const QueryResult& r : results) {
-    RecordQueryOutcome(true, r.stale);
-    RecordQueryAudit(r.name, &r);
-  }
-  return results;
-}
-
-std::vector<QueryResult> StreamServer::EvaluateDue() {
-  KC_TRACE_SCOPE("server.evaluate_due");
-  std::vector<QueryResult> results = queries_.EvaluateDue(*this);
-  for (const QueryResult& r : results) {
-    RecordQueryOutcome(true, r.stale);
-    RecordQueryAudit(r.name, &r);
-  }
-  return results;
-}
-
 Status StreamServer::PushBound(int32_t source_id, double delta) {
   if (!control_sink_) {
     return Status::FailedPrecondition("no control sink installed");
@@ -265,32 +204,6 @@ void StreamServer::InstallControlSender(ServerReplica* replica) {
   });
 }
 
-void StreamServer::BindFlightRecorder(obs::FlightRecorder* recorder) {
-  recorder_ = recorder;
-  for (auto& [id, replica] : replicas_) BindReplicaObservability(replica.get());
-}
-
-void StreamServer::BindHealth(obs::HealthMonitor* health) {
-  health_ = health;
-  for (auto& [id, replica] : replicas_) BindReplicaObservability(replica.get());
-}
-
-void StreamServer::BindReplicaObservability(ServerReplica* replica) {
-  obs::SourceRecorder* ring =
-      recorder_ == nullptr ? nullptr : recorder_->ForSource(replica->source_id());
-  obs::SourceHealth* entry =
-      health_ == nullptr
-          ? nullptr
-          : health_->ForSource(replica->source_id(),
-                               replica->predictor().dims());
-  replica->BindObservability(ring, entry);
-}
-
-obs::HealthState StreamServer::HealthOf(int32_t source_id) const {
-  return health_ == nullptr ? obs::HealthState::kOk
-                            : health_->StateOf(source_id);
-}
-
 void StreamServer::SetStalenessLimit(int64_t max_silent_ticks) {
   staleness_limit_ = max_silent_ticks;
   for (auto& [id, replica] : replicas_) {
@@ -306,10 +219,6 @@ bool StreamServer::IsStale(int32_t source_id) const {
 const ServerReplica* StreamServer::replica(int32_t source_id) const {
   auto it = replicas_.find(source_id);
   return it == replicas_.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::string> StreamServer::QueryNames() const {
-  return queries_.Names();
 }
 
 std::vector<int32_t> StreamServer::SourceIds() const {

@@ -23,20 +23,20 @@ class Gauge;
 class HealthMonitor;
 class Histogram;
 class MetricRegistry;
-class PrecisionAuditor;
 }  // namespace obs
 
-/// The stream management server: a registry of per-source predictor
-/// replicas plus a set of continuous queries answered from those cached
-/// procedures — i.e. "without the clients' involvement", which is the
-/// communication saving the paper measures.
+/// One shard of the stream management server: the registry of per-source
+/// predictor replicas, the shard's stream clock, its tick archives, and
+/// the recovery, staleness and control-downlink plumbing around them.
+/// Continuous queries are answered from these cached procedures — i.e.
+/// "without the clients' involvement", which is the communication saving
+/// the paper measures — by the query front of ShardedServer
+/// (src/fleet/sharded_server.h), which owns one StreamServer per shard.
 ///
 /// Single-threaded by design: one StreamServer is driven by
-/// Tick()/OnMessage() from a single harness thread (or an embedding
-/// application's event loop). Multi-core deployments run one StreamServer
-/// per shard behind a ShardedServer (src/fleet/sharded_server.h), which
-/// keeps every instance thread-confined to its shard worker.
-class StreamServer : public SourceView {
+/// Tick()/OnMessage() from a single thread (its shard's worker), so every
+/// instance stays thread-confined to its shard.
+class StreamServer {
  public:
   StreamServer() = default;
 
@@ -58,27 +58,6 @@ class StreamServer : public SourceView {
 
   /// The current bounded answer for one source.
   StatusOr<BoundedAnswer> SourceValue(int32_t source_id) const;
-
-  /// Registers a named continuous query. Fails if the spec is invalid,
-  /// the name is taken, or a referenced source is unknown.
-  Status AddQuery(const std::string& name, QuerySpec spec);
-
-  Status RemoveQuery(const std::string& name);
-
-  /// Evaluates one registered query now.
-  StatusOr<QueryResult> Evaluate(const std::string& name) const;
-
-  /// Evaluates an ad-hoc spec without registering it.
-  StatusOr<QueryResult> EvaluateSpec(const QuerySpec& spec,
-                                     const std::string& name = "adhoc") const;
-
-  /// Evaluates every registered query (order: by name).
-  std::vector<QueryResult> EvaluateAll() const;
-
-  /// Evaluates exactly the queries whose EVERY cadence has elapsed since
-  /// their previous due evaluation, and marks them evaluated. Call once
-  /// per tick (after Tick()) for paper-style continuous query semantics.
-  std::vector<QueryResult> EvaluateDue();
 
   /// Sets the liveness threshold on every replica, current and future: a
   /// source silent (no message, heartbeats included) for more than
@@ -110,7 +89,7 @@ class StreamServer : public SourceView {
 
   /// The archive for one source; error if archiving is disabled or the
   /// source is unknown/non-scalar.
-  StatusOr<const TickArchive*> Archive(int32_t source_id) const override;
+  StatusOr<const TickArchive*> Archive(int32_t source_id) const;
 
   /// Historical aggregate over one source's archived views in [t0, t1].
   StatusOr<QueryResult> HistoricalAggregate(int32_t source_id,
@@ -129,92 +108,52 @@ class StreamServer : public SourceView {
   Status PushBound(int32_t source_id, double delta);
 
   size_t num_sources() const { return replicas_.size(); }
-  size_t num_queries() const { return queries_.size(); }
-  int64_t ticks() const override { return ticks_; }
+  int64_t ticks() const { return ticks_; }
   /// Bumped by every RegisterSource/UnregisterSource.
-  uint64_t registration_epoch() const override { return registration_epoch_; }
+  uint64_t registration_epoch() const { return registration_epoch_; }
   int64_t messages_processed() const { return messages_processed_; }
 
   /// Direct replica access (diagnostics/tests); nullptr if unknown.
-  const ServerReplica* replica(int32_t source_id) const override;
-
-  /// Registered query names (sorted).
-  std::vector<std::string> QueryNames() const;
+  const ServerReplica* replica(int32_t source_id) const;
 
   /// Registered source ids (sorted).
   std::vector<int32_t> SourceIds() const;
 
-  /// Binds the serving path's telemetry to a metric arena: kc.server.*
-  /// counters/gauges, the wall-clock tick-latency histogram, and the
-  /// per-tick bound-width distribution. The binding propagates to every
-  /// registered replica (and their predictors); sources registered later
-  /// are bound on registration. In a sharded deployment each shard's
-  /// server binds its own arena, so hot-path recording never crosses
-  /// shard boundaries. Pass nullptr to unbind.
-  void BindMetrics(obs::MetricRegistry* registry);
-
-  /// Attaches a flight recorder: every registered replica (and each one
-  /// registered later) gets its per-source ring and records the receive
-  /// side of the protocol into it. In a sharded deployment each shard's
-  /// server binds its own recorder so hot-path recording stays
-  /// shard-confined. Pass nullptr to detach.
-  void BindFlightRecorder(obs::FlightRecorder* recorder);
-
-  /// Attaches the filter-health watchdog: every replica feeds its
-  /// resync-rate detector, and HealthOf()/QueryResult.health surface the
-  /// verdicts. Same sharding discipline as BindFlightRecorder. Pass
-  /// nullptr to detach.
-  void BindHealth(obs::HealthMonitor* health);
-
-  /// The watchdog's verdict for one source (kOk when no watchdog bound).
-  obs::HealthState HealthOf(int32_t source_id) const;
-
-  /// Attaches the precision auditor's query ledger: every evaluation on
-  /// this server is tallied per query name (served/failed/stale/degraded/
-  /// unhealthy). Source-level audit sampling is driven by the deployment
-  /// that owns both protocol ends (the fleet), not here. Pass nullptr to
-  /// detach.
-  void BindAudit(obs::PrecisionAuditor* auditor) { auditor_ = auditor; }
+  /// Binds the shard's observability, for every source registered
+  /// afterwards; legal only before the first RegisterSource. `registry` gets the
+  /// kc.server.* counters/gauges, the wall-clock tick-latency histogram,
+  /// the per-tick bound-width distribution, and each replica's (and
+  /// predictor's) telemetry. Each replica records the receive side of the
+  /// protocol into its ring of `recorder` and feeds its resync-rate
+  /// detector in `health`. Any argument may be null (facility off). In a
+  /// sharded deployment each shard binds its own bundle, so hot-path
+  /// recording never crosses shard boundaries.
+  void BindObservability(obs::MetricRegistry* registry,
+                         obs::FlightRecorder* recorder,
+                         obs::HealthMonitor* health);
 
  private:
-  /// Arena handles, cached at bind time; null until BindMetrics.
+  /// Arena handles, cached at bind time; null until BindObservability.
   struct Metrics {
     obs::Counter* ticks = nullptr;
     obs::Counter* messages_in = nullptr;
     obs::Counter* control_out = nullptr;
-    obs::Counter* queries_served = nullptr;
-    obs::Counter* queries_failed = nullptr;
-    obs::Counter* queries_stale = nullptr;
     obs::Gauge* sources = nullptr;
     obs::Histogram* tick_latency_us = nullptr;  ///< Wall-clock.
     obs::Histogram* bound_width = nullptr;
   };
 
-  /// Mirrors one query evaluation onto the arena (no-op when unbound).
-  void RecordQueryOutcome(bool ok, bool stale) const;
-
-  /// Mirrors one evaluation into the audit ledger (no-op when unbound).
-  /// `result` is null for failed evaluations.
-  void RecordQueryAudit(const std::string& name,
-                        const QueryResult* result) const;
-
   /// Wires one replica's outbound RESYNC_REQUESTs into the control sink.
   void InstallControlSender(ServerReplica* replica);
 
-  /// Re-binds one replica's recorder ring / watchdog entry from the
-  /// currently attached recorder_/health_ (either may be null).
-  void BindReplicaObservability(ServerReplica* replica);
-
   std::map<int32_t, std::unique_ptr<ServerReplica>> replicas_;
   ReplicaRecoveryConfig recovery_;
-  QueryTable queries_;
   std::map<int32_t, TickArchive> archives_;
   ControlSink control_sink_;
   Metrics metrics_;
   obs::MetricRegistry* registry_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
   obs::HealthMonitor* health_ = nullptr;
-  obs::PrecisionAuditor* auditor_ = nullptr;
   size_t archive_capacity_ = 0;  ///< 0 = archiving disabled.
   int64_t ticks_ = 0;
   uint64_t registration_epoch_ = 0;

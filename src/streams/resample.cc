@@ -33,7 +33,13 @@ StatusOr<std::vector<Sample>> ResampleTrace(const std::vector<Sample>& trace,
 
   double t0 = trace.front().truth.time;
   double t_end = trace.back().truth.time;
-  auto count = static_cast<size_t>(std::floor((t_end - t0) / dt)) + 1;
+  double steps = (t_end - t0) / dt;
+  if (!std::isfinite(steps) || steps >= kMaxResampleGridPoints) {
+    return Status::InvalidArgument(
+        "dt too small for the trace's span: the grid would exceed "
+        "kMaxResampleGridPoints");
+  }
+  auto count = static_cast<size_t>(std::floor(steps)) + 1;
 
   std::vector<Sample> out;
   out.reserve(count);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/sharded_server.h"
 #include "query/parser.h"
 #include "server/server.h"
 #include "suppression/policies.h"
@@ -134,7 +135,7 @@ TEST(ServerArchiveTest, SkipsUninitializedAndPlanarSources) {
 }
 
 TEST(ServerArchiveTest, HistoricalQueryThroughTheQueryLanguage) {
-  StreamServer server;
+  ShardedServer server;
   server.EnableArchiving(1000);
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
                   .ok());
@@ -178,7 +179,7 @@ TEST(ServerArchiveTest, HistoricalQueryThroughTheQueryLanguage) {
 }
 
 TEST(ServerArchiveTest, SlidingWindowQueryAnchorsToNow) {
-  StreamServer server;
+  ShardedServer server;
   server.EnableArchiving(1000);
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
                   .ok());

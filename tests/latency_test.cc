@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fleet/link.h"
+#include "fleet/sharded_server.h"
 #include "net/channel.h"
 #include "server/server.h"
 #include "streams/generators.h"
@@ -126,7 +127,7 @@ TEST(LatencyLinkTest, LatencyDegradesButDoesNotBreakTracking) {
 }
 
 TEST(StalenessTest, ServerFlagsSilentSources) {
-  StreamServer server;
+  ShardedServer server;
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
                   .ok());
   server.SetStalenessLimit(10);
@@ -167,7 +168,7 @@ TEST(StalenessTest, ServerFlagsSilentSources) {
 }
 
 TEST(EvaluateDueTest, RespectsEveryCadence) {
-  StreamServer server;
+  ShardedServer server;
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
                   .ok());
   Message init;
@@ -198,7 +199,7 @@ TEST(EvaluateDueTest, RespectsEveryCadence) {
 }
 
 TEST(EvaluateDueTest, UnevaluableQueriesRetry) {
-  StreamServer server;
+  ShardedServer server;
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
                   .ok());
   QuerySpec spec;

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "fleet/sharded_server.h"
 #include "server/server.h"
 #include "suppression/policies.h"
 
@@ -115,7 +116,7 @@ Message InitMessage(int32_t source, double delta, double value) {
 }
 
 /// Sources 0..n-1 reporting 10*id under bound 0.5.
-void AddReportingSources(StreamServer* server, int n) {
+void AddReportingSources(ShardedServer* server, int n) {
   for (int32_t id = 0; id < n; ++id) {
     ASSERT_TRUE(
         server->RegisterSource(id, std::make_unique<ValueCachePredictor>())
@@ -125,7 +126,7 @@ void AddReportingSources(StreamServer* server, int n) {
 }
 
 TEST(QueryPlanTest, UnregisteredMemberFailsWithNotFound) {
-  StreamServer server;
+  ShardedServer server;
   AddReportingSources(&server, 4);
   QuerySpec spec;
   spec.kind = AggregateKind::kAvg;
@@ -148,7 +149,7 @@ TEST(QueryPlanTest, UnregisteredMemberFailsWithNotFound) {
 }
 
 TEST(QueryPlanTest, ReregisteredMemberAnswersFromNewReplica) {
-  StreamServer server;
+  ShardedServer server;
   AddReportingSources(&server, 3);
   QuerySpec spec;
   spec.kind = AggregateKind::kSum;
@@ -178,7 +179,7 @@ TEST(QueryPlanTest, ReregisteredMemberAnswersFromNewReplica) {
 }
 
 TEST(QueryPlanTest, FirstFailingMemberInSpecOrderDecidesTheError) {
-  StreamServer server;
+  ShardedServer server;
   AddReportingSources(&server, 2);
   ASSERT_TRUE(
       server.RegisterSource(5, std::make_unique<ValueCachePredictor>()).ok());
@@ -195,7 +196,7 @@ TEST(QueryPlanTest, FirstFailingMemberInSpecOrderDecidesTheError) {
 }
 
 TEST(QueryPlanTest, StalenessLimitReachesEveryReplica) {
-  StreamServer server;
+  ShardedServer server;
   AddReportingSources(&server, 1);
   server.SetStalenessLimit(3);  // After source 0, before source 1.
   ASSERT_TRUE(

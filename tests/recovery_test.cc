@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "fleet/link.h"
 #include "fleet/sharded_fleet.h"
+#include "fleet/sharded_server.h"
 #include "net/channel.h"
 #include "net/fault.h"
 #include "net/message.h"
@@ -391,7 +392,7 @@ TEST(RecoveryTest, DegradedSourcePropagatesIntoQueryAnswers) {
   // Quarantine reaches the query layer: while a source is desynced its
   // point answer and any aggregate touching it report degraded with the
   // widened bound.
-  StreamServer server;
+  ShardedServer server;
   ASSERT_TRUE(
       server.RegisterSource(0, std::make_unique<ValueCachePredictor>()).ok());
   ReplicaRecoveryConfig recovery;

@@ -1,8 +1,7 @@
-#include "server/report.h"
-
 #include <gtest/gtest.h>
 
 #include "fleet/sharded_fleet.h"
+#include "fleet/sharded_server.h"
 #include "query/parser.h"
 #include "streams/generators.h"
 #include "suppression/policies.h"
@@ -11,7 +10,7 @@ namespace kc {
 namespace {
 
 TEST(ReportTest, EmptyServer) {
-  StreamServer server;
+  ShardedServer server;
   std::string report = DescribeServer(server);
   EXPECT_NE(report.find("0 sources"), std::string::npos);
   EXPECT_NE(report.find("0 queries"), std::string::npos);
@@ -43,7 +42,7 @@ TEST(ReportTest, MentionsEverySectionOnLiveServer) {
 }
 
 TEST(ReportTest, FlagsUninitializedAndStale) {
-  StreamServer server;
+  ShardedServer server;
   server.SetStalenessLimit(5);
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
                   .ok());

@@ -25,6 +25,25 @@ TEST(ResampleTest, ValidatesInputs) {
   EXPECT_FALSE(ResampleTrace({At(2, 1, 1), At(1, 2, 2)}, 1.0).ok());
 }
 
+TEST(ResampleTest, RejectsGridBeyondCap) {
+  // A ~3000 s trace: dt = 1e-300 makes the point count overflow to inf
+  // (once truncated to a single sample), and dt = 1e-6 asks for 3e9
+  // samples (once an out-of-memory abort).
+  std::vector<Sample> trace = {At(0.0, 0.0, 0.0), At(1500.0, 1.0, 1.0),
+                               At(2999.0, 2.0, 2.0)};
+  auto overflow = ResampleTrace(trace, 1e-300);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  auto huge = ResampleTrace(trace, 1e-6);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  // The cap itself: a span of kMaxResampleGridPoints steps would need one
+  // point more than allowed.
+  std::vector<Sample> span = {At(0.0, 0.0, 0.0),
+                              At(kMaxResampleGridPoints, 1.0, 1.0)};
+  EXPECT_FALSE(ResampleTrace(span, 1.0).ok());
+}
+
 TEST(ResampleTest, InterpolatesLinearly) {
   std::vector<Sample> trace = {At(0.0, 0.0, 10.0), At(4.0, 8.0, 18.0)};
   auto out = ResampleTrace(trace, 1.0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/sharded_server.h"
 #include "suppression/policies.h"
 
 namespace kc {
@@ -86,8 +87,8 @@ TEST(StreamServerTest, TickAdvancesReplicas) {
   EXPECT_EQ(server.ticks(), 2);
 }
 
-StreamServer MakeThreeSourceServer() {
-  StreamServer server;
+ShardedServer MakeThreeSourceServer() {
+  ShardedServer server;
   for (int32_t id = 0; id < 3; ++id) {
     EXPECT_TRUE(
         server.RegisterSource(id, std::make_unique<ValueCachePredictor>()).ok());
@@ -99,8 +100,8 @@ StreamServer MakeThreeSourceServer() {
   return server;
 }
 
-TEST(StreamServerTest, AddQueryValidation) {
-  StreamServer server = MakeThreeSourceServer();
+TEST(ServerQueryTest, AddQueryValidation) {
+  ShardedServer server = MakeThreeSourceServer();
   QuerySpec spec;
   spec.kind = AggregateKind::kAvg;
   spec.sources = {0, 1, 2};
@@ -116,8 +117,8 @@ TEST(StreamServerTest, AddQueryValidation) {
   EXPECT_EQ(server.QueryNames(), std::vector<std::string>{"avg_all"});
 }
 
-TEST(StreamServerTest, AggregateEvaluation) {
-  StreamServer server = MakeThreeSourceServer();
+TEST(ServerQueryTest, AggregateEvaluation) {
+  ShardedServer server = MakeThreeSourceServer();
   // Values 10, 20, 30 with bounds 0.5, 1.0, 1.5.
   QuerySpec sum;
   sum.kind = AggregateKind::kSum;
@@ -142,8 +143,8 @@ TEST(StreamServerTest, AggregateEvaluation) {
   EXPECT_DOUBLE_EQ(result->bound, 1.5);
 }
 
-TEST(StreamServerTest, WithinCheckAndTrigger) {
-  StreamServer server = MakeThreeSourceServer();
+TEST(ServerQueryTest, WithinCheckAndTrigger) {
+  ShardedServer server = MakeThreeSourceServer();
   QuerySpec spec;
   spec.kind = AggregateKind::kSum;
   spec.sources = {0, 1, 2};
@@ -157,8 +158,8 @@ TEST(StreamServerTest, WithinCheckAndTrigger) {
   EXPECT_EQ(*result->trigger, TriggerState::kYes);  // 60 - 3 > 50.
 }
 
-TEST(StreamServerTest, EvaluateAllAndRemove) {
-  StreamServer server = MakeThreeSourceServer();
+TEST(ServerQueryTest, EvaluateAllAndRemove) {
+  ShardedServer server = MakeThreeSourceServer();
   QuerySpec spec;
   spec.kind = AggregateKind::kMin;
   spec.sources = {0, 1};
@@ -170,13 +171,13 @@ TEST(StreamServerTest, EvaluateAllAndRemove) {
   EXPECT_FALSE(server.RemoveQuery("m").ok());
 }
 
-TEST(StreamServerTest, EvaluateUnknownQueryFails) {
-  StreamServer server;
+TEST(ServerQueryTest, EvaluateUnknownQueryFails) {
+  ShardedServer server;
   EXPECT_FALSE(server.Evaluate("nope").ok());
 }
 
-TEST(StreamServerTest, QueryOnUninitializedSourceFails) {
-  StreamServer server;
+TEST(ServerQueryTest, QueryOnUninitializedSourceFails) {
+  ShardedServer server;
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
                   .ok());
   QuerySpec spec;
@@ -235,10 +236,10 @@ TEST(StreamServerTest, UnregisterErasesArchiveForIdReuse) {
   EXPECT_DOUBLE_EQ(avg->value, 9.0);
 }
 
-TEST(StreamServerTest, LastWindowLargerThanHistoryClamps) {
+TEST(ServerQueryTest, LastWindowLargerThanHistoryClamps) {
   // Regression: LAST n with n > ticks computed from = ticks - n + 1 < 0
   // instead of clamping to the archive's oldest recorded time.
-  StreamServer server;
+  ShardedServer server;
   server.EnableArchiving(8);
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
                   .ok());
@@ -269,8 +270,8 @@ TEST(StreamServerTest, LastWindowLargerThanHistoryClamps) {
   EXPECT_DOUBLE_EQ(result->value, tail->value);
 }
 
-TEST(StreamServerTest, AggregateOverPlanarSourceRejected) {
-  StreamServer server;
+TEST(ServerQueryTest, AggregateOverPlanarSourceRejected) {
+  ShardedServer server;
   KalmanPredictor::Config config;
   config.model = MakeConstantVelocity2DModel(1.0, 0.1, 0.5);
   ASSERT_TRUE(

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -252,6 +254,145 @@ TEST(ShardedFleetTest, ObservabilityArtifactsBitIdenticalForAnyThreadCount) {
   EXPECT_NE(one.audit_json.find("\"totals\":"), std::string::npos);
   EXPECT_NE(one.metrics.find("kc.audit.samples"), std::string::npos);
   EXPECT_NE(one.metrics.find("kc.health.audit_breaches"), std::string::npos);
+}
+
+/// The four observability artefacts of one faulty, queried run.
+struct WiringArtifacts {
+  std::string metrics;
+  std::string recorder;
+  std::string health;
+  std::string audit_json;
+  int64_t audit_breaches = 0;  ///< Audit windows the watchdog was fed.
+};
+
+/// Enables metrics, recorder, health and audit in forward order, or in
+/// reverse, then runs the same faulty fleet with a live query.
+WiringArtifacts RunWiredFleet(bool reverse) {
+  ShardedFleet::Config config;
+  config.seed = 4242;
+  config.threads = 2;
+  config.num_shards = 4;
+  config.channel.loss_prob = 0.05;
+  config.channel.faults.partition_start = 80;
+  config.channel.faults.partition_length = 10;
+  config.recovery.enabled = true;
+  config.recovery.suspect_after_silent_ticks = 6;
+  ShardedFleet fleet(config);
+  obs::HealthConfig health;
+  health.nis_window = 16;
+  obs::AuditConfig audit;
+  audit.sample_every = 2;
+  audit.slo_window_ticks = 64;
+  std::vector<std::function<Status()>> enables = {
+      [&] { return fleet.EnableMetrics(); },
+      [&] { return fleet.EnableFlightRecorder(/*capacity_per_source=*/128); },
+      [&] { return fleet.EnableHealth(health); },
+      [&] { return fleet.EnableAudit(audit); },
+  };
+  if (reverse) std::reverse(enables.begin(), enables.end());
+  for (auto& enable : enables) EXPECT_TRUE(enable().ok());
+  AddStandardSources(fleet, 12);
+  auto spec = ParseQuery("SELECT AVG(s0, s3, s7, s11)");
+  EXPECT_TRUE(spec.ok());
+  EXPECT_TRUE(fleet.server().AddQuery("avg", *spec).ok());
+  for (int t = 0; t < 300; ++t) {
+    EXPECT_TRUE(fleet.Step().ok());
+    if (t % 10 == 0) (void)fleet.server().Evaluate("avg");
+  }
+  WiringArtifacts out;
+  obs::MetricRegistry merged;
+  fleet.MergeMetricsInto(&merged);
+  out.metrics = obs::ExportText(merged, /*include_wall_clock=*/false);
+  out.audit_breaches = merged.GetCounter("kc.health.audit_breaches")->value();
+  out.recorder = fleet.DumpFlightRecorderText();
+  out.health = fleet.HealthSummaryText();
+  out.audit_json = fleet.AuditReportJson();
+  return out;
+}
+
+TEST(ShardedFleetTest, EnableOrderDoesNotChangeAnyArtifact) {
+  WiringArtifacts forward = RunWiredFleet(/*reverse=*/false);
+  WiringArtifacts reverse = RunWiredFleet(/*reverse=*/true);
+  EXPECT_EQ(forward.metrics, reverse.metrics);
+  EXPECT_EQ(forward.recorder, reverse.recorder);
+  EXPECT_EQ(forward.health, reverse.health);
+  EXPECT_EQ(forward.audit_json, reverse.audit_json);
+  // Every cross-facility binding is live in both orders: the recorder and
+  // watchdog count into the arena, audit windows feed the watchdog, and
+  // the driver's query ledger lands in the report.
+  EXPECT_NE(forward.metrics.find("kc.recorder.events"), std::string::npos);
+  EXPECT_GT(forward.audit_breaches, 0);
+  EXPECT_NE(forward.metrics.find("kc.audit.samples"), std::string::npos);
+  EXPECT_NE(forward.metrics.find("kc.fleet.queries_served"),
+            std::string::npos);
+  EXPECT_NE(forward.recorder.find("WIRE_GAP"), std::string::npos);
+  EXPECT_NE(forward.health.find("source   11"), std::string::npos);
+  EXPECT_NE(forward.audit_json.find("\"avg\""), std::string::npos);
+}
+
+TEST(ShardedFleetTest, EnableAfterFirstSourceFailsAndChangesNothing) {
+  ShardedFleet::Config config;
+  config.num_shards = 4;
+  ShardedFleet fleet(config);
+  AddStandardSources(fleet, 3);
+  const std::vector<std::pair<std::string, Status>> late = {
+      {"metrics", fleet.EnableMetrics()},
+      {"recorder", fleet.EnableFlightRecorder()},
+      {"health", fleet.EnableHealth()},
+      {"audit", fleet.EnableAudit()},
+      {"timeseries", fleet.EnableTimeseries(/*every_n_ticks=*/1)},
+      {"http", fleet.EnableHttpTelemetry(/*port=*/0)},
+  };
+  for (const auto& [what, status] : late) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+        << what << ": " << status;
+  }
+  EXPECT_FALSE(fleet.metrics_enabled());
+  EXPECT_FALSE(fleet.flight_recorder_enabled());
+  EXPECT_FALSE(fleet.health_enabled());
+  EXPECT_FALSE(fleet.audit_enabled());
+  EXPECT_FALSE(fleet.timeseries_enabled());
+  EXPECT_EQ(fleet.http(), nullptr);
+  ASSERT_TRUE(fleet.Run(20).ok());
+  obs::MetricRegistry merged;
+  fleet.MergeMetricsInto(&merged);
+  EXPECT_TRUE(merged.Rows().empty());
+  EXPECT_EQ(fleet.DumpFlightRecorderText(), "");
+  EXPECT_EQ(fleet.HealthSummaryText(), "");
+  EXPECT_EQ(fleet.AuditReportJson(), "{}");
+
+  // A facility enabled in time stays as it was; enabling it again late is
+  // refused all the same.
+  ShardedFleet metered(config);
+  ASSERT_TRUE(metered.EnableMetrics().ok());
+  ASSERT_TRUE(metered.EnableMetrics().ok());  // Idempotent before sources.
+  AddStandardSources(metered, 3);
+  EXPECT_EQ(metered.EnableMetrics().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(metered.metrics_enabled());
+}
+
+TEST(ShardedFleetTest, ServerEnableAfterFirstRegistrationFails) {
+  ShardedServer server(4);
+  ASSERT_TRUE(
+      server.RegisterSource(0, std::make_unique<ValueCachePredictor>()).ok());
+  EXPECT_EQ(server.EnableMetrics().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.EnableFlightRecorder(16).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.EnableHealth().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.EnableAudit().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(server.metrics_enabled());
+  EXPECT_FALSE(server.flight_recorder_enabled());
+  EXPECT_FALSE(server.health_enabled());
+  EXPECT_FALSE(server.audit_enabled());
+  for (size_t s = 0; s < server.num_shards(); ++s) {
+    EXPECT_EQ(server.shard_metrics(s), nullptr);
+    EXPECT_EQ(server.shard_recorder(s), nullptr);
+    EXPECT_EQ(server.shard_health(s), nullptr);
+    EXPECT_EQ(server.shard_audit(s), nullptr);
+  }
+  // The rule counts registrations, not current sources.
+  ASSERT_TRUE(server.UnregisterSource(0).ok());
+  EXPECT_EQ(server.EnableMetrics().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ShardedFleetTest, MetricsMirrorProtocolCounters) {
@@ -585,13 +726,12 @@ TEST(ShardedFleetTest, CrossShardQueriesAndArchives) {
 }
 
 /// The per-member semantics a live aggregate must keep, spelled out
-/// against the servers' per-source accessors: the first member (in spec
+/// against the server's per-source accessors: the first member (in spec
 /// order) without a bounded answer decides the error; the result is stale
 /// if any initialized member has been silent past the staleness limit,
 /// degraded if any member is quarantined, and carries the worst member
 /// health verdict.
-template <typename Server>
-StatusOr<QueryResult> ReferenceEvaluate(const Server& server,
+StatusOr<QueryResult> ReferenceEvaluate(const ShardedServer& server,
                                         const QuerySpec& spec,
                                         const std::string& name) {
   std::vector<double> values;
@@ -635,8 +775,7 @@ void ExpectSameResult(const QueryResult& a, const QueryResult& b,
 
 /// Every due query result of a faulty run with recovery, a staleness limit
 /// and the health watchdog on, checked tick by tick against
-/// ReferenceEvaluate. With one shard the same queries also run on the
-/// shard's own StreamServer, whose results must match too.
+/// ReferenceEvaluate.
 struct FlagRun {
   std::vector<QueryResult> results;
   int64_t stale = 0;
@@ -692,9 +831,6 @@ void RunFlagWorkload(size_t threads, size_t shards, FlagRun* run) {
     EXPECT_TRUE(spec.ok()) << text;
     specs.push_back(*spec);
     EXPECT_TRUE(fleet.server().AddQuery(name, *spec).ok()) << name;
-    if (shards == 1) {
-      EXPECT_TRUE(fleet.server().shard(0).AddQuery(name, *spec).ok()) << name;
-    }
   }
 
   for (int t = 0; t < 300; ++t) {
@@ -711,11 +847,6 @@ void RunFlagWorkload(size_t threads, size_t shards, FlagRun* run) {
         continue;
       }
       ExpectSameResult(*sharded, *expected, name + tick);
-      if (shards == 1) {
-        auto local = fleet.server().shard(0).Evaluate(name);
-        ASSERT_TRUE(local.ok()) << name << tick;
-        ExpectSameResult(*local, *expected, name + " (shard)" + tick);
-      }
     }
     for (QueryResult& r : fleet.server().EvaluateDue()) {
       run->stale += r.stale;

@@ -1,5 +1,6 @@
 #include "fleet/link.h"
 
+#include <cmath>
 #include <map>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "server/allocation.h"
 #include "streams/generators.h"
 #include "streams/noise.h"
+#include "streams/trace.h"
 #include "suppression/policies.h"
 
 namespace kc {
@@ -230,6 +232,36 @@ TEST(RunLinkTest, ChannelSeedIsTheLinksOwn) {
     ASSERT_EQ(it->second.second, p.measured) << "t=" << p.time;
   }
   EXPECT_GT(matched, config.ticks / 2);
+}
+
+TEST(RunLinkTest, RejectedReadingStopsTheRunWithItsStatus) {
+  // A replayed trace with one non-finite measurement: the agent rejects
+  // that reading, and the run reports the failure instead of dropping it.
+  std::vector<Sample> trace;
+  for (int i = 0; i < 50; ++i) {
+    Sample s;
+    s.truth.seq = s.measured.seq = i;
+    s.truth.time = s.measured.time = static_cast<double>(i);
+    s.truth.value = Vector{0.1 * i};
+    s.measured.value = Vector{0.1 * i};
+    trace.push_back(s);
+  }
+  trace[20].measured.value = Vector{std::nan("")};
+  ReplayGenerator replay(trace, "nan_trace");
+  ValueCachePredictor proto;
+  LinkConfig config;
+  config.ticks = trace.size();
+  config.delta = 1.0;
+  LinkReport report = RunLink(replay, proto, config);
+  EXPECT_EQ(report.status.code(), StatusCode::kInvalidArgument)
+      << report.status;
+  // The run stopped at the failed tick: only the ticks before it count.
+  EXPECT_EQ(report.err_vs_target.count(), 20);
+
+  trace[20].measured.value = Vector{2.0};
+  LinkReport clean = RunLink(ReplayGenerator(trace, "clean"), proto, config);
+  EXPECT_TRUE(clean.status.ok()) << clean.status;
+  EXPECT_EQ(clean.err_vs_target.count(), 50);
 }
 
 TEST(FleetTest, EndToEndWithQueries) {
