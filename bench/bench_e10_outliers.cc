@@ -62,11 +62,7 @@ int main() {
                   r.err_vs_truth.rms(), "-");
     }
     {
-      auto proto = GatedKalman(0.999);
-      // Keep a raw pointer to read the rejection counter afterwards.
-      auto* kp = static_cast<kc::KalmanPredictor*>(proto.get());
-      (void)kp;
-      kc::LinkReport r = RunContaminated(std::move(proto), prob);
+      kc::LinkReport r = RunContaminated(GatedKalman(0.999), prob);
       std::printf("%14.2f | %-18s %10lld %14.3f %12s\n", prob,
                   "kalman (gated)", static_cast<long long>(r.messages),
                   r.err_vs_truth.rms(), "see note");

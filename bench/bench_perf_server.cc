@@ -70,18 +70,18 @@ BENCHMARK(BM_ShardedFleetStep)
 // Fleet-scale tick throughput: {sources, pooled, threads, simd, adaptive}.
 // The pooled rows run the SoA FilterPool path (per-shard lane-interleaved
 // x/P slabs swept by the vectorized batched kernels once per tick);
-// pooled=0 forces every source onto the per-object virtual Predictor path
-// the pools replaced. The threads axis drives both the shard fan-out and
-// the phase-1 pool sweep; the simd axis toggles the AVX2 lane kernels
-// against their portable scalar twins. adaptive=1 adds the default
+// pooled=0 keeps one private pool per predictor, each doing its own time
+// updates without a shard sweep. The threads axis drives both the shard
+// fan-out and the phase-1 pool sweep; the simd axis toggles the AVX2 lane
+// kernels against their portable scalar twins. adaptive=1 adds the default
 // AdaptiveConfig (the Q adaptation MakeDefaultKalmanPredictor ships),
 // which pools with per-slot Q and NIS rings and the lane-Q sweep kernel.
 // Answers are bit-identical across the entire matrix (tests/pool_test.cc,
 // tests/batch_kernels_test.cc, tests/sharded_fleet_test.cc), so
 // items_per_second — sources ticked per second — is the only thing that
 // may differ. run_benches.sh folds these rows into BENCH_perf.json's
-// fleet_tick_1m table. The per-object baseline stops at 100k sources:
-// at ~40 KB per source it is memory-bound long before 1M.
+// fleet_tick_1m table. The private-pool baseline stops at 100k sources:
+// a pool per predictor is memory-bound long before 1M.
 void BM_FleetTick_1M(benchmark::State& state) {
   const auto sources = static_cast<int>(state.range(0));
   const bool pooled = state.range(1) != 0;
@@ -116,9 +116,9 @@ void BM_FleetTick_1M(benchmark::State& state) {
   state.counters["adaptive"] = adaptive ? 1.0 : 0.0;
 }
 void FleetTickMatrix(benchmark::internal::Benchmark* b) {
-  b->Args({100000, 0, 1, 1, 0});   // Per-object baseline.
+  b->Args({100000, 0, 1, 1, 0});   // Private-pool baseline.
   b->Args({100000, 1, 1, 1, 0});   // Pooled, 1 thread, SIMD.
-  b->Args({100000, 0, 1, 1, 1});   // Adaptive Q, per-object estimator.
+  b->Args({100000, 0, 1, 1, 1});   // Adaptive Q, private pools.
   b->Args({100000, 1, 1, 1, 1});   // Adaptive Q, pooled per-slot Q.
   b->Args({1000000, 1, 1, 1, 0});  // The headline row.
   b->Args({1000000, 1, 1, 0, 0});  // SIMD off: the scalar-lane cost.

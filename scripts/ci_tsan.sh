@@ -28,7 +28,7 @@ cmake --build "$BUILD_DIR" -j \
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "$BUILD_DIR"/tests/thread_pool_test
 # sharded_fleet_test includes the ParallelFor re-entrancy regression
-# (nested ParallelFor on the worker threads) and the pooled-vs-per-object
+# (nested ParallelFor on the worker threads) and the swept-vs-private-pool
 # fleet runs under threads.
 "$BUILD_DIR"/tests/sharded_fleet_test
 # Per-shard filter pools are single-writer by construction; the pooled

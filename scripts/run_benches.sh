@@ -131,10 +131,10 @@ for bench in merged["benchmarks"]:
 merged["loss_sweep_recovery"] = loss_sweep
 # Fleet tick throughput at scale: the BM_FleetTick_1M matrix (sources
 # ticked per second) over {sources, pooled, threads, simd, adaptive} — the
-# SoA filter-pool path with vectorized/parallel sweeps vs the per-object
-# baseline, for plain and adaptive-Q predictors. Rows from older binaries
+# SoA filter-pool path with vectorized/parallel sweeps vs one private
+# pool per predictor (pooled=0), for plain and adaptive-Q predictors. Rows from older binaries
 # without the threads/simd/adaptive counters default to threads=1,
-# simd=1, adaptive=0. Headline numbers: the 100k pooled/per-object ratio
+# simd=1, adaptive=0. Headline numbers: the 100k pooled/private ratio
 # (plain and adaptive) and the absolute single-threaded SIMD 1M rate.
 fleet_tick = []
 for bench in merged["benchmarks"]:
@@ -222,7 +222,7 @@ for row in aggregate_rows:
     print(f"  aggregate evaluate {row['name']}: {row['median_ns']:,.0f} ns "
           f"({row['ns_per_member']} ns/member)")
 for row in fleet_tick:
-    kind = "pooled" if row["pooled"] else "per-object"
+    kind = "pooled" if row["pooled"] else "private pools"
     lanes = "simd" if row["simd"] else "scalar"
     model = ", adaptive" if row["adaptive"] else ""
     print(f"  fleet tick {row['sources']} sources ({kind}{model}, "

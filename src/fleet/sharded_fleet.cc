@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/strings.h"
+#include "fleet/pool.h"
 #include "obs/trace.h"
 #include "server/simulation.h"
 
@@ -46,11 +47,11 @@ int32_t ShardedFleet::AddSource(std::unique_ptr<StreamGenerator> generator,
   auto slot = std::make_unique<SourceSlot>();
   slot->id = id;
 
-  // Poolable Kalman sources swap onto the shard's SoA filter pool; the
-  // replica clone below inherits the same pool set, so both ends of the
-  // protocol live in the owning shard's slabs. Bit-identical to the
-  // per-object predictor, so the substitution is invisible to the
-  // protocol, reports, and determinism contract.
+  // Kalman sources move onto the shard's SoA filter pools; the replica
+  // clone below inherits the same pool set, so both ends of the protocol
+  // live in the owning shard's slabs. Bit-identical to a private pool,
+  // so the move is invisible to the protocol, reports, and determinism
+  // contract.
   if (config_.pooling) {
     if (auto pooled =
             MakePooledPredictor(*predictor, server_.shard_pools(shard_index))) {

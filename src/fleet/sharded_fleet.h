@@ -34,8 +34,8 @@ namespace kc {
 /// server/simulation.h — and shard assignment is a fixed hash of the id,
 /// so per-source answers, query results, and merged NetworkStats are
 /// bit-identical for ANY `threads` and ANY `num_shards` — including the
-/// sequential reference {threads=1, num_shards=1, pooling=false}, which
-/// steps every source in id order on per-object predictors.
+/// sequential reference {threads=1, num_shards=1}, which steps every
+/// source in id order — and with `pooling` on or off.
 class ShardedFleet {
  public:
   struct Config {
@@ -56,14 +56,12 @@ class ShardedFleet {
     /// fine (workers pick up shards dynamically); results never depend on
     /// either knob.
     size_t num_shards = 0;
-    /// Pool eligible Kalman predictors into per-shard structure-of-arrays
-    /// FilterPools swept by a batched PredictAll each tick (see
-    /// fleet/pool.h). Bit-identical to the per-object path — pinned by
-    /// tests/pool_test.cc — so this is purely a performance knob; turning
-    /// it off forces every source onto the virtual Predictor path (the
-    /// per-object baseline BM_FleetTick_1M measures against). Predictors
-    /// that cannot pool (adapt_r configs, non-Kalman policies) always
-    /// use the per-object path regardless.
+    /// Move every KalmanPredictor onto its shard's swept pools (the
+    /// per-shard FilterPoolSet a batched PredictAll advances each tick,
+    /// see fleet/pool.h); off, each predictor keeps one private pool and
+    /// does its own time updates (the baseline BM_FleetTick_1M measures
+    /// against). Bit-identical either way — pinned by tests/pool_test.cc
+    /// — so purely a performance knob. Non-Kalman policies never pool.
     bool pooling = true;
     /// Vectorized (lane-per-slot SIMD) sweep kernels. Bit-identical on or
     /// off — pinned by tests/batch_kernels_test.cc — so purely a bench/CI

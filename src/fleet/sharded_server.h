@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "fleet/pool.h"
+#include "suppression/filter_pool.h"
 #include "fleet/thread_pool.h"
 #include "obs/audit.h"
 #include "obs/health.h"

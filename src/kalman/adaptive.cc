@@ -51,11 +51,57 @@ void AdaptQAfterUpdate(const AdaptiveConfig& config, double nis,
   *state.cumulative_q_scale *= scale;
 }
 
+void AdaptRAfterUpdate(const AdaptiveConfig& config, const Vector& nu,
+                       const Matrix& h, const Matrix& p, size_t updates_seen,
+                       const AdaptiveRState& state) {
+  const size_t ring_size = config.RingSize();
+  const size_t m = nu.size();
+  const size_t mm = m * m;
+  double* newest = state.outer_ring + ((updates_seen - 1) % ring_size) * mm;
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t c = 0; c < m; ++c) newest[r * m + c] = nu[r] * nu[c];
+  }
+  const size_t fill = std::min(updates_seen, ring_size);
+  if (updates_seen < config.warmup || fill < config.warmup) return;
+
+  // Sample innovation covariance C ≈ H P- H^T + R, so R ≈ C - H P H^T.
+  Matrix c(m, m);
+  for (size_t k = updates_seen - fill; k < updates_seen; ++k) {
+    const double* outer = state.outer_ring + (k % ring_size) * mm;
+    for (size_t i = 0; i < mm; ++i) c.data()[i] += outer[i];
+  }
+  c *= 1.0 / static_cast<double>(fill);
+  Matrix r_hat = c - Sandwich(h, p);
+  // Clamp to a PD matrix: floor the diagonal, zero wildly negative mass.
+  for (size_t i = 0; i < m; ++i) {
+    r_hat(i, i) = std::max(r_hat(i, i), config.variance_floor);
+  }
+  r_hat.Symmetrize();
+  Matrix l;
+  if (!Cholesky::FactorInto(r_hat, &l)) return;
+  // Exponential smoothing toward the estimate, then the same symmetrize
+  // as Matrix::Symmetrize on the strided entries.
+  const size_t stride = state.r_stride;
+  const double keep = 1.0 - config.smoothing;
+  for (size_t i = 0; i < mm; ++i) {
+    state.r[i * stride] =
+        state.r[i * stride] * keep + r_hat.data()[i] * config.smoothing;
+  }
+  for (size_t row = 0; row < m; ++row) {
+    for (size_t col = row + 1; col < m; ++col) {
+      double& upper = state.r[(row * m + col) * stride];
+      double& lower = state.r[(col * m + row) * stride];
+      double avg = 0.5 * (upper + lower);
+      upper = avg;
+      lower = avg;
+    }
+  }
+}
+
 AdaptiveNoiseEstimator::AdaptiveNoiseEstimator(AdaptiveConfig config)
     : config_(config) {
   config_.window = config_.RingSize();
   nis_ring_.assign(config_.window, 0.0);
-  if (config_.adapt_r) outer_ring_.resize(config_.window);
 }
 
 void AdaptiveNoiseEstimator::AfterUpdate(KalmanFilter& filter) {
@@ -66,33 +112,12 @@ void AdaptiveNoiseEstimator::AfterUpdate(KalmanFilter& filter) {
                     {nis_ring_.data(), &updates_seen_, &cumulative_q_scale_,
                      q.data().data(), /*q_stride=*/1});
   if (!config_.adapt_r) return;
-
-  const Vector& nu = filter.last_innovation();
-  outer_ring_[(updates_seen_ - 1) % outer_ring_.size()] =
-      Matrix::Outer(nu, nu);
-  const size_t fill = window_fill();
-  if (updates_seen_ < config_.warmup || fill < config_.warmup) return;
-
-  // Sample innovation covariance C ≈ H P- H^T + R, so R ≈ C - H P H^T.
-  size_t m = filter.obs_dim();
-  Matrix c(m, m);
-  for (size_t k = updates_seen_ - fill; k < updates_seen_; ++k) {
-    c += outer_ring_[k % outer_ring_.size()];
-  }
-  c *= 1.0 / static_cast<double>(fill);
-  Matrix hph = Sandwich(filter.model().h, filter.covariance());
-  Matrix r_hat = c - hph;
-  // Clamp to a PD matrix: floor the diagonal, zero wildly negative mass.
-  for (size_t i = 0; i < m; ++i) {
-    r_hat(i, i) = std::max(r_hat(i, i), config_.variance_floor);
-  }
-  r_hat.Symmetrize();
-  if (Cholesky(r_hat).ok()) {
-    Matrix& r = filter.mutable_model().r;
-    // Exponential smoothing toward the estimate.
-    r = (1.0 - config_.smoothing) * r + config_.smoothing * r_hat;
-    r.Symmetrize();
-  }
+  const size_t m = filter.obs_dim();
+  if (outer_ring_.empty()) outer_ring_.assign(config_.window * m * m, 0.0);
+  Matrix& r = filter.mutable_model().r;
+  AdaptRAfterUpdate(config_, filter.last_innovation(), filter.model().h,
+                    filter.covariance(), updates_seen_,
+                    {outer_ring_.data(), r.data().data(), /*r_stride=*/1});
 }
 
 void AdaptiveNoiseEstimator::Reset() {

@@ -40,11 +40,11 @@ struct AdaptiveConfig {
   bool operator==(const AdaptiveConfig&) const = default;
 };
 
-/// One filter's adaptive-Q state, viewed in place. The per-object
+/// One filter's adaptive-Q state, viewed in place. The reference
 /// AdaptiveNoiseEstimator points it at its own members; a pooled filter
-/// slot (fleet/pool.h) points it at its slab entries. Both then run the
-/// single AdaptQAfterUpdate below, so the adaptation math exists once and
-/// the two paths stay bit-identical.
+/// slot (suppression/filter_pool.h) points it at its slab entries. Both
+/// then run the single AdaptQAfterUpdate below, so the adaptation math
+/// exists once and the two paths stay bit-identical.
 struct AdaptiveQState {
   /// RingSize() entries: the NIS of update k (1-based) lives at index
   /// (k - 1) % RingSize(), so the ring holds the newest
@@ -78,6 +78,29 @@ void AdaptQAfterUpdate(const AdaptiveConfig& config, double nis,
                        size_t obs_dim, size_t state_dim,
                        const AdaptiveQState& state);
 
+/// One filter's adaptive-R state, viewed in place like AdaptiveQState.
+struct AdaptiveRState {
+  /// RingSize() innovation outer products nu nu^T of obs_dim x obs_dim
+  /// entries each (row-major), indexed like AdaptiveQState::nis_ring.
+  double* outer_ring = nullptr;
+  /// R(r, c) of the obs_dim x obs_dim measurement noise lives at
+  /// r[(r * obs_dim + c) * r_stride].
+  double* r = nullptr;
+  size_t r_stride = 1;
+};
+
+/// The R half of one adaptation step, run after AdaptQAfterUpdate has
+/// counted the update (`updates_seen` is the count including it), with
+/// that update's innovation `nu` and posterior covariance `p`: records
+/// nu nu^T in the ring; then, once `warmup` updates fill the window,
+/// estimates R as the windowed innovation sample covariance minus
+/// H P H^T, floors its diagonal at variance_floor and symmetrizes it,
+/// and if that estimate is positive definite moves R toward it by
+/// `smoothing` and re-symmetrizes R.
+void AdaptRAfterUpdate(const AdaptiveConfig& config, const Vector& nu,
+                       const Matrix& h, const Matrix& p, size_t updates_seen,
+                       const AdaptiveRState& state);
+
 /// Innovation-based adaptive noise estimator.
 ///
 /// The Kalman filter is only optimal when Q and R match reality; streams in
@@ -88,9 +111,10 @@ void AdaptQAfterUpdate(const AdaptiveConfig& config, double nis,
 /// private filter adapts: the server-view replicas keep the base model and
 /// resynchronize through the state corrections the source ships.
 ///
-/// History lives in fixed rings sized once from the window (the innovation
-/// ring only when adapt_r is set), so steady-state updates never touch the
-/// heap.
+/// History lives in fixed rings sized once (the innovation ring only when
+/// adapt_r is set, at the first update), so steady-state updates never
+/// touch the heap. The suppression path runs the same two steps on pooled
+/// filter slots; this estimator over a KalmanFilter is their reference.
 class AdaptiveNoiseEstimator {
  public:
   explicit AdaptiveNoiseEstimator(AdaptiveConfig config = {});
@@ -115,9 +139,9 @@ class AdaptiveNoiseEstimator {
  private:
   AdaptiveConfig config_;
   std::vector<double> nis_ring_;
-  /// Innovation outer products for R estimation, same indexing as
-  /// nis_ring_; empty unless adapt_r.
-  std::vector<Matrix> outer_ring_;
+  /// Innovation outer products for R estimation (AdaptiveRState layout);
+  /// empty unless adapt_r.
+  std::vector<double> outer_ring_;
   double cumulative_q_scale_ = 1.0;
   size_t updates_seen_ = 0;
 };

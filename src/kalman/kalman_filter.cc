@@ -89,12 +89,6 @@ Matrix KalmanFilter::InnovationCovariance() const {
   return s;
 }
 
-void KalmanFilter::InnovationCovarianceInto(Matrix* out) {
-  SandwichInto(model_.h, p_, &ws_.tmp1, out);
-  *out += model_.r;
-  out->Symmetrize();
-}
-
 void KalmanFilter::Reset(Vector x0, Matrix p0) {
   assert(x0.size() == model_.state_dim());
   assert(p0.rows() == model_.state_dim() && p0.cols() == model_.state_dim());

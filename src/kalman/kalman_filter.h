@@ -55,12 +55,6 @@ class KalmanFilter {
   /// Innovation covariance S = H P H^T + R for the current state.
   Matrix InnovationCovariance() const;
 
-  /// Destination-passing variant of InnovationCovariance for hot paths:
-  /// computes S into caller-owned `*out` using this filter's scratch
-  /// workspace, performing no heap allocations in steady state. `out` must
-  /// not alias this filter's own matrices.
-  void InnovationCovarianceInto(Matrix* out);
-
   const Vector& state() const { return x_; }
   const Matrix& covariance() const { return p_; }
   const StateSpaceModel& model() const { return model_; }

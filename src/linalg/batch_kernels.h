@@ -53,7 +53,8 @@ namespace batch {
 
 inline constexpr size_t kLanes = 4;
 /// Largest state dimension with a specialized batch kernel; matches the
-/// FilterPool inline-slab envelope (MakePooledPredictor gates dim <= 8).
+/// inline small-buffer envelope. FilterPool runs larger models on its
+/// scalar per-slot fallback.
 inline constexpr size_t kMaxDim = 8;
 inline constexpr unsigned kFullMask = (1u << kLanes) - 1;
 

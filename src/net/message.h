@@ -1,6 +1,7 @@
 #ifndef KALMANCAST_NET_MESSAGE_H_
 #define KALMANCAST_NET_MESSAGE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -52,6 +53,12 @@ inline constexpr bool IsUplinkType(MessageType type) {
 /// per-type counter indexing — validate, then cast.
 inline constexpr bool IsValidMessageTypeByte(uint8_t raw) {
   return raw < kNumMessageTypes;
+}
+
+/// True iff `delta` is a bound a SET_BOUND may carry: finite and > 0.
+/// NaN and +inf would switch the source's precision check off.
+inline bool IsValidPushedBound(double delta) {
+  return std::isfinite(delta) && delta > 0.0;
 }
 
 namespace wire {

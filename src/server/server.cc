@@ -142,8 +142,8 @@ Status StreamServer::PushBound(int32_t source_id, double delta) {
   if (replicas_.count(source_id) == 0) {
     return Status::NotFound(StrFormat("unknown source %d", source_id));
   }
-  if (delta <= 0.0) {
-    return Status::InvalidArgument("bound must be positive");
+  if (!IsValidPushedBound(delta)) {
+    return Status::InvalidArgument("bound must be finite and positive");
   }
   Message msg;
   msg.source_id = source_id;

@@ -170,8 +170,9 @@ Status SourceAgent::OnControl(const Message& msg) {
   }
   switch (msg.type) {
     case MessageType::kSetBound: {
-      if (msg.payload.empty() || msg.payload[0] <= 0.0) {
-        return Status::InvalidArgument("SET_BOUND needs a positive bound");
+      if (msg.payload.empty() || !IsValidPushedBound(msg.payload[0])) {
+        return Status::InvalidArgument(
+            "SET_BOUND needs a finite positive bound");
       }
       config_.delta = msg.payload[0];
       return Status::Ok();

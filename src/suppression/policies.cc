@@ -3,8 +3,8 @@
 #include <cassert>
 
 #include "common/chisq.h"
-#include "linalg/decomp.h"
 #include "obs/metrics.h"
+#include "suppression/filter_pool.h"
 
 namespace kc {
 
@@ -169,63 +169,116 @@ std::unique_ptr<Predictor> EwmaPredictor::Clone() const {
 
 // ------------------------------------------------------------------- Kalman
 
-KalmanPredictor::KalmanPredictor(Config config) : config_(std::move(config)) {
-  assert(config_.model.Validate().ok());
-  if (config_.outlier_gate_prob > 0.0 && config_.outlier_gate_prob < 1.0) {
-    gate_threshold_ =
-        ChiSquaredQuantile(config_.outlier_gate_prob, config_.model.obs_dim());
+KalmanPredictor::KalmanPredictor(Config config)
+    : KalmanPredictor(std::make_shared<const Config>(std::move(config)),
+                      nullptr) {}
+
+KalmanPredictor::KalmanPredictor(std::shared_ptr<const Config> config,
+                                 FilterPoolSet* pools)
+    : config_(std::move(config)), pools_(pools) {
+  assert(config_->model.Validate().ok());
+  if (config_->outlier_gate_prob > 0.0 && config_->outlier_gate_prob < 1.0) {
+    gate_threshold_ = ChiSquaredQuantile(config_->outlier_gate_prob,
+                                         config_->model.obs_dim());
   }
 }
 
+KalmanPredictor::~KalmanPredictor() { ReleaseSlots(); }
+
+void KalmanPredictor::ReleaseSlots() {
+  if (pool_ == nullptr) return;
+  if (shadow_slot_ != FilterPool::kNoSlot) pool_->Release(shadow_slot_);
+  if (private_slot_ != FilterPool::kNoSlot) pool_->Release(private_slot_);
+  shadow_slot_ = FilterPool::kNoSlot;
+  private_slot_ = FilterPool::kNoSlot;
+}
+
 void KalmanPredictor::Init(const Reading& first) {
-  assert(first.value.size() == config_.model.obs_dim());
+  assert(first.value.size() == config_->model.obs_dim());
+  if (pool_ == nullptr) {
+    if (pools_ != nullptr) {
+      pool_ = pools_->PoolFor(config_->model, config_->update_form,
+                              config_->adaptive);
+    } else {
+      own_pool_ = std::make_unique<FilterPool>(
+          config_->model, config_->update_form, config_->adaptive);
+      pool_ = own_pool_.get();
+    }
+  }
   // Lift the observation into state space. Our models' H matrices select
   // state components with unit rows, so H^T z places the observed values
   // in the right slots and leaves derivatives at zero.
-  size_t n = config_.model.state_dim();
-  Vector x0 = config_.model.h.Transposed() * first.value;
-  Matrix p0 = Matrix::ScalarDiagonal(n, config_.init_var);
-  shadow_.emplace(config_.model, x0, p0, config_.update_form);
-  if (config_.sync_mode != SyncMode::kMeasurement) {
-    private_.emplace(config_.model, x0, p0, config_.update_form);
+  size_t n = config_->model.state_dim();
+  Vector x0 = config_->model.h.Transposed() * first.value;
+  Matrix p0 = Matrix::ScalarDiagonal(n, config_->init_var);
+  if (shadow_slot_ == FilterPool::kNoSlot) {
+    shadow_slot_ = pool_->Acquire(/*owner_id=*/-1);
+  }
+  pool_->ResetSlot(shadow_slot_, x0, p0);
+  if (config_->sync_mode != SyncMode::kMeasurement) {
+    // The private slot is materialized lazily (EnsurePrivateSlot): a
+    // server replica clone never observes locally, so its private filter
+    // would only waste a slot — and a batched time update per tick. A
+    // re-Init restarts it (adaptation included) from the base model.
+    if (private_slot_ != FilterPool::kNoSlot) {
+      pool_->ResetSlot(private_slot_, x0, p0);
+      private_pending_ = false;
+    } else {
+      private_pending_ = true;
+      init_value_ = first.value;
+    }
   } else {
-    private_.reset();
+    if (private_slot_ != FilterPool::kNoSlot) {
+      pool_->Release(private_slot_);
+      private_slot_ = FilterPool::kNoSlot;
+    }
+    private_pending_ = false;
   }
-  if (adaptive_.has_value()) {
-    adaptive_->Reset();  // The private filter restarts from the base model.
-  } else if (config_.adaptive.has_value()) {
-    adaptive_.emplace(*config_.adaptive);
-  }
+  shadow_ticks_ = 0;
+  private_ticks_ = 0;
   consecutive_rejects_ = 0;
   outliers_rejected_ = 0;
   last_nis_ = -1.0;
   last_observed_ = first;
 }
 
+void KalmanPredictor::EnsurePrivateSlot() {
+  if (!private_pending_) return;
+  size_t n = config_->model.state_dim();
+  Vector x0 = config_->model.h.Transposed() * init_value_;
+  Matrix p0 = Matrix::ScalarDiagonal(n, config_->init_var);
+  private_slot_ = pool_->Acquire(/*owner_id=*/-1);
+  pool_->ResetSlot(private_slot_, x0, p0);
+  private_pending_ = false;
+}
+
 void KalmanPredictor::Tick() {
-  assert(shadow_.has_value());
-  shadow_->Predict();
+  assert(shadow_slot_ != FilterPool::kNoSlot);
+  ++shadow_ticks_;
+  // A no-op when the shard's batched PredictAll already advanced the
+  // slot this tick; does the time update itself otherwise.
+  pool_->PredictSlotUpTo(shadow_slot_, shadow_ticks_);
 }
 
 void KalmanPredictor::ObserveLocal(const Reading& measured) {
   last_observed_ = measured;
-  if (!private_.has_value()) return;  // Measurement-sync mode.
-  private_->Predict();
+  if (config_->sync_mode == SyncMode::kMeasurement) return;
+  EnsurePrivateSlot();
+  ++private_ticks_;
+  pool_->PredictSlotUpTo(private_slot_, private_ticks_);
 
   if (gate_threshold_ > 0.0) {
     // Innovation gate: a reading wildly inconsistent with the filter's
     // prediction (NIS beyond the configured chi-squared quantile) is a
     // sensor outlier — skip the update so neither the estimate nor the
     // server is polluted by it. A run of rejections means the stream
-    // really jumped; accept and let the filter re-converge.
-    Vector nu = measured.value - private_->PredictObservation();
-    private_->InnovationCovarianceInto(&gate_.s);
-    if (Cholesky::FactorInto(gate_.s, &gate_.l)) {
-      Cholesky::SolveInto(gate_.l, nu, &gate_.sinv_nu);
-      double nis = nu.Dot(gate_.sinv_nu);
+    // really jumped; accept and let the filter re-converge. Only a
+    // conclusive gate resets the rejection run.
+    double nis = pool_->GateSlot(private_slot_, measured.value);
+    if (nis >= 0.0) {
       last_nis_ = nis;  // A rejected reading is still a consistency sample.
       if (nis > gate_threshold_) {
-        if (consecutive_rejects_ + 1 < config_.outlier_gate_limit) {
+        if (consecutive_rejects_ + 1 < config_->outlier_gate_limit) {
           ++consecutive_rejects_;
           ++outliers_rejected_;
           if (metrics_.outliers_rejected) metrics_.outliers_rejected->Inc();
@@ -240,60 +293,59 @@ void KalmanPredictor::ObserveLocal(const Reading& measured) {
 
   // A failed update (singular S) cannot happen with validated PD R; assert
   // in debug, skip the sample (and its adaptation step) in release.
-  Status s = private_->Update(measured.value);
+  Status s = pool_->UpdateSlot(private_slot_, measured.value);
   assert(s.ok());
-  last_nis_ = private_->last_nis();
-  if (s.ok() && adaptive_.has_value()) adaptive_->AfterUpdate(*private_);
+  last_nis_ = pool_->LastNisOf(private_slot_);
+  if (s.ok() && config_->adaptive.has_value()) pool_->AdaptSlot(private_slot_);
 }
 
 Vector KalmanPredictor::Target() const {
-  if (private_.has_value()) return private_->PredictObservation();
+  if (config_->sync_mode != SyncMode::kMeasurement &&
+      (private_slot_ != FilterPool::kNoSlot || private_pending_)) {
+    // Materializing the pending slot is logically const: the returned
+    // value is exactly the Init lift's H x0.
+    const_cast<KalmanPredictor*>(this)->EnsurePrivateSlot();
+    return pool_->PredictObservationOf(private_slot_);
+  }
   return last_observed_.value;
 }
 
 Vector KalmanPredictor::Predict() const {
-  assert(shadow_.has_value());
-  return shadow_->PredictObservation();
+  assert(shadow_slot_ != FilterPool::kNoSlot);
+  return pool_->PredictObservationOf(shadow_slot_);
 }
 
 std::vector<double> KalmanPredictor::EncodeCorrection(
     const Reading& measured) const {
-  switch (config_.sync_mode) {
+  switch (config_->sync_mode) {
     case SyncMode::kMeasurement:
       return measured.value.data();
     case SyncMode::kState:
-      return private_->state().data();
+      const_cast<KalmanPredictor*>(this)->EnsurePrivateSlot();
+      return pool_->StateOf(private_slot_).data();
     case SyncMode::kStateAndCov:
-      return private_->SerializeState();
+      const_cast<KalmanPredictor*>(this)->EnsurePrivateSlot();
+      return pool_->SerializeSlot(private_slot_);
   }
   return {};
 }
 
 Status KalmanPredictor::ApplyCorrection(int64_t /*seq*/, double /*time*/,
                                         const std::vector<double>& payload) {
-  if (!shadow_.has_value()) {
+  if (shadow_slot_ == FilterPool::kNoSlot) {
     return Status::FailedPrecondition("predictor not initialized");
   }
-  size_t n = config_.model.state_dim();
-  switch (config_.sync_mode) {
-    case SyncMode::kMeasurement: {
-      Vector z;
-      KC_RETURN_IF_ERROR(PayloadToVector(payload, config_.model.obs_dim(), &z));
-      return shadow_->Update(z);
-    }
-    case SyncMode::kState: {
-      if (payload.size() != n) {
-        return Status::InvalidArgument("state payload has wrong size");
-      }
+  switch (config_->sync_mode) {
+    case SyncMode::kMeasurement:
+      KC_RETURN_IF_ERROR(PayloadToVector(payload, config_->model.obs_dim(),
+                                         &z_scratch_));
+      return pool_->UpdateSlot(shadow_slot_, z_scratch_);
+    case SyncMode::kState:
       // Overwrite the shadow's state; its covariance is irrelevant to
       // predictions (the server never runs Update in this mode).
-      std::vector<double> buf = payload;
-      const Matrix& p = shadow_->covariance();
-      buf.insert(buf.end(), p.data().begin(), p.data().end());
-      return shadow_->DeserializeState(buf);
-    }
+      return pool_->OverwriteStateOf(shadow_slot_, payload);
     case SyncMode::kStateAndCov:
-      return shadow_->DeserializeState(payload);
+      return pool_->DeserializeSlot(shadow_slot_, payload);
   }
   return Status::Internal("unreachable");
 }
@@ -303,16 +355,16 @@ std::vector<double> KalmanPredictor::EncodeFullState() const {
   // full-sync path corrects it from the private filter immediately before
   // encoding, and on a server replica it simply IS the replica's view
   // (the private filter there never observes anything).
-  assert(shadow_.has_value());
-  return shadow_->SerializeState();
+  assert(shadow_slot_ != FilterPool::kNoSlot);
+  return pool_->SerializeSlot(shadow_slot_);
 }
 
 Status KalmanPredictor::ApplyFullState(const std::vector<double>& payload) {
-  if (!shadow_.has_value()) {
+  if (shadow_slot_ == FilterPool::kNoSlot) {
     return Status::FailedPrecondition("predictor not initialized");
   }
   if (metrics_.filter_resets) metrics_.filter_resets->Inc();
-  return shadow_->DeserializeState(payload);
+  return pool_->DeserializeSlot(shadow_slot_, payload);
 }
 
 void KalmanPredictor::BindMetrics(obs::MetricRegistry* registry) {
@@ -328,11 +380,13 @@ void KalmanPredictor::BindMetrics(obs::MetricRegistry* registry) {
 }
 
 std::unique_ptr<Predictor> KalmanPredictor::Clone() const {
-  return std::make_unique<KalmanPredictor>(config_);
+  // Clones share the config and the pool set; a clone on a private pool
+  // allocates its own at its first Init.
+  return std::make_unique<KalmanPredictor>(config_, pools_);
 }
 
 std::string KalmanPredictor::name() const {
-  switch (config_.sync_mode) {
+  switch (config_->sync_mode) {
     case SyncMode::kState:
       return "kalman";
     case SyncMode::kStateAndCov:
@@ -341,16 +395,6 @@ std::string KalmanPredictor::name() const {
       return "kalman_meas";
   }
   return "kalman";
-}
-
-const KalmanFilter& KalmanPredictor::shadow_filter() const {
-  assert(shadow_.has_value());
-  return *shadow_;
-}
-
-const KalmanFilter& KalmanPredictor::private_filter() const {
-  assert(private_.has_value());
-  return *private_;
 }
 
 std::unique_ptr<Predictor> MakeDefaultKalmanPredictor(double process_var,

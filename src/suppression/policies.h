@@ -14,6 +14,9 @@ namespace obs {
 class Counter;
 }  // namespace obs
 
+class FilterPool;
+class FilterPoolSet;
+
 /// Olston-style approximate caching — the paper's principal baseline.
 /// The server holds the last shipped value; prediction is constant between
 /// corrections. Correction payload: the new value. Contract-exact: after a
@@ -116,6 +119,28 @@ class EwmaPredictor : public Predictor {
 /// the raw observation and both replicas fold it in with an identical
 /// Update(); cheapest payload, but the post-update residual can briefly
 /// exceed delta on jumps.
+///
+/// Both filters — the shadow (server view) and the private (client) one —
+/// are slots in a FilterPool (suppression/filter_pool.h): the shard's
+/// pool set when MakePooledPredictor moved the predictor there, otherwise
+/// a private pool the predictor allocates at its first Init (never at
+/// construction or Clone, so clones stay cheap). With an adaptive config
+/// the private slot adapts its own Q (and R) after every successful
+/// update; the shadow never adapts. Every operation is bit-identical to
+/// the same protocol run on two KalmanFilters and an
+/// AdaptiveNoiseEstimator (pinned by tests/pool_test.cc).
+///
+/// Predict epochs: Tick() and ObserveLocal() advance per-predictor tick
+/// counters and ask the pool to catch the slot up (PredictSlotUpTo). When
+/// the owning shard runs FilterPoolSet::PredictAll once per tick, the
+/// catch-up is a no-op and the time updates happen in the batched sweep;
+/// on a private pool the catch-up does the predicts itself. Either way
+/// each slot sees exactly one time update per protocol tick.
+///
+/// The private filter's slot is materialized lazily at first use: a
+/// server-side replica clone never observes locally, so its private slot
+/// is never created and the batched sweep never wastes a time update on
+/// state nobody reads.
 class KalmanPredictor : public Predictor {
  public:
   /// What a correction carries and how replicas resynchronize.
@@ -142,7 +167,15 @@ class KalmanPredictor : public Predictor {
     int outlier_gate_limit = 3;
   };
 
+  /// A predictor on its own private pool.
   explicit KalmanPredictor(Config config);
+  /// A predictor whose slots come from `pools` (the shard's set, which
+  /// must outlive it), or from a private pool when `pools` is null.
+  /// Clones share `config` and `pools`.
+  KalmanPredictor(std::shared_ptr<const Config> config, FilterPoolSet* pools);
+  ~KalmanPredictor() override;
+  KalmanPredictor(const KalmanPredictor&) = delete;
+  KalmanPredictor& operator=(const KalmanPredictor&) = delete;
 
   void Init(const Reading& first) override;
   void Tick() override;
@@ -164,27 +197,18 @@ class KalmanPredictor : public Predictor {
   int64_t OutliersRejected() const override { return outliers_rejected_; }
   std::unique_ptr<Predictor> Clone() const override;
   std::string name() const override;
-  size_t dims() const override { return config_.model.obs_dim(); }
+  size_t dims() const override { return config_->model.obs_dim(); }
 
-  /// The replicated (server-view) filter.
-  const KalmanFilter& shadow_filter() const;
-  /// The client's private filter (only meaningful on the source side and
-  /// in state-sync modes).
-  const KalmanFilter& private_filter() const;
-
-  const Config& config() const { return config_; }
+  const Config& config() const { return *config_; }
   /// Readings rejected by the innovation gate so far (source side).
   int64_t outliers_rejected() const { return outliers_rejected_; }
+  /// The pool holding this predictor's slots (nullptr before Init).
+  const FilterPool* pool() const { return pool_; }
+  int32_t shadow_slot() const { return shadow_slot_; }
+  /// The private slot, or -1 while it is still pending (see above).
+  int32_t private_slot() const { return private_slot_; }
 
  private:
-  /// Scratch for the innovation gate in ObserveLocal, reused across ticks
-  /// so the gate check performs zero heap allocations.
-  struct GateScratch {
-    Matrix s;        ///< Innovation covariance.
-    Matrix l;        ///< Cholesky factor of s.
-    Vector sinv_nu;  ///< S^{-1} nu.
-  };
-
   /// Arena counter handles, cached at bind time; null until BindMetrics.
   struct Metrics {
     obs::Counter* outliers_rejected = nullptr;
@@ -192,19 +216,31 @@ class KalmanPredictor : public Predictor {
     obs::Counter* filter_resets = nullptr;
   };
 
-  Config config_;
-  GateScratch gate_;
+  /// Materializes the private slot from the Init reading if it is still
+  /// pending (state-sync modes only).
+  void EnsurePrivateSlot();
+  void ReleaseSlots();
+
+  std::shared_ptr<const Config> config_;
+  FilterPoolSet* pools_;  ///< The shard's set; null for a private pool.
+  std::unique_ptr<FilterPool> own_pool_;  ///< The private pool, if any.
+  FilterPool* pool_ = nullptr;            ///< Resolved at first Init.
   Metrics metrics_;
+  int32_t shadow_slot_ = -1;   ///< FilterPool::kNoSlot until Init.
+  int32_t private_slot_ = -1;  ///< FilterPool::kNoSlot while pending.
+  /// True between Init and the first private-slot use (lazy acquisition).
+  bool private_pending_ = false;
+  /// The Init reading's value, kept so a pending private slot can be
+  /// materialized with the same x0/P0 Init would have used.
+  Vector init_value_;
   double gate_threshold_ = 0.0;  ///< Chi-squared NIS cutoff (0 = no gate).
   int consecutive_rejects_ = 0;
   int64_t outliers_rejected_ = 0;
   double last_nis_ = -1.0;  ///< See LastNis().
-  /// The server-view procedure: advanced by Tick(), overwritten (or
-  /// Update()d in measurement mode) by corrections. Present on both sides.
-  std::optional<KalmanFilter> shadow_;
-  /// Client-only full filter over every measurement (state-sync modes).
-  std::optional<KalmanFilter> private_;
-  std::optional<AdaptiveNoiseEstimator> adaptive_;
+  int64_t shadow_ticks_ = 0;   ///< Tick() calls since Init.
+  int64_t private_ticks_ = 0;  ///< ObserveLocal() calls since Init.
+  /// Reusable payload -> Vector scratch for measurement-sync corrections.
+  Vector z_scratch_;
 };
 
 /// Convenience factory: a scalar state-sync dual-KF predictor over a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -9,6 +10,34 @@
 #include "obs/trace.h"
 
 namespace kc {
+
+namespace {
+
+/// The codec passes any double, so a data frame (INIT, CORRECTION,
+/// FULL_SYNC) whose time or payload holds NaN or +/-inf, or whose bound
+/// (payload[0]) is negative, is rejected here before it can poison the
+/// replica's answer. A bound of 0 is legal.
+Status ValidateDataFrame(const Message& msg) {
+  if (msg.type != MessageType::kInit &&
+      msg.type != MessageType::kCorrection &&
+      msg.type != MessageType::kFullSync) {
+    return Status::Ok();
+  }
+  if (!std::isfinite(msg.time)) {
+    return Status::InvalidArgument("data frame time is not finite");
+  }
+  for (double v : msg.payload) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("data frame payload is not finite");
+    }
+  }
+  if (!msg.payload.empty() && msg.payload[0] < 0.0) {
+    return Status::InvalidArgument("data frame bound is negative");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 ServerReplica::ServerReplica(int32_t source_id,
                              std::unique_ptr<Predictor> predictor)
@@ -119,6 +148,7 @@ Status ServerReplica::OnMessage(const Message& msg) {
   if (msg.source_id != source_id_) {
     return Status::InvalidArgument("message routed to wrong replica");
   }
+  KC_RETURN_IF_ERROR(ValidateDataFrame(msg));
   // The sender stamped its decision span with the same flow id, so this
   // apply span stitches into it in the exported trace.
   KC_TRACE_SCOPE_FLOW("replica.apply", msg.flow_id);

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "net/channel.h"
+#include "net/codec.h"
 #include "suppression/agent.h"
 #include "suppression/policies.h"
 #include "suppression/replica.h"
@@ -231,6 +232,86 @@ TEST(ReplicaTest, RejectsMalformedInit) {
   msg.type = MessageType::kInit;
   msg.payload = {1.0};  // Delta but no value.
   EXPECT_FALSE(replica.OnMessage(msg).ok());
+}
+
+Message DataFrame(MessageType type, int64_t seq, double time,
+                  std::vector<double> payload) {
+  Message msg;
+  msg.source_id = 0;
+  msg.type = type;
+  msg.seq = seq;
+  msg.wire_seq = seq;
+  msg.time = time;
+  msg.payload = std::move(payload);
+  return msg;
+}
+
+TEST(ReplicaTest, RejectsNonFiniteOrNegativeBoundDataFrames) {
+  // The codec passes any double: a hostile INIT, CORRECTION or FULL_SYNC
+  // must be refused before it touches the replica, leaving its answer,
+  // its bound and its sequencing exactly as they were.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ServerReplica replica(0, std::make_unique<ValueCachePredictor>());
+  ASSERT_TRUE(
+      replica.OnMessage(DataFrame(MessageType::kInit, 0, 0.0, {1.0, 5.0}))
+          .ok());
+  const std::vector<Message> hostile = {
+      DataFrame(MessageType::kCorrection, 1, 1.0, {nan, nan}),
+      DataFrame(MessageType::kCorrection, 1, 1.0, {1.0, inf}),
+      DataFrame(MessageType::kCorrection, 1, 1.0, {-0.5, 6.0}),
+      DataFrame(MessageType::kCorrection, 1, nan, {1.0, 6.0}),
+      DataFrame(MessageType::kFullSync, 1, 1.0, {1.0, inf}),
+      DataFrame(MessageType::kFullSync, 1, -inf, {1.0, 6.0}),
+      DataFrame(MessageType::kInit, 1, 1.0, {1.0, nan}),
+      DataFrame(MessageType::kInit, 1, 1.0, {inf, 6.0}),
+  };
+  for (size_t i = 0; i < hostile.size(); ++i) {
+    SCOPED_TRACE(i);
+    Status s = replica.OnMessage(hostile[i]);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_EQ(replica.Value()[0], 5.0);
+    EXPECT_EQ(replica.bound(), 1.0);
+    EXPECT_EQ(replica.last_heard_seq(), 0);
+    EXPECT_EQ(replica.messages_applied(), 1);
+  }
+  // A bound of zero is a legal (exact) contract.
+  ASSERT_TRUE(replica
+                  .OnMessage(DataFrame(MessageType::kCorrection, 1, 1.0,
+                                       {0.0, 6.0}))
+                  .ok());
+  EXPECT_EQ(replica.Value()[0], 6.0);
+  EXPECT_EQ(replica.bound(), 0.0);
+
+  // An INIT carrying a NaN reading leaves a fresh replica uninitialized.
+  ServerReplica fresh(0, std::make_unique<ValueCachePredictor>());
+  EXPECT_FALSE(
+      fresh.OnMessage(DataFrame(MessageType::kInit, 0, 0.0, {1.0, nan}))
+          .ok());
+  EXPECT_FALSE(fresh.initialized());
+}
+
+TEST(ReplicaTest, RejectsNonFiniteFullSyncOffTheWire) {
+  // The same refusal for bytes off a socket: a FULL_SYNC whose state
+  // holds +inf encodes and decodes cleanly, and the replica rejects it.
+  KalmanPredictor::Config config;
+  config.model = MakeRandomWalkModel(0.1, 0.5);
+  ServerReplica replica(0, std::make_unique<KalmanPredictor>(config));
+  ASSERT_TRUE(
+      replica.OnMessage(DataFrame(MessageType::kInit, 0, 0.0, {1.0, 5.0}))
+          .ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<uint8_t> bytes = codec::Encode(
+      DataFrame(MessageType::kFullSync, 1, 1.0, {1.0, inf, 1.0}));
+  Message decoded;
+  size_t consumed = 0;
+  ASSERT_TRUE(
+      codec::DecodeFrame(bytes.data(), bytes.size(), &decoded, &consumed)
+          .ok());
+  EXPECT_EQ(decoded.payload[1], inf);
+  EXPECT_EQ(replica.OnMessage(decoded).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(replica.Value()[0], 5.0);
+  EXPECT_EQ(replica.last_heard_seq(), 0);
 }
 
 TEST(ReplicaTest, TickBeforeInitIsNoop) {

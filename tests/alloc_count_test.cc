@@ -329,7 +329,7 @@ TEST(ZeroAllocTest, AuditedSuppressedTicksStayAllocationFree) {
 TEST(ZeroAllocTest, PooledFleetTickSteadyStateIsAllocationFree) {
   // The SoA hot loop at fleet scale in miniature: one pool, many slots,
   // each tick a batched PredictAll sweep plus a gate and an update per
-  // slot, the calls PooledKalmanPredictor makes on every correction.
+  // slot, the calls a pooled KalmanPredictor makes on every correction.
   // Slabs and the shared workspace are sized at Acquire/first use, so the
   // steady state must be zero-alloc — the property BM_FleetTick_1M's
   // sources/sec rests on.
@@ -374,8 +374,9 @@ TEST(ZeroAllocTest, ParallelVectorizedSweepSteadyStateIsAllocationFree) {
   for (int32_t id = 0; id < 64; ++id) {
     size_t shard = server.ShardOf(id);
     ASSERT_TRUE(server
-                    .RegisterSource(id, std::make_unique<PooledKalmanPredictor>(
-                                            config, server.shard_pools(shard)))
+                    .RegisterSource(id, MakePooledPredictor(
+                                            KalmanPredictor(config),
+                                            server.shard_pools(shard)))
                     .ok());
     Message init;
     init.source_id = id;
@@ -434,15 +435,14 @@ TEST(ZeroAllocTest, EvaluateDueAllocationsDoNotGrowWithMembers) {
 }
 
 TEST(ZeroAllocTest, PooledPredictorSuppressedTicksStayAllocationFree) {
-  // The pooled drop-in under the same protocol loop the per-object
-  // KalmanPredictor test above runs: gate, suppressed ticks, contract
-  // checks. Pooling must not reintroduce allocations the per-object path
-  // already eliminated.
+  // The predictor on a shard's swept pool set under the same protocol
+  // loop the private-pool KalmanPredictor test above runs: gate,
+  // suppressed ticks, contract checks.
   FilterPoolSet pools;
   KalmanPredictor::Config config;
   config.model = MakeConstantVelocityModel(1.0, 0.1, 0.25);
   config.outlier_gate_prob = 0.999;
-  PooledKalmanPredictor predictor(config, &pools);
+  KalmanPredictor predictor(pools.InternConfig(config), &pools);
   Reading first;
   first.value = Vector{0.0};
   predictor.Init(first);
@@ -467,45 +467,54 @@ TEST(ZeroAllocTest, PooledPredictorSuppressedTicksStayAllocationFree) {
 }
 
 TEST(ZeroAllocTest, PooledAdaptivePredictorSuppressedTicksStayAllocationFree) {
-  // The default adaptive configuration pooled: the lane-Q sweep, the gate,
-  // the update and the per-slot adaptation step (NIS ring, Q scale) all
-  // run on slab storage sized at Acquire. 320 ticks wrap the 32-entry
-  // ring ten times over.
-  FilterPoolSet pools;
-  KalmanPredictor::Config config;
-  config.model = MakeConstantVelocityModel(1.0, 0.1, 0.25);
-  config.outlier_gate_prob = 0.999;
-  config.adaptive = AdaptiveConfig{};
-  PooledKalmanPredictor predictor(config, &pools);
-  Reading first;
-  first.value = Vector{0.0};
-  predictor.Init(first);
+  // The adaptive configurations pooled: the lane-Q sweep, the gate, the
+  // update and the per-slot adaptation step (NIS ring, Q scale and, with
+  // adapt_r, the slot's R and innovation ring) all run on slab storage
+  // sized at Acquire. 320 ticks wrap the 32-entry rings ten times over.
+  for (bool adapt_r : {false, true}) {
+    SCOPED_TRACE(adapt_r);
+    FilterPoolSet pools;
+    KalmanPredictor::Config config;
+    config.model = MakeConstantVelocityModel(1.0, 0.1, 0.25);
+    config.outlier_gate_prob = 0.999;
+    config.adaptive = AdaptiveConfig{};
+    config.adaptive->adapt_r = adapt_r;
+    KalmanPredictor predictor(pools.InternConfig(config), &pools);
+    Reading first;
+    first.value = Vector{0.0};
+    predictor.Init(first);
 
-  Rng rng(7);
-  auto tick = [&](int64_t seq) {
-    Reading z;
-    z.seq = seq;
-    z.time = static_cast<double>(seq);
-    z.value = Vector{rng.Gaussian(0.0, 0.3)};
-    pools.PredictAll();
-    predictor.Tick();
-    predictor.ObserveLocal(z);
-    Vector err = predictor.Target() - predictor.Predict();
-    return err.NormInf();
-  };
-  for (int64_t s = 1; s <= 5; ++s) tick(s);
-  long before = AllocCount();
-  double acc = 0.0;
-  for (int64_t s = 6; s <= 325; ++s) acc += tick(s);
-  EXPECT_EQ(AllocCount() - before, 0) << "accumulated drift " << acc;
-  // The adaptation really ran in the measured window.
-  EXPECT_NE(predictor.pool()->CumulativeQScaleOf(predictor.private_slot()),
-            1.0);
+    Rng rng(7);
+    auto tick = [&](int64_t seq) {
+      Reading z;
+      z.seq = seq;
+      z.time = static_cast<double>(seq);
+      z.value = Vector{rng.Gaussian(0.0, 0.3)};
+      pools.PredictAll();
+      predictor.Tick();
+      predictor.ObserveLocal(z);
+      Vector err = predictor.Target() - predictor.Predict();
+      return err.NormInf();
+    };
+    for (int64_t s = 1; s <= 5; ++s) tick(s);
+    long before = AllocCount();
+    double acc = 0.0;
+    for (int64_t s = 6; s <= 325; ++s) acc += tick(s);
+    EXPECT_EQ(AllocCount() - before, 0) << "accumulated drift " << acc;
+    // The adaptation really ran in the measured window.
+    const int32_t slot = predictor.private_slot();
+    EXPECT_NE(predictor.pool()->CumulativeQScaleOf(slot), 1.0);
+    if (adapt_r) {
+      EXPECT_FALSE(predictor.pool()->MeasurementNoiseOf(slot) ==
+                   config.model.r);
+    }
+  }
 }
 
 TEST(ZeroAllocTest, AdaptiveEstimatorSteadyStateIsAllocationFree) {
-  // The per-object estimator's history lives in fixed rings sized at
-  // construction, so steady-state updates — Q and R adaptation both,
+  // The reference estimator's history lives in fixed rings sized once
+  // (the R ring at the first update), so steady-state updates — Q and R
+  // adaptation both,
   // across many ring wraps — never touch the heap. (The deque it replaced
   // allocated a node every few dozen updates.)
   for (bool adapt_r : {false, true}) {
@@ -529,8 +538,9 @@ TEST(ZeroAllocTest, AdaptiveEstimatorSteadyStateIsAllocationFree) {
     EXPECT_NE(est.cumulative_q_scale(), 1.0);
   }
 
-  // And through the per-object predictor, re-Init included: a resync
-  // resets the estimator in place rather than rebuilding its rings.
+  // And through the predictor on its private pool, re-Init included: a
+  // resync resets the slots' adaptive state in place rather than
+  // rebuilding the rings.
   KalmanPredictor::Config config;
   config.model = MakeRandomWalkModel(0.01, 0.09);
   config.adaptive = AdaptiveConfig{};

@@ -361,8 +361,8 @@ AuditArtifacts RunAuditedFleet(size_t threads, bool pooling) {
 TEST(AuditFleetTest, ReportsBitIdenticalForAnyThreadCountAndLayout) {
   // The merged audit report is part of the determinism contract: any
   // thread count (which also sizes the pool sweep's workers) and the
-  // per-object and pooled predictor layouts must render byte-identical
-  // reports.
+  // predictors on private pools or on the shard's swept pools must
+  // render byte-identical reports.
   AuditArtifacts one = RunAuditedFleet(1, /*pooling=*/true);
   AuditArtifacts four = RunAuditedFleet(4, true);
   AuditArtifacts object = RunAuditedFleet(2, /*pooling=*/false);

@@ -466,7 +466,7 @@ TEST(BatchKernels, AdaptivePoolSimdOffMatchesOnEveryDim) {
 }
 
 // The gate's three branches (accept, reject, forced accept) through the
-// full PooledKalmanPredictor protocol, simd vs scalar: both predictors
+// full pooled KalmanPredictor protocol, simd vs scalar: both predictors
 // fed identical readings (with outlier bursts) must agree bit-for-bit on
 // every externally visible value.
 TEST(BatchKernels, PooledPredictorGateBranchesSimdInvariant) {
@@ -479,8 +479,8 @@ TEST(BatchKernels, PooledPredictorGateBranchesSimdInvariant) {
   FilterPoolSet scalar_pools;
   simd_pools.set_simd(true);
   scalar_pools.set_simd(false);
-  PooledKalmanPredictor a(config, &simd_pools);
-  PooledKalmanPredictor b(config, &scalar_pools);
+  KalmanPredictor a(simd_pools.InternConfig(config), &simd_pools);
+  KalmanPredictor b(scalar_pools.InternConfig(config), &scalar_pools);
 
   Rng rng(0xFEED);
   Reading first;

@@ -1,5 +1,7 @@
 // Tests for the server-to-source control downlink (SET_BOUND push).
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "fleet/sharded_fleet.h"
@@ -38,6 +40,7 @@ TEST(AgentControlTest, RejectsBadControl) {
                     &channel);
   EXPECT_FALSE(agent.OnControl(SetBound(4, 1.0)).ok());  // Wrong source.
   EXPECT_FALSE(agent.OnControl(SetBound(3, -1.0)).ok()); // Bad bound.
+  EXPECT_FALSE(agent.OnControl(SetBound(3, 0.0)).ok());
   Message empty;
   empty.source_id = 3;
   empty.type = MessageType::kSetBound;
@@ -48,6 +51,35 @@ TEST(AgentControlTest, RejectsBadControl) {
   EXPECT_FALSE(agent.OnControl(wrong_type).ok());
 }
 
+TEST(AgentControlTest, RejectsNonFiniteSetBound) {
+  // NaN passed the old `<= 0` test and switched the precision check off:
+  // over a ramp the agent then sent nothing after its INIT while the
+  // server's answer drifted arbitrarily far.
+  Channel channel;
+  int64_t sent = 0;
+  channel.SetReceiver([&sent](const Message&) { ++sent; });
+  AgentConfig config;
+  config.delta = 1.0;
+  SourceAgent agent(3, std::make_unique<ValueCachePredictor>(), config,
+                    &channel);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(agent.OnControl(SetBound(3, bad)).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_DOUBLE_EQ(agent.delta(), 1.0);
+  }
+  for (int64_t t = 0; t < 200; ++t) {
+    Reading r;
+    r.seq = t;
+    r.time = static_cast<double>(t);
+    r.value = Vector{1.5 * static_cast<double>(t)};
+    ASSERT_TRUE(agent.Offer(r).ok());
+  }
+  EXPECT_EQ(sent, 200);  // Every ramp step violates delta = 1.
+}
+
 TEST(ServerControlTest, PushBoundRequiresSinkAndValidArgs) {
   StreamServer server;
   ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
@@ -56,6 +88,10 @@ TEST(ServerControlTest, PushBoundRequiresSinkAndValidArgs) {
   server.SetControlSink([](const Message&) { return Status::Ok(); });
   EXPECT_FALSE(server.PushBound(99, 1.0).ok());  // Unknown source.
   EXPECT_FALSE(server.PushBound(0, 0.0).ok());   // Non-positive bound.
+  EXPECT_FALSE(server.PushBound(0, std::numeric_limits<double>::quiet_NaN())
+                   .ok());
+  EXPECT_FALSE(
+      server.PushBound(0, std::numeric_limits<double>::infinity()).ok());
   EXPECT_TRUE(server.PushBound(0, 1.0).ok());
 }
 

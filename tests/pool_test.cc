@@ -7,8 +7,11 @@
 #include <memory>
 #include <vector>
 
+#include "common/chisq.h"
 #include "fleet/sharded_fleet.h"
+#include "kalman/adaptive.h"
 #include "kalman/kalman_filter.h"
+#include "linalg/decomp.h"
 #include "kalman/model.h"
 #include "net/message.h"
 #include "streams/generators.h"
@@ -89,7 +92,121 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what,
   }
 }
 
-/// What the per-object private filter's Q did over an adaptive run, read
+/// The reference dual filter the pooled KalmanPredictor must match bit
+/// for bit: the same suppression protocol (shadow + private filter, sync
+/// modes, outlier gate, adaptation) run on two KalmanFilter objects and
+/// an AdaptiveNoiseEstimator.
+class ReferenceDualFilter {
+ public:
+  explicit ReferenceDualFilter(KalmanPredictor::Config config)
+      : config_(std::move(config)) {
+    if (config_.outlier_gate_prob > 0.0 && config_.outlier_gate_prob < 1.0) {
+      gate_threshold_ = ChiSquaredQuantile(config_.outlier_gate_prob,
+                                           config_.model.obs_dim());
+    }
+  }
+
+  void Init(const Reading& first) {
+    Vector x0 = config_.model.h.Transposed() * first.value;
+    Matrix p0 =
+        Matrix::ScalarDiagonal(config_.model.state_dim(), config_.init_var);
+    shadow_.emplace(config_.model, x0, p0, config_.update_form);
+    if (config_.sync_mode != KalmanPredictor::SyncMode::kMeasurement) {
+      private_.emplace(config_.model, x0, p0, config_.update_form);
+    }
+    if (config_.adaptive.has_value()) adaptive_.emplace(*config_.adaptive);
+    consecutive_rejects_ = 0;
+    outliers_rejected_ = 0;
+    last_nis_ = -1.0;
+    last_observed_ = first.value;
+  }
+
+  void Tick() { shadow_->Predict(); }
+
+  void ObserveLocal(const Reading& measured) {
+    last_observed_ = measured.value;
+    if (!private_.has_value()) return;
+    private_->Predict();
+    if (gate_threshold_ > 0.0) {
+      Vector nu = measured.value - private_->PredictObservation();
+      Matrix s = private_->InnovationCovariance();
+      Cholesky chol(s);
+      if (chol.ok()) {
+        double nis = nu.Dot(chol.Solve(nu));
+        last_nis_ = nis;
+        if (nis > gate_threshold_) {
+          if (consecutive_rejects_ + 1 < config_.outlier_gate_limit) {
+            ++consecutive_rejects_;
+            ++outliers_rejected_;
+            return;
+          }
+        }
+      }
+      consecutive_rejects_ = 0;
+    }
+    ASSERT_TRUE(private_->Update(measured.value).ok());
+    last_nis_ = private_->last_nis();
+    if (adaptive_.has_value()) adaptive_->AfterUpdate(*private_);
+  }
+
+  Vector Target() const {
+    return private_.has_value() ? private_->PredictObservation()
+                                : last_observed_;
+  }
+  Vector Predict() const { return shadow_->PredictObservation(); }
+  double LastNis() const { return last_nis_; }
+  int64_t OutliersRejected() const { return outliers_rejected_; }
+
+  std::vector<double> EncodeCorrection(const Reading& measured) const {
+    switch (config_.sync_mode) {
+      case KalmanPredictor::SyncMode::kMeasurement:
+        return measured.value.data();
+      case KalmanPredictor::SyncMode::kState:
+        return private_->state().data();
+      case KalmanPredictor::SyncMode::kStateAndCov:
+        return private_->SerializeState();
+    }
+    return {};
+  }
+
+  Status ApplyCorrection(const std::vector<double>& payload) {
+    switch (config_.sync_mode) {
+      case KalmanPredictor::SyncMode::kMeasurement:
+        return shadow_->Update(Vector(payload));
+      case KalmanPredictor::SyncMode::kState: {
+        std::vector<double> buf = payload;
+        const Matrix& p = shadow_->covariance();
+        buf.insert(buf.end(), p.data().begin(), p.data().end());
+        return shadow_->DeserializeState(buf);
+      }
+      case KalmanPredictor::SyncMode::kStateAndCov:
+        return shadow_->DeserializeState(payload);
+    }
+    return Status::Internal("unreachable");
+  }
+
+  std::vector<double> EncodeFullState() const {
+    return shadow_->SerializeState();
+  }
+  Status ApplyFullState(const std::vector<double>& payload) {
+    return shadow_->DeserializeState(payload);
+  }
+
+  const KalmanFilter& private_filter() const { return *private_; }
+
+ private:
+  KalmanPredictor::Config config_;
+  double gate_threshold_ = 0.0;
+  int consecutive_rejects_ = 0;
+  int64_t outliers_rejected_ = 0;
+  double last_nis_ = -1.0;
+  Vector last_observed_;
+  std::optional<KalmanFilter> shadow_;
+  std::optional<KalmanFilter> private_;
+  std::optional<AdaptiveNoiseEstimator> adaptive_;
+};
+
+/// What the reference private filter's Q did over an adaptive run, read
 /// off its tick-to-tick changes (so the pins below can prove the branches
 /// they claim to cover actually ran).
 struct AdaptiveTrace {
@@ -103,30 +220,36 @@ struct AdaptiveTrace {
   int base_q_restores = 0;  ///< Re-Inits that restored the base Q.
 };
 
-/// Drives a per-object KalmanPredictor and a pooled equivalent through an
-/// identical history — predicts, gated observations (accepts, rejects, and
-/// forced-accept runs), corrections, full syncs, and re-Inits — and
-/// asserts every externally visible value is bit-identical at every tick.
-/// With an adaptive config it also pins the private filter's adapted Q
-/// against the pooled private slot's Q every tick, checks the shadows
-/// never adapt, and that each re-Init restores the base Q, filling
-/// `trace_out` (when given) with what Q did.
+/// Drives the reference dual filter, a KalmanPredictor on a shared pool
+/// set and one on its private pool through an identical history —
+/// predicts, gated observations (accepts, rejects, and forced-accept
+/// runs), corrections, full syncs, and re-Inits — and asserts every
+/// externally visible value is bit-identical at every tick. With an
+/// adaptive config it also pins the reference private filter's adapted Q
+/// (and R) against the pooled private slot's every tick, checks the
+/// shadows never adapt, and that each re-Init restores the base Q and R,
+/// filling `trace_out` (when given) with what Q did.
 void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
                       uint64_t seed, AdaptiveTrace* trace_out = nullptr) {
-  KalmanPredictor object(config);
+  ReferenceDualFilter object(config);
   FilterPoolSet pools;
-  PooledKalmanPredictor pooled(config, &pools);
+  KalmanPredictor pooled(pools.InternConfig(config), &pools);
+  KalmanPredictor standalone(config);
   size_t m = config.model.obs_dim();
   ReadingStream stream(m, seed);
 
   Reading first = stream.Next();
   object.Init(first);
   pooled.Init(first);
+  standalone.Init(first);
 
   const bool adaptive =
       config.adaptive.has_value() &&
       config.sync_mode != KalmanPredictor::SyncMode::kMeasurement;
   const Matrix& base_q = config.model.q;
+  const Matrix& base_r = config.model.r;
+  const bool adapt_r = adaptive && config.adaptive->adapt_r;
+  int r_changes = 0;
   AdaptiveTrace local_trace;
   AdaptiveTrace& trace = trace_out != nullptr ? *trace_out : local_trace;
   Matrix prev_q = base_q;
@@ -136,6 +259,7 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
   for (int t = 1; t <= ticks; ++t) {
     object.Tick();
     pooled.Tick();
+    standalone.Tick();
 
     Reading r = stream.Next();
     if (t % 17 == 0 || (t >= 100 && t < 100 + 2 * config.outlier_gate_limit)) {
@@ -145,12 +269,22 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
     }
     object.ObserveLocal(r);
     pooled.ObserveLocal(r);
+    standalone.ObserveLocal(r);
 
     ExpectBitEqual(object.Predict(), pooled.Predict(), "Predict", t);
     ExpectBitEqual(object.Target(), pooled.Target(), "Target", t);
+    ExpectBitEqual(object.Predict(), standalone.Predict(), "own Predict", t);
+    ExpectBitEqual(object.Target(), standalone.Target(), "own Target", t);
     EXPECT_EQ(object.LastNis(), pooled.LastNis()) << "NIS @" << t;
     EXPECT_EQ(object.OutliersRejected(), pooled.OutliersRejected())
         << "rejects @" << t;
+    if (adapt_r) {
+      const Matrix& object_r = object.private_filter().model().r;
+      ExpectBitEqual(object_r,
+                     pooled.pool()->MeasurementNoiseOf(pooled.private_slot()),
+                     "adapted R", t);
+      if (!(object_r == base_r)) ++r_changes;
+    }
 
     if (adaptive) {
       const Matrix& q = object.private_filter().model().q;
@@ -186,20 +320,26 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
       std::vector<double> pa = object.EncodeCorrection(r);
       std::vector<double> pb = pooled.EncodeCorrection(r);
       ExpectBitEqual(pa, pb, "EncodeCorrection", t);
-      ASSERT_TRUE(object.ApplyCorrection(r.seq, r.time, pa).ok());
+      ExpectBitEqual(pa, standalone.EncodeCorrection(r), "own correction",
+                     t);
+      ASSERT_TRUE(object.ApplyCorrection(pa).ok());
       ASSERT_TRUE(pooled.ApplyCorrection(r.seq, r.time, pa).ok());
+      ASSERT_TRUE(standalone.ApplyCorrection(r.seq, r.time, pa).ok());
     }
     if (t % 23 == 0) {
       std::vector<double> fa = object.EncodeFullState();
       std::vector<double> fb = pooled.EncodeFullState();
       ExpectBitEqual(fa, fb, "EncodeFullState", t);
+      ExpectBitEqual(fa, standalone.EncodeFullState(), "own full state", t);
       ASSERT_TRUE(object.ApplyFullState(fa).ok());
       ASSERT_TRUE(pooled.ApplyFullState(fa).ok());
+      ASSERT_TRUE(standalone.ApplyFullState(fa).ok());
     }
     if (t % 71 == 0) {
       // Re-Init (the agent's re-anchor path): slots are reused in place.
       object.Init(r);
       pooled.Init(r);
+      standalone.Init(r);
       if (adaptive) {
         // A resync restarts adaptation from the base model on both paths.
         bool moved = !(prev_q == base_q);
@@ -209,6 +349,8 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
                        base_q, "pooled reset Q", t);
         EXPECT_EQ(pooled.pool()->CumulativeQScaleOf(pooled.private_slot()),
                   1.0);
+        ExpectBitEqual(pooled.pool()->MeasurementNoiseOf(pooled.private_slot()),
+                       base_r, "pooled reset R", t);
         if (moved) ++trace.base_q_restores;
         prev_q = base_q;
         updates_since_init = 0;
@@ -220,6 +362,12 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
     // The shadow is the server's view: it never adapts.
     ExpectBitEqual(pooled.pool()->ProcessNoiseOf(pooled.shadow_slot()),
                    config.model.q, "shadow Q", ticks);
+    ExpectBitEqual(pooled.pool()->MeasurementNoiseOf(pooled.shadow_slot()),
+                   config.model.r, "shadow R", ticks);
+  }
+  // R really adapted (the ticks past warm-up of each re-Init epoch).
+  if (adapt_r) {
+    EXPECT_GT(r_changes, ticks / 4);
   }
   if (config.sync_mode != KalmanPredictor::SyncMode::kMeasurement &&
       config.outlier_gate_prob > 0.0) {
@@ -285,8 +433,8 @@ TEST(PoolEquivalenceTest, BatchedSweepMatchesLazyCatchUp) {
   KalmanPredictor::Config config = GatedConfig(MakeDimModel(4));
   FilterPoolSet lazy_pools;
   FilterPoolSet swept_pools;
-  PooledKalmanPredictor lazy(config, &lazy_pools);
-  PooledKalmanPredictor swept(config, &swept_pools);
+  KalmanPredictor lazy(lazy_pools.InternConfig(config), &lazy_pools);
+  KalmanPredictor swept(swept_pools.InternConfig(config), &swept_pools);
   ReadingStream stream(1, 0xABCDEF);
   Reading first = stream.Next();
   lazy.Init(first);
@@ -304,14 +452,17 @@ TEST(PoolEquivalenceTest, BatchedSweepMatchesLazyCatchUp) {
   }
 }
 
-// ------------------------------------------- Adaptive equivalence (adapt_q)
+// ------------------------------------ Adaptive equivalence (adapt_q, adapt_r)
 
-/// MakeDimModel(n) with the default adaptive config (window 32, warmup 8).
-KalmanPredictor::Config AdaptiveConfigFor(size_t n, bool gated) {
+/// MakeDimModel(n) with the default adaptive config (window 32, warmup 8),
+/// re-estimating R too when `adapt_r`.
+KalmanPredictor::Config AdaptiveConfigFor(size_t n, bool gated,
+                                          bool adapt_r = false) {
   KalmanPredictor::Config config =
       gated ? GatedConfig(MakeDimModel(n)) : KalmanPredictor::Config{};
   if (!gated) config.model = MakeDimModel(n);
   config.adaptive = AdaptiveConfig{};
+  config.adaptive->adapt_r = adapt_r;
   return config;
 }
 
@@ -321,12 +472,15 @@ TEST(PoolAdaptiveEquivalenceTest, BitIdenticalAcrossDimsModesFormsAndGate) {
                       KalmanPredictor::SyncMode::kStateAndCov}) {
       for (auto form : {KalmanFilter::UpdateForm::kJoseph,
                         KalmanFilter::UpdateForm::kStandard}) {
-        for (bool gated : {true, false}) {
+        for (int variant = 0; variant < 4; ++variant) {
+          const bool gated = (variant & 1) != 0;
+          const bool adapt_r = (variant & 2) != 0;
           SCOPED_TRACE(testing::Message()
                        << "dim " << n << " mode " << static_cast<int>(mode)
                        << " form " << static_cast<int>(form) << " gate "
-                       << gated);
-          KalmanPredictor::Config config = AdaptiveConfigFor(n, gated);
+                       << gated << " adapt_r " << adapt_r);
+          KalmanPredictor::Config config =
+              AdaptiveConfigFor(n, gated, adapt_r);
           config.sync_mode = mode;
           config.update_form = form;
           AdaptiveTrace trace;
@@ -359,6 +513,10 @@ TEST(PoolAdaptiveEquivalenceTest, ClampsFloorAndRingWrapBitIdentical) {
     DriveEquivalence(inflate, 500, 0xC1A + n, &up);
     EXPECT_TRUE(up.max_clamp);
     EXPECT_GE(up.min_updates_before_change, 3);
+    // The same short ring with R re-estimated too: the innovation ring
+    // wraps every five updates.
+    inflate.adaptive->adapt_r = true;
+    DriveEquivalence(inflate, 500, 0xC1B + n);
 
     // Deflation: Q 100x too large gives a tiny NIS, so the min clamp binds
     // and Q's diagonal sinks onto variance_floor.
@@ -377,8 +535,8 @@ TEST(PoolAdaptiveEquivalenceTest, ClampsFloorAndRingWrapBitIdentical) {
 TEST(PoolAdaptiveEquivalenceTest, ResyncRestoresBaseQAndAdaptsAgain) {
   KalmanPredictor::Config config = AdaptiveConfigFor(2, /*gated=*/false);
   FilterPoolSet pools;
-  KalmanPredictor object(config);
-  PooledKalmanPredictor pooled(config, &pools);
+  ReferenceDualFilter object(config);
+  KalmanPredictor pooled(pools.InternConfig(config), &pools);
   ReadingStream stream(1, 0x5E5);
   Reading first = stream.Next();
   object.Init(first);
@@ -417,17 +575,20 @@ TEST(PoolAdaptiveEquivalenceTest, ResyncRestoresBaseQAndAdaptsAgain) {
 TEST(PoolAdaptiveEquivalenceTest, ManySlotsEachAdaptTheirOwnQ) {
   // Nine adaptive sources share one pool (18 slots over five blocks),
   // each fed readings of a different volatility, so every private slot's
-  // Q drifts to its own level. The lane-Q sweep must add each slot its
-  // own Q: every source stays bit-identical to its per-object twin.
+  // Q and R drift to their own levels. The lane-Q sweep must add each
+  // slot its own Q, and each update must use the slot's own R: every
+  // source stays bit-identical to its reference twin.
   constexpr int kSources = 9;
-  KalmanPredictor::Config config = AdaptiveConfigFor(2, /*gated=*/false);
+  KalmanPredictor::Config config =
+      AdaptiveConfigFor(2, /*gated=*/false, /*adapt_r=*/true);
   FilterPoolSet pools;
-  std::vector<std::unique_ptr<KalmanPredictor>> objects;
-  std::vector<std::unique_ptr<PooledKalmanPredictor>> pooled;
+  std::vector<std::unique_ptr<ReferenceDualFilter>> objects;
+  std::vector<std::unique_ptr<KalmanPredictor>> pooled;
   std::vector<ReadingStream> streams;
   for (int i = 0; i < kSources; ++i) {
-    objects.push_back(std::make_unique<KalmanPredictor>(config));
-    pooled.push_back(std::make_unique<PooledKalmanPredictor>(config, &pools));
+    objects.push_back(std::make_unique<ReferenceDualFilter>(config));
+    pooled.push_back(std::make_unique<KalmanPredictor>(
+        pools.InternConfig(config), &pools));
     streams.emplace_back(1, 0xAB00 + static_cast<uint64_t>(i));
     Reading first = streams.back().Next();
     objects.back()->Init(first);
@@ -446,6 +607,10 @@ TEST(PoolAdaptiveEquivalenceTest, ManySlotsEachAdaptTheirOwnQ) {
                      pooled[i]->pool()->ProcessNoiseOf(
                          pooled[i]->private_slot()),
                      "Q", t);
+      ExpectBitEqual(objects[i]->private_filter().model().r,
+                     pooled[i]->pool()->MeasurementNoiseOf(
+                         pooled[i]->private_slot()),
+                     "R", t);
       ExpectBitEqual(objects[i]->EncodeCorrection(r),
                      pooled[i]->EncodeCorrection(r), "correction", t);
       ExpectBitEqual(objects[i]->Predict(), pooled[i]->Predict(), "Predict",
@@ -456,6 +621,100 @@ TEST(PoolAdaptiveEquivalenceTest, ManySlotsEachAdaptTheirOwnQ) {
   EXPECT_GE(pools.pool(0)->num_blocks(), 5u);
   EXPECT_NE(pooled[0]->pool()->ProcessNoiseOf(pooled[0]->private_slot()),
             pooled[8]->pool()->ProcessNoiseOf(pooled[8]->private_slot()));
+  EXPECT_NE(
+      pooled[0]->pool()->MeasurementNoiseOf(pooled[0]->private_slot()),
+      pooled[8]->pool()->MeasurementNoiseOf(pooled[8]->private_slot()));
+}
+
+TEST(PoolEquivalenceTest, Dim9ScalarFallbackMatchesKalmanFilter) {
+  // Past the lane kernels' dim <= 8 the pool runs its scalar per-slot
+  // fallback; the fleet's predictor, taken through MakePooledPredictor as
+  // ShardedFleet takes it, must still match the reference bit for bit —
+  // plain, and with Q and R adapting.
+  KalmanPredictor::Config config = GatedConfig(MakeDimModel(9));
+  FilterPoolSet pools;
+  std::unique_ptr<Predictor> fleet_predictor =
+      MakePooledPredictor(KalmanPredictor(config), &pools);
+  ASSERT_NE(fleet_predictor, nullptr);
+  ReferenceDualFilter object(config);
+  ReadingStream stream(1, 0x99);
+  Reading first = stream.Next();
+  object.Init(first);
+  fleet_predictor->Init(first);
+  for (int t = 1; t <= 120; ++t) {
+    pools.PredictAll();
+    object.Tick();
+    fleet_predictor->Tick();
+    Reading r = stream.Next();
+    object.ObserveLocal(r);
+    fleet_predictor->ObserveLocal(r);
+    ExpectBitEqual(object.Predict(), fleet_predictor->Predict(), "Predict", t);
+    ExpectBitEqual(object.Target(), fleet_predictor->Target(), "Target", t);
+    EXPECT_EQ(object.LastNis(), fleet_predictor->LastNis()) << t;
+    if (t % 5 == 0) {
+      std::vector<double> payload = object.EncodeCorrection(r);
+      ExpectBitEqual(payload, fleet_predictor->EncodeCorrection(r),
+                     "correction", t);
+      ASSERT_TRUE(object.ApplyCorrection(payload).ok());
+      ASSERT_TRUE(fleet_predictor->ApplyCorrection(r.seq, r.time, payload)
+                      .ok());
+    }
+  }
+  DriveEquivalence(AdaptiveConfigFor(9, /*gated=*/true, /*adapt_r=*/true),
+                   /*ticks=*/200, /*seed=*/0x9A9);
+}
+
+TEST(FilterPoolTest, AdaptRSlotReuseSeesBaseRAndEmptyRing) {
+  // A released adapt_r slot must come back as a fresh filter: base R, and
+  // no innovation history — so the next tenant warms up again and its R
+  // tracks a never-used slot's exactly.
+  StateSpaceModel model = MakeDimModel(2);
+  AdaptiveConfig adaptive;
+  adaptive.adapt_r = true;
+  adaptive.window = 5;
+  adaptive.warmup = 3;
+  FilterPool pool(model, KalmanFilter::UpdateForm::kJoseph, adaptive);
+  FilterPool fresh(model, KalmanFilter::UpdateForm::kJoseph, adaptive);
+  const Vector x0({0.5, 0.0});
+  const Matrix p0 = Matrix::ScalarDiagonal(2, 10.0);
+  auto step = [](FilterPool& p, int32_t slot, const Vector& z) {
+    p.PredictSlot(slot);
+    ASSERT_TRUE(p.UpdateSlot(slot, z).ok());
+    p.AdaptSlot(slot);
+  };
+
+  int32_t slot = pool.Acquire(1);
+  pool.ResetSlot(slot, x0, p0);
+  ReadingStream first_tenant(1, 0xF1);
+  for (int t = 0; t < 40; ++t) {
+    Vector z = first_tenant.Next().value;
+    z[0] *= 3.0;
+    step(pool, slot, z);
+  }
+  ASSERT_FALSE(pool.MeasurementNoiseOf(slot) == model.r);
+  pool.Release(slot);
+
+  int32_t again = pool.Acquire(2);
+  ASSERT_EQ(again, slot);
+  ExpectBitEqual(pool.MeasurementNoiseOf(again), model.r, "released R", 0);
+  // Load (x0, P0) without ResetSlot, so only Release emptied the ring.
+  int32_t other = fresh.Acquire(2);
+  fresh.ResetSlot(other, x0, p0);
+  ASSERT_TRUE(pool.DeserializeSlot(again, fresh.SerializeSlot(other)).ok());
+  ReadingStream second_tenant(1, 0xF2);
+  for (int t = 1; t <= 20; ++t) {
+    Vector z = second_tenant.Next().value;
+    step(pool, again, z);
+    step(fresh, other, z);
+    ExpectBitEqual(pool.MeasurementNoiseOf(again),
+                   fresh.MeasurementNoiseOf(other), "R", t);
+    ExpectBitEqual(pool.SerializeSlot(again), fresh.SerializeSlot(other),
+                   "xP", t);
+    if (t < static_cast<int>(adaptive.warmup)) {
+      ExpectBitEqual(pool.MeasurementNoiseOf(again), model.r, "warm-up R", t);
+    }
+  }
+  EXPECT_FALSE(pool.MeasurementNoiseOf(again) == model.r);
 }
 
 // ------------------------------------------------------- Batched kernels
@@ -651,8 +910,8 @@ TEST(FilterPoolTest, IdReuseAfterUnregisterSeesNoStaleState) {
       // dirty (now zeroed) slot behind.
       EXPECT_TRUE(server
                       .RegisterSource(
-                          kId, std::make_unique<PooledKalmanPredictor>(
-                                   config, server.shard_pools(shard)))
+                          kId, MakePooledPredictor(KalmanPredictor(config),
+                                                   server.shard_pools(shard)))
                       .ok());
       Message init;
       init.source_id = kId;
@@ -666,8 +925,9 @@ TEST(FilterPoolTest, IdReuseAfterUnregisterSeesNoStaleState) {
     }
     EXPECT_TRUE(
         server
-            .RegisterSource(kId, std::make_unique<PooledKalmanPredictor>(
-                                     config, server.shard_pools(shard)))
+            .RegisterSource(kId,
+                            MakePooledPredictor(KalmanPredictor(config),
+                                                server.shard_pools(shard)))
             .ok());
     Message init;
     init.source_id = kId;
@@ -697,8 +957,8 @@ TEST(FilterPoolTest, IdReuseAfterUnregisterSeesNoStaleState) {
 
 TEST(PoolEquivalenceTest, RecoveryReplayMatchesPerObjectPath) {
   // Lossy channel + loss-tolerant recovery: gaps, quarantines, resync
-  // requests, full syncs, and re-INITs all replay through the pooled path
-  // bit-identically to the per-object path.
+  // requests, full syncs, and re-INITs all replay through the shard's
+  // swept pools bit-identically to predictors on private pools.
   auto run = [](bool pooling) {
     ShardedFleet::Config config;
     config.seed = 4242;
@@ -757,8 +1017,12 @@ TEST(PoolFactoryTest, PoolsOnlyEligiblePredictors) {
 
   adaptive_config.adaptive->adapt_r = true;
   KalmanPredictor adaptive_r(adaptive_config);
-  EXPECT_EQ(MakePooledPredictor(adaptive_r, &pools), nullptr)
-      << "adapt_r re-estimates a per-filter R and must stay per-object";
+  EXPECT_NE(MakePooledPredictor(adaptive_r, &pools), nullptr)
+      << "adapt_r configs pool with per-slot R";
+
+  KalmanPredictor dim9(GatedConfig(MakeDimModel(9)));
+  EXPECT_NE(MakePooledPredictor(dim9, &pools), nullptr)
+      << "models past the lane kernels pool on the scalar fallback";
 
   ValueCachePredictor value_cache;
   EXPECT_EQ(MakePooledPredictor(value_cache, &pools), nullptr)

@@ -354,7 +354,7 @@ TEST(RecoveryTest, ShardedMetricsBitIdenticalForAnyThreadsWithFaultsOn) {
 }
 
 TEST(RecoveryTest, FlatFleetMatchesShardedUnderFaults) {
-  // The sequential reference (one thread, one shard, per-object
+  // The sequential reference (one thread, one shard, private-pool
   // predictors) and the sharded executor must agree bit-for-bit even with
   // the full fault model and recovery running.
   ShardedFleet::Config flat_config = FaultyFleetConfig(1);

@@ -443,8 +443,8 @@ TEST(ShardedFleetTest, BitIdenticalUnderLossAndLatency) {
 }
 
 TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectPredictors) {
-  // The SoA filter pools are a memory-layout change only: the pooled path
-  // must reproduce the virtual per-object Predictor path bit-for-bit, on
+  // Sharing the shard's swept pools is a memory-layout change only: it
+  // must reproduce predictors on private pools (no sweep) bit-for-bit, on
   // clean and lossy channels alike.
   Fingerprint pooled = RunSharded(2, 8);
   Fingerprint object = RunSharded(2, 8, Channel::Config(), /*pooling=*/false);
@@ -477,8 +477,8 @@ TEST(ShardedFleetTest, BitIdenticalWithSimdOnAndOff) {
 
 TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectUnderFaultsWithSweeps) {
   // The strongest cross-cutting pin: SIMD lanes + a 4-thread sweep +
-  // a faulty channel (loss, latency) on the pooled path must reproduce
-  // the per-object scalar path bit-for-bit. Any FP reordering, masked-
+  // a faulty channel (loss, latency) on the shard's pools must reproduce
+  // one-thread private pools bit-for-bit. Any FP reordering, masked-
   // store leak, or sweep/update interleaving bug shows up here.
   Channel::Config lossy;
   lossy.loss_prob = 0.2;
@@ -585,9 +585,9 @@ void ExpectEqualAdaptiveRuns(const AdaptiveFleetRun& a,
 }
 
 TEST(ShardedFleetTest, DefaultAdaptivePredictorPooledBitIdenticalToPerObject) {
-  // The shipped default predictor adapts Q per source. Pooled, each slot
-  // carries its own Q and NIS ring; the answers, message books, metrics
-  // and audit must still match the per-object estimator bit-for-bit, for
+  // The shipped default predictor adapts Q per source, each slot with its
+  // own Q and NIS ring. On the shard's swept pools the answers, message
+  // books, metrics and audit must match private pools bit-for-bit, for
   // any thread count (which also sizes the sweep's worker pool: 1, 3 and 4
   // chunk the slabs differently), and with the SIMD lanes on or off.
   AdaptiveFleetRun object = RunAdaptiveFleet(/*threads=*/1, /*pooling=*/false);
@@ -609,7 +609,7 @@ TEST(ShardedFleetTest, DefaultAdaptivePredictorPooledBitIdenticalToPerObject) {
 
 TEST(ShardedFleetTest, MatchesSingleThreadedFleet) {
   // The sharded executor must reproduce the sequential reference — one
-  // thread, one shard, per-object predictors, every source stepped in id
+  // thread, one shard, private-pool predictors, every source stepped in id
   // order — bit-for-bit: same seed, same AddSource order => same
   // per-source answers and the same fleet-wide message accounting.
   ShardedFleet::Config flat_config;
