@@ -27,10 +27,6 @@ void KalmanFilter::Predict() {
   p_.Symmetrize();
 }
 
-void KalmanFilter::PredictSteps(size_t steps) {
-  for (size_t i = 0; i < steps; ++i) Predict();
-}
-
 Status KalmanFilter::Update(const Vector& z) {
   if (z.size() != model_.obs_dim()) {
     return Status::InvalidArgument("observation dimension mismatch");
@@ -71,7 +67,6 @@ Status KalmanFilter::Update(const Vector& z) {
 
   // Diagnostics.
   innovation_ = ws_.nu;
-  s_ = ws_.s;
   Cholesky::SolveInto(ws_.l, ws_.nu, &ws_.sinv_nu);
   nis_ = ws_.nu.Dot(ws_.sinv_nu);
   double m = static_cast<double>(obs_dim());
@@ -95,7 +90,6 @@ void KalmanFilter::Reset(Vector x0, Matrix p0) {
   x_ = std::move(x0);
   p_ = std::move(p0);
   innovation_ = Vector();
-  s_ = Matrix();
   nis_ = 0.0;
   log_likelihood_ = 0.0;
   update_count_ = 0;

@@ -40,12 +40,9 @@ class KalmanFilter {
   /// Time update: x <- F x, P <- F P F^T + Q.
   void Predict();
 
-  /// Runs Predict() `steps` times.
-  void PredictSteps(size_t steps);
-
   /// Measurement update with observation z (dimension obs_dim).
-  /// On success also records innovation, innovation covariance, NIS and
-  /// the Gaussian log-likelihood of z. Fails (without modifying state) if
+  /// On success also records the innovation, NIS and the Gaussian
+  /// log-likelihood of z. Fails (without modifying state) if
   /// z has the wrong dimension or the innovation covariance is singular.
   Status Update(const Vector& z);
 
@@ -66,7 +63,6 @@ class KalmanFilter {
 
   /// Diagnostics from the most recent successful Update().
   const Vector& last_innovation() const { return innovation_; }
-  const Matrix& last_innovation_covariance() const { return s_; }
   /// Normalized innovation squared nu^T S^{-1} nu (chi-squared with obs_dim
   /// degrees of freedom when the model matches reality).
   double last_nis() const { return nis_; }
@@ -116,7 +112,6 @@ class KalmanFilter {
 
   // Last-update diagnostics.
   Vector innovation_;
-  Matrix s_;
   double nis_ = 0.0;
   double log_likelihood_ = 0.0;
   int64_t update_count_ = 0;

@@ -1,6 +1,7 @@
 #ifndef KALMANCAST_LINALG_DECOMP_H_
 #define KALMANCAST_LINALG_DECOMP_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -58,6 +59,18 @@ class Cholesky {
   /// log(det(L L^T)) = 2 * sum(log L_ii) for a factor from FactorInto.
   static double LogDeterminantOf(const Matrix& l);
 
+  /// The loops behind FactorInto/SolveInto, on row-major n x n arrays
+  /// (`x` n long, or n x cols). FactorRaw zeroes `l` first; the solves
+  /// run in place. FilterPool::ObserveBatch runs them on stack
+  /// temporaries.
+  [[gnu::always_inline]] static bool FactorRaw(const double* a, double* l,
+                                               size_t n);
+  [[gnu::always_inline]] static void SolveRaw(const double* l, double* x,
+                                              size_t n);
+  [[gnu::always_inline]] static void SolveColumnsRaw(const double* l,
+                                                     double* x, size_t n,
+                                                     size_t cols);
+
  private:
   bool ok_ = false;
   Matrix l_;
@@ -103,95 +116,95 @@ bool IsPositiveSemiDefinite(const Matrix& a, double tol = 1e-9,
 // n <= 8). The arithmetic and its ordering are unchanged from the
 // out-of-line versions, so results are bit-identical.
 
-inline bool Cholesky::FactorInto(const Matrix& a, Matrix* l) {
-  if (!a.IsSquare() || a.rows() == 0) return false;
-  size_t n = a.rows();
-  l->ResizeUninit(n, n);
-  l->SetZero();
-  const double* pa = a.data().data();
-  double* pl = l->data().data();
+inline bool Cholesky::FactorRaw(const double* a, double* l, size_t n) {
+  for (size_t i = 0; i < n * n; ++i) l[i] = 0.0;
   for (size_t j = 0; j < n; ++j) {
-    const double* pl_j = pl + j * n;
-    double diag = pa[j * n + j];
-    for (size_t k = 0; k < j; ++k) diag -= pl_j[k] * pl_j[k];
+    const double* l_j = l + j * n;
+    double diag = a[j * n + j];
+    for (size_t k = 0; k < j; ++k) diag -= l_j[k] * l_j[k];
     if (diag <= 0.0 || !std::isfinite(diag)) {
       return false;  // Not positive definite.
     }
     double ljj = std::sqrt(diag);
-    pl[j * n + j] = ljj;
+    l[j * n + j] = ljj;
     for (size_t i = j + 1; i < n; ++i) {
-      double* pl_i = pl + i * n;
-      double sum = pa[i * n + j];
-      for (size_t k = 0; k < j; ++k) sum -= pl_i[k] * pl_j[k];
-      pl_i[j] = sum / ljj;
+      double* l_i = l + i * n;
+      double sum = a[i * n + j];
+      for (size_t k = 0; k < j; ++k) sum -= l_i[k] * l_j[k];
+      l_i[j] = sum / ljj;
     }
   }
   return true;
 }
 
-inline void Cholesky::SolveInto(const Matrix& l, const Vector& b, Vector* x) {
-  size_t n = l.rows();
-  assert(b.size() == n);
-  const double* pl = l.data().data();
-  if (x != &b) {
-    x->ResizeUninit(n);
-    const double* pb = b.data().data();
-    double* px0 = x->data().data();
-    for (size_t i = 0; i < n; ++i) px0[i] = pb[i];
-  }
-  double* px = x->data().data();
-  // Forward substitution L y = b, in place: px[i] is read before it is
+inline void Cholesky::SolveRaw(const double* l, double* x, size_t n) {
+  // Forward substitution L y = b, in place: x[i] is read before it is
   // overwritten and entries above i already hold y.
   for (size_t i = 0; i < n; ++i) {
-    const double* pl_i = pl + i * n;
-    double sum = px[i];
-    for (size_t k = 0; k < i; ++k) sum -= pl_i[k] * px[k];
-    px[i] = sum / pl_i[i];
+    const double* l_i = l + i * n;
+    double sum = x[i];
+    for (size_t k = 0; k < i; ++k) sum -= l_i[k] * x[k];
+    x[i] = sum / l_i[i];
   }
   // Back substitution L^T x = y, in place: entries below ii already hold x.
   for (size_t ii = n; ii-- > 0;) {
-    double sum = px[ii];
-    for (size_t k = ii + 1; k < n; ++k) sum -= pl[k * n + ii] * px[k];
-    px[ii] = sum / pl[ii * n + ii];
+    double sum = x[ii];
+    for (size_t k = ii + 1; k < n; ++k) sum -= l[k * n + ii] * x[k];
+    x[ii] = sum / l[ii * n + ii];
   }
+}
+
+inline void Cholesky::SolveColumnsRaw(const double* l, double* x, size_t n,
+                                      size_t cols) {
+  // Forward then back substitution applied to every right-hand side in one
+  // pass over the factor; per column the arithmetic matches the vector
+  // solve operation-for-operation, so results are bit-identical.
+  for (size_t i = 0; i < n; ++i) {
+    double* x_i = x + i * cols;
+    for (size_t k = 0; k < i; ++k) {
+      double lik = l[i * n + k];
+      const double* x_k = x + k * cols;
+      for (size_t c = 0; c < cols; ++c) x_i[c] -= lik * x_k[c];
+    }
+    double lii = l[i * n + i];
+    for (size_t c = 0; c < cols; ++c) x_i[c] /= lii;
+  }
+  for (size_t ii = n; ii-- > 0;) {
+    double* x_ii = x + ii * cols;
+    for (size_t k = ii + 1; k < n; ++k) {
+      double lki = l[k * n + ii];
+      const double* x_k = x + k * cols;
+      for (size_t c = 0; c < cols; ++c) x_ii[c] -= lki * x_k[c];
+    }
+    double lii = l[ii * n + ii];
+    for (size_t c = 0; c < cols; ++c) x_ii[c] /= lii;
+  }
+}
+
+inline bool Cholesky::FactorInto(const Matrix& a, Matrix* l) {
+  if (!a.IsSquare() || a.rows() == 0) return false;
+  l->ResizeUninit(a.rows(), a.rows());
+  return FactorRaw(a.data().data(), l->data().data(), a.rows());
+}
+
+inline void Cholesky::SolveInto(const Matrix& l, const Vector& b, Vector* x) {
+  size_t n = l.rows();
+  assert(b.size() == n);
+  if (x != &b) {
+    x->ResizeUninit(n);
+    std::copy_n(b.data().data(), n, x->data().data());
+  }
+  SolveRaw(l.data().data(), x->data().data(), n);
 }
 
 inline void Cholesky::SolveInto(const Matrix& l, const Matrix& b, Matrix* x) {
   size_t n = l.rows();
   assert(b.rows() == n);
-  const double* pl = l.data().data();
   if (x != &b) {
     x->ResizeUninit(n, b.cols());
-    const double* pb = b.data().data();
-    double* px0 = x->data().data();
-    size_t total = n * b.cols();
-    for (size_t i = 0; i < total; ++i) px0[i] = pb[i];
+    std::copy_n(b.data().data(), n * b.cols(), x->data().data());
   }
-  size_t cols = x->cols();
-  double* px = x->data().data();
-  // Forward then back substitution applied to every right-hand side in one
-  // pass over the factor; per column the arithmetic matches the Vector
-  // solve operation-for-operation, so results are bit-identical.
-  for (size_t i = 0; i < n; ++i) {
-    double* px_i = px + i * cols;
-    for (size_t k = 0; k < i; ++k) {
-      double lik = pl[i * n + k];
-      const double* px_k = px + k * cols;
-      for (size_t c = 0; c < cols; ++c) px_i[c] -= lik * px_k[c];
-    }
-    double lii = pl[i * n + i];
-    for (size_t c = 0; c < cols; ++c) px_i[c] /= lii;
-  }
-  for (size_t ii = n; ii-- > 0;) {
-    double* px_ii = px + ii * cols;
-    for (size_t k = ii + 1; k < n; ++k) {
-      double lki = pl[k * n + ii];
-      const double* px_k = px + k * cols;
-      for (size_t c = 0; c < cols; ++c) px_ii[c] -= lki * px_k[c];
-    }
-    double lii = pl[ii * n + ii];
-    for (size_t c = 0; c < cols; ++c) px_ii[c] /= lii;
-  }
+  SolveColumnsRaw(l.data().data(), x->data().data(), n, x->cols());
 }
 
 inline double Cholesky::LogDeterminantOf(const Matrix& l) {

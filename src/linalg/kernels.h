@@ -31,46 +31,83 @@ namespace kc {
 /// Inlining does not reorder floating-point arithmetic, so the bit-identity
 /// guarantee is unaffected.
 
+// Raw-storage forms: the loops every kernel below runs, on row-major
+// arrays. FilterPool::ObserveBatch runs them directly on stack
+// temporaries with constant dims (so they unroll); being the same loops,
+// its results are bit-identical to the Matrix/Vector kernels'.
+
+/// out (ar x bc) = a (ar x ac) b (ac x bc). Accumulates from 0.0 and skips
+/// a's zero entries, like the value-returning operator*.
+[[gnu::always_inline]] inline void MultiplyRaw(const double* a,
+                                               const double* b, double* out,
+                                               size_t ar, size_t ac,
+                                               size_t bc) {
+  for (size_t i = 0; i < ar * bc; ++i) out[i] = 0.0;
+  for (size_t r = 0; r < ar; ++r) {
+    double* out_row = out + r * bc;
+    for (size_t k = 0; k < ac; ++k) {
+      double av = a[r * ac + k];
+      if (av == 0.0) continue;
+      const double* b_row = b + k * bc;
+      for (size_t c = 0; c < bc; ++c) out_row[c] += av * b_row[c];
+    }
+  }
+}
+
+/// out (ar) = a (ar x ac) v; no zero-skip.
+[[gnu::always_inline]] inline void MultiplyVectorRaw(const double* a,
+                                                     const double* v,
+                                                     double* out, size_t ar,
+                                                     size_t ac) {
+  for (size_t r = 0; r < ar; ++r) {
+    const double* a_row = a + r * ac;
+    double sum = 0.0;
+    for (size_t c = 0; c < ac; ++c) sum += a_row[c] * v[c];
+    out[r] = sum;
+  }
+}
+
+/// out (ar x br) = a (ar x ac) b^T, b being br x ac; mirrors
+/// a * b.Transposed() entry for entry (b^T(k, c) == b(c, k)).
+[[gnu::always_inline]] inline void MultiplyTransposedRaw(
+    const double* a, const double* b, double* out, size_t ar, size_t ac,
+    size_t br) {
+  for (size_t i = 0; i < ar * br; ++i) out[i] = 0.0;
+  for (size_t r = 0; r < ar; ++r) {
+    double* out_row = out + r * br;
+    for (size_t k = 0; k < ac; ++k) {
+      double av = a[r * ac + k];
+      if (av == 0.0) continue;
+      for (size_t c = 0; c < br; ++c) out_row[c] += av * b[c * ac + k];
+    }
+  }
+}
+
+/// out (ac x ar) = a^T, a being ar x ac.
+[[gnu::always_inline]] inline void TransposeRaw(const double* a, double* out,
+                                                size_t ar, size_t ac) {
+  for (size_t r = 0; r < ar; ++r) {
+    for (size_t c = 0; c < ac; ++c) out[c * ar + r] = a[r * ac + c];
+  }
+}
+
 /// out = a b.
 inline void MultiplyInto(const Matrix& a, const Matrix& b, Matrix* out) {
   assert(a.cols() == b.rows());
   assert(out->data().data() != a.data().data() &&
          out->data().data() != b.data().data());
-  size_t ar = a.rows(), ac = a.cols(), bc = b.cols();
-  out->ResizeUninit(ar, bc);
-  out->SetZero();
-  const double* pa = a.data().data();
-  const double* pb = b.data().data();
-  double* po = out->data().data();
-  // Same loop structure (and zero-skip) as the value-returning operator*,
-  // so results are bit-identical.
-  for (size_t r = 0; r < ar; ++r) {
-    double* po_row = po + r * bc;
-    const double* pa_row = pa + r * ac;
-    for (size_t k = 0; k < ac; ++k) {
-      double av = pa_row[k];
-      if (av == 0.0) continue;
-      const double* pb_row = pb + k * bc;
-      for (size_t c = 0; c < bc; ++c) po_row[c] += av * pb_row[c];
-    }
-  }
+  out->ResizeUninit(a.rows(), b.cols());
+  MultiplyRaw(a.data().data(), b.data().data(), out->data().data(), a.rows(),
+              a.cols(), b.cols());
 }
 
 /// out = a v.
 inline void MultiplyInto(const Matrix& a, const Vector& v, Vector* out) {
   assert(a.cols() == v.size());
   assert(out->data().data() != v.data().data());
-  size_t ar = a.rows(), ac = a.cols();
-  out->ResizeUninit(ar);
-  const double* pa = a.data().data();
-  const double* pv = v.data().data();
-  double* po = out->data().data();
-  for (size_t r = 0; r < ar; ++r) {
-    const double* pa_row = pa + r * ac;
-    double sum = 0.0;
-    for (size_t c = 0; c < ac; ++c) sum += pa_row[c] * pv[c];
-    po[r] = sum;
-  }
+  out->ResizeUninit(a.rows());
+  MultiplyVectorRaw(a.data().data(), v.data().data(), out->data().data(),
+                    a.rows(), a.cols());
 }
 
 /// out = a b^T (without materializing the transpose).
@@ -79,22 +116,9 @@ inline void MultiplyTransposedInto(const Matrix& a, const Matrix& b,
   assert(a.cols() == b.cols());
   assert(out->data().data() != a.data().data() &&
          out->data().data() != b.data().data());
-  size_t ar = a.rows(), ac = a.cols(), br = b.rows();
-  out->ResizeUninit(ar, br);
-  out->SetZero();
-  const double* pa = a.data().data();
-  const double* pb = b.data().data();
-  double* po = out->data().data();
-  // Mirrors a * b.Transposed() entry-for-entry: b^T(k, c) == b(c, k).
-  for (size_t r = 0; r < ar; ++r) {
-    double* po_row = po + r * br;
-    const double* pa_row = pa + r * ac;
-    for (size_t k = 0; k < ac; ++k) {
-      double av = pa_row[k];
-      if (av == 0.0) continue;
-      for (size_t c = 0; c < br; ++c) po_row[c] += av * pb[c * ac + k];
-    }
-  }
+  out->ResizeUninit(a.rows(), b.rows());
+  MultiplyTransposedRaw(a.data().data(), b.data().data(), out->data().data(),
+                        a.rows(), a.cols(), b.rows());
 }
 
 /// out = a b a^T via tmp = a b; the congruence transform of covariance
@@ -152,28 +176,25 @@ inline void SubInto(const Vector& a, const Vector& b, Vector* out) {
 /// out = a^T.
 inline void TransposeInto(const Matrix& a, Matrix* out) {
   assert(out->data().data() != a.data().data());
-  size_t ar = a.rows(), ac = a.cols();
-  out->ResizeUninit(ac, ar);
-  const double* pa = a.data().data();
-  double* po = out->data().data();
-  for (size_t r = 0; r < ar; ++r) {
-    const double* pa_row = pa + r * ac;
-    for (size_t c = 0; c < ac; ++c) po[c * ar + r] = pa_row[c];
+  out->ResizeUninit(a.cols(), a.rows());
+  TransposeRaw(a.data().data(), out->data().data(), a.rows(), a.cols());
+}
+
+/// out (n x n) = I - a.
+[[gnu::always_inline]] inline void IdentityMinusRaw(const double* a,
+                                                    double* out, size_t n) {
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < n; ++c) {
+      out[r * n + c] = (r == c ? 1.0 : 0.0) - a[r * n + c];
+    }
   }
 }
 
 /// out = I - a for square a (the gain complement I - K H).
 inline void IdentityMinusInto(const Matrix& a, Matrix* out) {
   assert(a.IsSquare());
-  size_t n = a.rows();
-  out->ResizeUninit(n, n);
-  const double* pa = a.data().data();
-  double* po = out->data().data();
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < n; ++c) {
-      po[r * n + c] = (r == c ? 1.0 : 0.0) - pa[r * n + c];
-    }
-  }
+  out->ResizeUninit(a.rows(), a.rows());
+  IdentityMinusRaw(a.data().data(), out->data().data(), a.rows());
 }
 
 /// acc += w * v.

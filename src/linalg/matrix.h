@@ -13,6 +13,18 @@
 
 namespace kc {
 
+/// Matrix::Symmetrize on a row-major n x n array (also run by
+/// FilterPool::ObserveBatch on its stack temporaries).
+[[gnu::always_inline]] inline void SymmetrizeRaw(double* p, size_t n) {
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = r + 1; c < n; ++c) {
+      double avg = 0.5 * (p[r * n + c] + p[c * n + r]);
+      p[r * n + c] = avg;
+      p[c * n + r] = avg;
+    }
+  }
+}
+
 /// Dense row-major real matrix. Sized for Kalman filtering workloads
 /// (state dimension <= 8), so operations are straightforward triple loops.
 /// Storage is small-buffer optimized: up to kInlineCap entries (8x8) live
@@ -125,15 +137,7 @@ class Matrix {
   /// hence inline over raw storage like the in-place operators.
   void Symmetrize() {
     assert(IsSquare());
-    double* p = data_.data();
-    size_t n = rows_;
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = r + 1; c < n; ++c) {
-        double avg = 0.5 * (p[r * n + c] + p[c * n + r]);
-        p[r * n + c] = avg;
-        p[c * n + r] = avg;
-      }
-    }
+    SymmetrizeRaw(data_.data(), rows_);
   }
 
   /// "[[a, b], [c, d]]".

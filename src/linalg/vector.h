@@ -13,6 +13,15 @@
 
 namespace kc {
 
+/// Vector::Dot on raw arrays (also run by FilterPool::ObserveBatch on its
+/// stack temporaries).
+[[gnu::always_inline]] inline double DotRaw(const double* a, const double* b,
+                                            size_t n) {
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
 /// Dense real vector. This is the library's Eigen substitute for the small
 /// (n <= 8) state/observation vectors Kalman filtering needs; it favors
 /// clarity and asserts over micro-optimization. Storage is small-buffer
@@ -101,12 +110,7 @@ class Vector {
   /// Inner product; dimensions must match.
   double Dot(const Vector& other) const {
     assert(size() == other.size());
-    const double* p = data_.data();
-    const double* q = other.data_.data();
-    size_t n = data_.size();
-    double sum = 0.0;
-    for (size_t i = 0; i < n; ++i) sum += p[i] * q[i];
-    return sum;
+    return DotRaw(data_.data(), other.data_.data(), data_.size());
   }
 
   /// Euclidean norm.

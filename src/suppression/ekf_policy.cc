@@ -24,13 +24,12 @@ void EkfPredictor::Tick() {
   shadow_->Predict();
 }
 
-void EkfPredictor::ObserveLocal(const Reading& measured) {
+Status EkfPredictor::ObserveLocal(const Reading& measured) {
   last_observed_ = measured;
   assert(private_.has_value());
   private_->Predict();
-  Status s = private_->Update(measured.value);
-  assert(s.ok());
-  (void)s;
+  KC_RETURN_IF_ERROR(private_->Update(measured.value));
+  return Status::Ok();
 }
 
 Vector EkfPredictor::Target() const {

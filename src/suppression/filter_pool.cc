@@ -1,14 +1,26 @@
 #include "suppression/filter_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <functional>
+#include <utility>
 
 #include "linalg/decomp.h"
 #include "linalg/kernels.h"
 
 namespace kc {
+
+namespace {
+
+/// Doubles of ObserveRange's temporaries at state dim n, obs dim m.
+constexpr size_t ObserveScratchSize(size_t n, size_t m) {
+  return 2 * n + 6 * n * n + 3 * m + 3 * m * m + 6 * n * m;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- FilterPool
 
@@ -20,9 +32,13 @@ FilterPool::FilterPool(StateSpaceModel model, KalmanFilter::UpdateForm form,
       dim_(model_.state_dim()),
       obs_dim_(model_.obs_dim()),
       simd_fn_(batch::SimdPredictFn(dim_, adaptive_.has_value())),
-      portable_fn_(batch::PortablePredictFn(dim_, adaptive_.has_value())) {
+      portable_fn_(batch::PortablePredictFn(dim_, adaptive_.has_value())),
+      observe_range_(SelectObserveRange(dim_, obs_dim_)) {
   assert(model_.Validate().ok());
   if (adaptive_) ring_size_ = adaptive_->RingSize();
+  if (dim_ > batch::kMaxDim || obs_dim_ > batch::kMaxDim) {
+    runtime_scratch_.resize(ObserveScratchSize(dim_, obs_dim_));
+  }
 }
 
 bool FilterPool::Matches(const StateSpaceModel& model,
@@ -39,6 +55,9 @@ void FilterPool::GrowBlock() {
   owner_.resize(owner_.size() + kLanes, kNoSlot);
   epoch_base_.resize(epoch_base_.size() + kLanes, 0);
   last_nis_.resize(last_nis_.size() + kLanes, 0.0);
+  observed_nis_.resize(observed_nis_.size() + kLanes, -1.0);
+  outliers_.resize(outliers_.size() + kLanes, 0);
+  reject_run_.resize(reject_run_.size() + kLanes, 0);
   if (adaptive_) {
     for (size_t i = 0; i < dim_ * dim_; ++i) {
       qs_.insert(qs_.end(), kLanes, model_.q.data()[i]);
@@ -71,10 +90,11 @@ void FilterPool::ResetAdaptiveState(int32_t slot) {
   q_scale_[slot] = 1.0;
 }
 
-const Matrix& FilterPool::RFor(int32_t slot) {
-  if (!adapt_r()) return model_.r;
-  ws_.r = MeasurementNoiseOf(slot);
-  return ws_.r;
+void FilterPool::ResetGateState(int32_t slot) {
+  last_nis_[slot] = 0.0;
+  observed_nis_[slot] = -1.0;
+  outliers_[slot] = 0;
+  reject_run_[slot] = 0;
 }
 
 int32_t FilterPool::Acquire(int32_t owner_id) {
@@ -96,7 +116,7 @@ int32_t FilterPool::Acquire(int32_t owner_id) {
   // Effective epoch = sweep_count_ + epoch_base_, so "epoch 0 now" is an
   // offset of -sweep_count_ (sweeps before this slot existed don't count).
   epoch_base_[slot] = -sweep_count_;
-  last_nis_[slot] = 0.0;
+  ResetGateState(slot);
   ++num_active_;
   return slot;
 }
@@ -115,7 +135,7 @@ void FilterPool::Release(int32_t slot) {
       static_cast<uint8_t>(~(1u << (static_cast<size_t>(slot) % kLanes)));
   owner_[slot] = kNoSlot;
   epoch_base_[slot] = 0;
-  last_nis_[slot] = 0.0;
+  ResetGateState(slot);
   if (adaptive_) ResetAdaptiveState(slot);
   --num_active_;
   free_.push_back(slot);
@@ -128,7 +148,7 @@ void FilterPool::ResetSlot(int32_t slot, const Vector& x0, const Matrix& p0) {
   assert(p0.rows() == dim_ && p0.cols() == dim_);
   StoreSlotFrom(slot, x0, p0);
   epoch_base_[slot] = -sweep_count_;
-  last_nis_[slot] = 0.0;
+  ResetGateState(slot);
   if (adaptive_) ResetAdaptiveState(slot);
 }
 
@@ -247,56 +267,185 @@ size_t FilterPool::PredictAll() {
   return SweepBlocks(0, num_blocks());
 }
 
+template <size_t kN, size_t kM>
+void FilterPool::ObserveRange(Observation* obs, size_t count) {
+  // Constant for a specialized instantiation, so every loop below unrolls.
+  const size_t n = kN != 0 ? kN : dim_;
+  const size_t m = kM != 0 ? kM : obs_dim_;
+  double stack[kN != 0 ? ObserveScratchSize(kN, kM) : 1];
+  double* x = kN != 0 ? stack : runtime_scratch_.data();
+  double* p = x + n;
+  double* r_slot = p + n * n;
+  double* hx = r_slot + m * m;
+  double* nu = hx + m;
+  double* sinv_nu = nu + m;
+  double* hp = sinv_nu + m;   // m x n
+  double* s = hp + m * n;     // m x m
+  double* l = s + m * m;      // m x m
+  double* ph_t = l + m * m;   // n x m
+  double* hp_t = ph_t + n * m;  // m x n
+  double* kt = hp_t + m * n;  // m x n
+  double* k = kt + m * n;     // n x m
+  double* kr = k + n * m;     // n x m
+  double* knu = kr + n * m;
+  double* kh = knu + n;       // n x n, then the remaining n x n blocks
+  double* i_kh = kh + n * n;
+  double* tmp = i_kh + n * n;
+  double* j1 = tmp + n * n;
+  double* krk = j1 + n * n;
+  const double* h = model_.h.data().data();
+  const bool joseph = form_ == KalmanFilter::UpdateForm::kJoseph;
+
+  for (size_t i = 0; i < count; ++i) {
+    Observation& o = obs[i];
+    const int32_t slot = o.slot;
+    const auto su = static_cast<size_t>(slot);
+    assert(IsActive(slot));
+    const double* z = o.z;
+    for (size_t e = 0; e < n; ++e) x[e] = XAt(slot, e);
+    for (size_t rr = 0; rr < n; ++rr) {
+      for (size_t c = 0; c < n; ++c) p[rr * n + c] = PAt(slot, rr, c);
+    }
+    const double* r = model_.r.data().data();
+    if (adapt_r()) {
+      for (size_t a = 0; a < m; ++a) {
+        for (size_t c = 0; c < m; ++c) r_slot[a * m + c] = RAt(slot, a, c);
+      }
+      r = r_slot;
+    }
+
+    // Innovation and its covariance, shared by the gate and the update
+    // (both form them identically): nu = z - H x; S = H P H^T + R.
+    MultiplyVectorRaw(h, x, hx, m, n);
+    for (size_t a = 0; a < m; ++a) nu[a] = z[a] - hx[a];
+    MultiplyRaw(h, p, hp, m, n, n);
+    MultiplyTransposedRaw(hp, h, s, m, n, m);
+    for (size_t a = 0; a < m * m; ++a) s[a] += r[a];
+    SymmetrizeRaw(s, m);
+    bool factored = Cholesky::FactorRaw(s, l, m);
+    for (size_t a = 0; factored && a < m * m; ++a) {
+      factored = std::isfinite(s[a]);
+    }
+    double nis = 0.0;
+    if (factored) {
+      for (size_t a = 0; a < m; ++a) sinv_nu[a] = nu[a];
+      Cholesky::SolveRaw(l, sinv_nu, m);
+      nis = DotRaw(nu, sinv_nu, m);
+    }
+
+    o.outcome = Outcome::kUpdated;
+    bool update = true;
+    if (o.gate > 0.0) {
+      // Innovation gate: a reading wildly inconsistent with the
+      // prediction (NIS beyond the chi-squared cutoff) is a sensor
+      // outlier — skip the update. A run of rejections means the stream
+      // really jumped: accept it and let the filter re-converge. An
+      // inconclusive gate (S does not factor) resets the run.
+      if (factored) {
+        observed_nis_[su] = nis;  // A rejected reading is still a sample.
+        if (nis > o.gate) {
+          if (reject_run_[su] + 1 < o.gate_limit) {
+            ++reject_run_[su];
+            ++outliers_[su];
+            o.outcome = Outcome::kRejected;
+            update = false;
+          } else {
+            o.outcome = Outcome::kForcedAccept;
+          }
+        }
+      }
+      if (update) reject_run_[su] = 0;
+    }
+
+    if (update && !factored) {
+      o.outcome = Outcome::kFailed;
+      update = false;
+      observed_nis_[su] = last_nis_[su];
+    }
+    if (update) {
+      // Gain K = P H^T S^{-1}, computed as solve(S, H P)^T.
+      MultiplyTransposedRaw(p, h, ph_t, n, n, m);
+      TransposeRaw(ph_t, hp_t, n, m);
+      for (size_t a = 0; a < m * n; ++a) kt[a] = hp_t[a];
+      Cholesky::SolveColumnsRaw(l, kt, m, n);
+      TransposeRaw(kt, k, m, n);
+      MultiplyVectorRaw(k, nu, knu, n, m);
+      for (size_t e = 0; e < n; ++e) x[e] += knu[e];
+
+      MultiplyRaw(k, h, kh, n, m, n);
+      IdentityMinusRaw(kh, i_kh, n);
+      if (joseph) {
+        MultiplyRaw(i_kh, p, tmp, n, n, n);
+        MultiplyTransposedRaw(tmp, i_kh, j1, n, n, n);
+        MultiplyRaw(k, r, kr, n, m, m);
+        MultiplyTransposedRaw(kr, k, krk, n, m, n);
+        for (size_t a = 0; a < n * n; ++a) p[a] = j1[a] + krk[a];
+      } else {
+        MultiplyRaw(i_kh, p, j1, n, n, n);
+        for (size_t a = 0; a < n * n; ++a) p[a] = j1[a];
+      }
+      SymmetrizeRaw(p, n);
+
+      last_nis_[su] = nis;
+      observed_nis_[su] = nis;
+      if (adapt_r()) std::copy_n(nu, m, innovation_.data() + su * m);
+      for (size_t e = 0; e < n; ++e) XAt(slot, e) = x[e];
+      for (size_t rr = 0; rr < n; ++rr) {
+        for (size_t c = 0; c < n; ++c) PAt(slot, rr, c) = p[rr * n + c];
+      }
+      if (o.adapt && adaptive_) AdaptSlot(slot);
+    }
+
+    if (o.shadow != kNoSlot) {
+      // err = MaxAbsDiff(Target(), Predict()): H x and H x_shadow, both
+      // formed like PredictObservationOf.
+      double* x_shadow = knu;
+      double* hx_shadow = sinv_nu;
+      for (size_t e = 0; e < n; ++e) x_shadow[e] = XAt(o.shadow, e);
+      MultiplyVectorRaw(h, x, hx, m, n);
+      MultiplyVectorRaw(h, x_shadow, hx_shadow, m, n);
+      double err = 0.0;
+      for (size_t a = 0; a < m; ++a) {
+        err = std::max(err, std::fabs(hx[a] - hx_shadow[a]));
+      }
+      o.err = err;
+    }
+  }
+}
+
+template <size_t... kIs>
+constexpr std::array<FilterPool::ObserveRangeFn, sizeof...(kIs)>
+FilterPool::ObserveRangeTable(std::index_sequence<kIs...>) {
+  return {{&FilterPool::ObserveRange<kIs / batch::kMaxDim + 1,
+                                     kIs % batch::kMaxDim + 1>...}};
+}
+
+FilterPool::ObserveRangeFn FilterPool::SelectObserveRange(size_t state_dim,
+                                                          size_t obs_dim) {
+  if (state_dim > batch::kMaxDim || obs_dim > batch::kMaxDim) {
+    return &FilterPool::ObserveRange<0, 0>;
+  }
+  static constexpr auto kTable = ObserveRangeTable(
+      std::make_index_sequence<batch::kMaxDim * batch::kMaxDim>());
+  return kTable[(state_dim - 1) * batch::kMaxDim + (obs_dim - 1)];
+}
+
+void FilterPool::ObserveBatch(Observation* obs, size_t n) {
+  if (n > 0) (this->*observe_range_)(obs, n);
+}
+
 Status FilterPool::UpdateSlot(int32_t slot, const Vector& z) {
   assert(IsActive(slot));
-  // Same kernel sequence as KalmanFilter::Update (minus the log-likelihood
-  // diagnostic, which nothing on the pooled path reads): bit-identical
-  // state, covariance, and NIS. Gather, update, scatter — a failed update
-  // returns before the scatter, leaving the slot untouched.
-  if (z.size() != model_.obs_dim()) {
+  if (z.size() != obs_dim_) {
     return Status::InvalidArgument("observation dimension mismatch");
   }
-  LoadSlotInto(slot, &ws_.x, &ws_.p);
-  const Matrix& h = model_.h;
-  const Matrix& r = RFor(slot);
-  MultiplyInto(h, ws_.x, &ws_.hx);
-  SubInto(z, ws_.hx, &ws_.nu);
-
-  SandwichInto(h, ws_.p, &ws_.tmp1, &ws_.s);
-  ws_.s += r;
-  ws_.s.Symmetrize();
-  if (!Cholesky::FactorInto(ws_.s, &ws_.l)) {
+  Observation o;
+  o.slot = slot;
+  o.z = z.data().data();
+  ObserveBatch(&o, 1);
+  if (o.outcome == Outcome::kFailed) {
     return Status::FailedPrecondition("innovation covariance not PD");
   }
-
-  // Gain K = P H^T S^{-1}; computed as solve(S, H P)^T to stay factored.
-  MultiplyTransposedInto(ws_.p, h, &ws_.ph_t);
-  TransposeInto(ws_.ph_t, &ws_.tmp1);
-  Cholesky::SolveInto(ws_.l, ws_.tmp1, &ws_.kt);
-  TransposeInto(ws_.kt, &ws_.k);
-
-  MultiplyInto(ws_.k, ws_.nu, &ws_.knu);
-  ws_.x += ws_.knu;
-
-  MultiplyInto(ws_.k, h, &ws_.kh);
-  IdentityMinusInto(ws_.kh, &ws_.i_kh);
-  if (form_ == KalmanFilter::UpdateForm::kJoseph) {
-    SandwichInto(ws_.i_kh, ws_.p, &ws_.tmp1, &ws_.j1);
-    SandwichInto(ws_.k, r, &ws_.tmp1, &ws_.krk);
-    AddInto(ws_.j1, ws_.krk, &ws_.p);
-  } else {
-    MultiplyInto(ws_.i_kh, ws_.p, &ws_.j1);
-    ws_.p = ws_.j1;
-  }
-  ws_.p.Symmetrize();
-
-  Cholesky::SolveInto(ws_.l, ws_.nu, &ws_.sinv_nu);
-  last_nis_[slot] = ws_.nu.Dot(ws_.sinv_nu);
-  if (adapt_r()) {
-    std::copy_n(ws_.nu.data().data(), obs_dim_,
-                innovation_.data() + static_cast<size_t>(slot) * obs_dim_);
-  }
-  StoreSlotFrom(slot, ws_.x, ws_.p);
   return Status::Ok();
 }
 
@@ -316,23 +465,6 @@ void FilterPool::AdaptSlot(int32_t slot) {
       *adaptive_, ws_.nu, model_.h, ws_.p, updates_seen_[s],
       {outer_ring_.data() + s * ring_size_ * obs_dim_ * obs_dim_,
        &RAt(slot, 0, 0), /*r_stride=*/kLanes});
-}
-
-double FilterPool::GateSlot(int32_t slot, const Vector& z) {
-  assert(IsActive(slot));
-  // The innovation gate: nu = z - H x; S = H P H^T + R (with the slot's
-  // R), as KalmanFilter::InnovationCovariance forms it; NIS =
-  // nu' S^{-1} nu via the Cholesky factor. Read-only: gathers, never
-  // scatters.
-  LoadSlotInto(slot, &ws_.x, &ws_.p);
-  MultiplyInto(model_.h, ws_.x, &ws_.hx);
-  SubInto(z, ws_.hx, &ws_.nu);
-  SandwichInto(model_.h, ws_.p, &ws_.tmp1, &ws_.s);
-  ws_.s += RFor(slot);
-  ws_.s.Symmetrize();
-  if (!Cholesky::FactorInto(ws_.s, &ws_.l)) return -1.0;
-  Cholesky::SolveInto(ws_.l, ws_.nu, &ws_.sinv_nu);
-  return ws_.nu.Dot(ws_.sinv_nu);
 }
 
 Vector FilterPool::StateOf(int32_t slot) const {

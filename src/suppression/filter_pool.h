@@ -1,9 +1,11 @@
 #ifndef KALMANCAST_SUPPRESSION_FILTER_POOL_H_
 #define KALMANCAST_SUPPRESSION_FILTER_POOL_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -16,6 +18,36 @@
 #include "suppression/policies.h"
 
 namespace kc {
+
+/// What FilterPool::ObserveBatch did with one observation.
+enum class ObserveOutcome : uint8_t {
+  kUpdated,       ///< Gated in (or ungated) and folded into the slot.
+  kForcedAccept,  ///< Past the gate, but accepted: the reject run hit its
+                  ///< limit, so the stream genuinely jumped.
+  kRejected,      ///< Skipped as an outlier: predict-only this tick.
+  kFailed,        ///< S not positive definite (or non-finite): the slot
+                  ///< is untouched.
+};
+
+/// One observation for FilterPool::ObserveBatch: the inputs, then the
+/// results the call writes back.
+struct FilterPoolObservation {
+  int32_t slot = -1;  ///< The filter to gate, update and adapt.
+  /// If set (>= 0), `err` = ||H x_slot - H x_shadow||_inf after the step:
+  /// the suppression decision's distance between a source's private
+  /// estimate and the server's view.
+  int32_t shadow = -1;
+  const double* z = nullptr;  ///< obs_dim values; must outlive the call.
+  /// Outlier gate: NIS cutoff (0 = no gate) and the reject run that forces
+  /// an accept (KalmanPredictor::Config::outlier_gate_*).
+  double gate = 0.0;
+  int gate_limit = 0;
+  /// Run AdaptSlot after a successful update (adaptive pools only).
+  bool adapt = false;
+
+  ObserveOutcome outcome = ObserveOutcome::kUpdated;
+  double err = 0.0;
+};
 
 /// Structure-of-arrays storage for many Kalman filters that share one
 /// (model, update form, adaptive config). Instead of each source owning a
@@ -31,7 +63,7 @@ namespace kc {
 /// slab interleaved by lane the same way (obs_dim x obs_dim), a ring of
 /// RingSize() innovation outer products and its last innovation. The
 /// sweep adds each lane's own Q (the batch kernel's LaneQ variant),
-/// UpdateSlot and GateSlot use the slot's own R, and AdaptSlot runs the
+/// the gate and update use the slot's own R, and AdaptSlot runs the
 /// same AdaptQAfterUpdate and AdaptRAfterUpdate the reference
 /// AdaptiveNoiseEstimator runs, so a pooled adaptive filter stays
 /// bit-identical to a KalmanFilter adapted by that estimator. ResetSlot
@@ -59,7 +91,7 @@ namespace kc {
 /// numerical one (see docs/PERF.md for the full argument).
 ///
 /// Slot lifecycle: Acquire() -> ResetSlot() -> {PredictAll / PredictSlot /
-/// UpdateSlot / GateSlot ...} -> Release(). Release zeroes x and P before
+/// ObserveBatch ...} -> Release(). Release zeroes x and P before
 /// returning the slot to the free list, so a later Acquire for a
 /// re-registered source id can never observe a previous tenant's state.
 /// The free list is a min-heap: Acquire always reuses the lowest-indexed
@@ -140,23 +172,50 @@ class FilterPool {
   /// driving the pool (standalone use never calls PredictAll).
   void PredictSlotUpTo(int32_t slot, int64_t epoch);
 
-  /// Measurement update with observation z; identical kernel sequence to
-  /// KalmanFilter::Update, including the Joseph/standard covariance forms
-  /// and the NIS diagnostic (LastNisOf). Fails without modifying state if
-  /// z has the wrong dimension or S is not positive definite.
+  // --- The batched measurement step ----------------------------------
+
+  using Outcome = ObserveOutcome;
+  using Observation = FilterPoolObservation;
+
+  /// The one measurement step every pooled filter takes, for `n`
+  /// observations on distinct slots, in order. Per observation: the
+  /// innovation gate (when `gate` > 0; its run counters live in the slot,
+  /// see OutliersRejectedOf), the measurement update, AdaptSlot (when
+  /// `adapt`), and `err`. The update is KalmanFilter::Update's exact
+  /// kernel sequence — the 0.0-seeded sums, the zero-skips, the Cholesky
+  /// factor and solves, the Joseph or standard form — specialized on
+  /// (state_dim, obs_dim) <= batch::kMaxDim and on runtime dims beyond,
+  /// so a slot's x, P, NIS and adapted Q/R are bit-identical to that
+  /// filter's whether the slot went through a batch of thousands or a
+  /// batch of one. Slots must be active and swept (or predicted) up to
+  /// this tick already.
+  void ObserveBatch(Observation* obs, size_t n);
+
+  /// Measurement update with observation z (no gate, no adaptation): an
+  /// ObserveBatch of one. Fails without modifying state if z has the
+  /// wrong dimension or S is not positive definite.
   Status UpdateSlot(int32_t slot, const Vector& z);
 
   /// Adaptive pools only: the adaptation step that follows a successful
-  /// UpdateSlot, fed that update's NIS (and, with adapt_r, its innovation
+  /// update, fed that update's NIS (and, with adapt_r, its innovation
   /// and the posterior covariance) — AdaptiveNoiseEstimator::AfterUpdate
-  /// on the slot's own Q, R and rings.
+  /// on the slot's own Q, R and rings. ObserveBatch runs it for `adapt`
+  /// observations.
   void AdaptSlot(int32_t slot);
 
-  /// Innovation gate statistic: NIS of z against the slot's predicted
-  /// observation (what KalmanPredictor's outlier gate tests).
-  /// Returns a negative value if S fails to factor (gate inconclusive);
-  /// never mutates state.
-  double GateSlot(int32_t slot, const Vector& z);
+  // --- Staging (a shard's stage/decide/finish tick) -------------------
+
+  /// Appends an observation to this pool's staged list and returns its
+  /// index. The list keeps its capacity across ticks, so a steady-state
+  /// tick stages without allocating.
+  size_t Stage(const Observation& obs) {
+    staged_.push_back(obs);
+    return staged_.size() - 1;
+  }
+  /// ObserveBatch over everything staged since the last ClearStaged.
+  void ObserveStaged() { ObserveBatch(staged_.data(), staged_.size()); }
+  const Observation& staged(size_t index) const { return staged_[index]; }
+  void ClearStaged() { staged_.clear(); }
 
   // --- Accessors -------------------------------------------------------
 
@@ -168,8 +227,14 @@ class FilterPool {
   /// Expected observation H x (value-identical to
   /// KalmanFilter::PredictObservation).
   Vector PredictObservationOf(int32_t slot) const;
-  /// NIS of the slot's most recent successful UpdateSlot (0 before any).
+  /// NIS of the slot's most recent successful update (0 before any).
   double LastNisOf(int32_t slot) const { return last_nis_[slot]; }
+  /// NIS of the slot's most recent gated or updated observation — the
+  /// gate's statistic when a gate ran, the update's otherwise; -1 since
+  /// the last ResetSlot until the first observation.
+  double ObservedNisOf(int32_t slot) const { return observed_nis_[slot]; }
+  /// Observations the gate has rejected since the last ResetSlot.
+  int64_t OutliersRejectedOf(int32_t slot) const { return outliers_[slot]; }
   /// The Q the slot's time update adds: its own in an adaptive pool, the
   /// model's otherwise.
   Matrix ProcessNoiseOf(int32_t slot) const;
@@ -218,15 +283,28 @@ class FilterPool {
   bool simd() const { return simd_; }
 
  private:
-  /// Shared scratch, one per pool (not per filter): the same temporaries
-  /// KalmanFilter::Workspace holds, plus gather targets for the slot
-  /// being operated on, reshaped once and fully overwritten on every use.
-  /// Used only by single-writer per-slot operations — the chunked sweep
-  /// needs no workspace at all (the batch kernel lives in registers).
+  /// Shared scratch, one per pool (not per filter), for the scalar
+  /// predict fallback and AdaptSlot's gathers: reshaped once and fully
+  /// overwritten on every use. The chunked sweep needs no workspace (the
+  /// batch kernel lives in registers), nor does ObserveBatch at
+  /// specialized dims (its temporaries live on the stack).
   struct Workspace {
-    Vector x, fx, hx, nu, knu, sinv_nu;
-    Matrix p, q, r, tmp1, s, l, ph_t, kt, k, kh, i_kh, j1, krk;
+    Vector x, fx, nu;
+    Matrix p, q, tmp1, j1;
   };
+
+  /// ObserveBatch's body over `count` observations, specialized on
+  /// (state_dim, obs_dim) = (kN, kM); (0, 0) reads the pool's runtime
+  /// dims and keeps its temporaries in runtime_scratch_.
+  template <size_t kN, size_t kM>
+  void ObserveRange(Observation* obs, size_t count);
+  using ObserveRangeFn = void (FilterPool::*)(Observation*, size_t);
+  template <size_t... kIs>
+  static constexpr std::array<ObserveRangeFn, sizeof...(kIs)>
+  ObserveRangeTable(std::index_sequence<kIs...>);
+  static ObserveRangeFn SelectObserveRange(size_t state_dim, size_t obs_dim);
+  /// Resets a slot's NIS diagnostics and gate run counters.
+  void ResetGateState(int32_t slot);
 
   // Lane-addressing helpers (see the class comment for the layout).
   double* XBlock(size_t block) { return xs_.data() + block * dim_ * kLanes; }
@@ -279,9 +357,6 @@ class FilterPool {
                    kLanes +
                static_cast<size_t>(slot) % kLanes];
   }
-  /// The R an update or gate of `slot` adds to S: gathered into ws_.r in
-  /// an adapt_r pool, the model's otherwise.
-  const Matrix& RFor(int32_t slot);
   /// The `q` argument of the block kernel for `block`: the block's Q slab
   /// in an adaptive pool, the shared model Q otherwise.
   const double* QArg(size_t block) const {
@@ -321,6 +396,7 @@ class FilterPool {
   batch::PredictBlockFn simd_fn_;
   batch::PredictBlockFn portable_fn_;  ///< Scalar-lane twin (ditto).
   bool simd_ = true;
+  ObserveRangeFn observe_range_;  ///< ObserveRange for this pool's dims.
 
   // AoSoA slabs + per-slot bookkeeping, sized in whole blocks.
   std::vector<double> xs_;
@@ -328,7 +404,11 @@ class FilterPool {
   std::vector<uint8_t> block_mask_;  ///< Bit l set = slot 4b+l active.
   std::vector<int32_t> owner_;       ///< Source id, kNoSlot when free.
   std::vector<int64_t> epoch_base_;  ///< Epoch offset from sweep_count_.
-  std::vector<double> last_nis_;     ///< Last UpdateSlot NIS.
+  std::vector<double> last_nis_;     ///< Last successful update's NIS.
+  // The outlier gate's per-slot state (see ObserveBatch).
+  std::vector<double> observed_nis_;  ///< See ObservedNisOf.
+  std::vector<int64_t> outliers_;     ///< See OutliersRejectedOf.
+  std::vector<int32_t> reject_run_;   ///< Consecutive rejections.
   // Adaptive pools only (empty otherwise): per-slot adaptive-Q state.
   std::vector<double> qs_;            ///< Q slab, lane-interleaved like ps_.
   std::vector<double> nis_ring_;      ///< ring_size_ entries per slot.
@@ -337,7 +417,7 @@ class FilterPool {
   // adapt_r pools only (empty otherwise): per-slot adaptive-R state.
   std::vector<double> rs_;          ///< R slab, lane-interleaved like qs_.
   std::vector<double> outer_ring_;  ///< ring_size_ outer products per slot.
-  std::vector<double> innovation_;  ///< Last UpdateSlot nu, obs_dim per slot.
+  std::vector<double> innovation_;  ///< Last update's nu, obs_dim per slot.
   size_t ring_size_ = 0;
   std::vector<int32_t> free_;        ///< Min-heap of released slots.
   size_t size_ = 0;  ///< Slots ever created (<= blocks * kLanes).
@@ -345,6 +425,10 @@ class FilterPool {
   int64_t sweep_count_ = 0;  ///< Batched sweeps since construction.
 
   Workspace ws_;
+  /// ObserveBatch's temporaries beyond the specialized dims (empty
+  /// otherwise); sized once at construction.
+  std::vector<double> runtime_scratch_;
+  std::vector<Observation> staged_;  ///< See Stage.
 };
 
 /// The per-shard collection of filter pools: one FilterPool per distinct
@@ -368,6 +452,14 @@ class FilterPoolSet {
   /// Batched tick: PredictAll on every pool, in creation order. Returns
   /// total slots advanced.
   size_t PredictAll();
+
+  /// The decide pass of a shard tick: ObserveStaged on every pool.
+  void ObserveStaged() {
+    for (auto& pool : pools_) pool->ObserveStaged();
+  }
+  void ClearStaged() {
+    for (auto& pool : pools_) pool->ClearStaged();
+  }
 
   size_t num_pools() const { return pools_.size(); }
   /// Pool by creation index (stable; for sweep drivers that chunk across

@@ -51,19 +51,18 @@ void ImmPredictor::Tick() {
   shadow_->Predict();
 }
 
-void ImmPredictor::ObserveLocal(const Reading& measured) {
+Status ImmPredictor::ObserveLocal(const Reading& measured) {
   last_observed_ = measured;
   assert(private_.has_value());
   private_->Predict();
-  Status s = private_->Update(measured.value);
-  assert(s.ok());
-  (void)s;
+  KC_RETURN_IF_ERROR(private_->Update(measured.value));
   int mode = DominantMode();
   if (mode != last_mode_) {
     last_mode_ = mode;
     ++model_switches_;
     if (switch_counter_ != nullptr) switch_counter_->Inc();
   }
+  return Status::Ok();
 }
 
 Vector ImmPredictor::Target() const {

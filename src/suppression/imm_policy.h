@@ -39,7 +39,7 @@ class ImmPredictor : public Predictor {
 
   void Init(const Reading& first) override;
   void Tick() override;
-  void ObserveLocal(const Reading& measured) override;
+  Status ObserveLocal(const Reading& measured) override;
   Vector Target() const override;
   Vector Predict() const override;
   std::vector<double> EncodeCorrection(const Reading& measured) const override;

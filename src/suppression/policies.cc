@@ -129,9 +129,10 @@ void EwmaPredictor::Init(const Reading& first) {
   last_observed_ = first;
 }
 
-void EwmaPredictor::ObserveLocal(const Reading& measured) {
+Status EwmaPredictor::ObserveLocal(const Reading& measured) {
   last_observed_ = measured;
   level_ = alpha_ * measured.value + (1.0 - alpha_) * level_;
+  return Status::Ok();
 }
 
 std::vector<double> EwmaPredictor::EncodeCorrection(
@@ -236,9 +237,6 @@ void KalmanPredictor::Init(const Reading& first) {
   }
   shadow_ticks_ = 0;
   private_ticks_ = 0;
-  consecutive_rejects_ = 0;
-  outliers_rejected_ = 0;
-  last_nis_ = -1.0;
   last_observed_ = first;
 }
 
@@ -260,43 +258,84 @@ void KalmanPredictor::Tick() {
   pool_->PredictSlotUpTo(shadow_slot_, shadow_ticks_);
 }
 
-void KalmanPredictor::ObserveLocal(const Reading& measured) {
+FilterPoolObservation KalmanPredictor::PrivateObservation(
+    const Reading& measured) const {
+  FilterPoolObservation obs;
+  obs.slot = private_slot_;
+  obs.z = measured.value.data().data();
+  obs.gate = gate_threshold_;
+  obs.gate_limit = config_->outlier_gate_limit;
+  obs.adapt = config_->adaptive.has_value();
+  return obs;
+}
+
+Status KalmanPredictor::Account(const FilterPoolObservation& obs) {
+  switch (obs.outcome) {
+    case ObserveOutcome::kUpdated:
+      break;
+    case ObserveOutcome::kForcedAccept:
+      if (metrics_.forced_accepts) metrics_.forced_accepts->Inc();
+      break;
+    case ObserveOutcome::kRejected:
+      if (metrics_.outliers_rejected) metrics_.outliers_rejected->Inc();
+      break;
+    case ObserveOutcome::kFailed:
+      return Status::FailedPrecondition(
+          "private filter update failed: innovation covariance not positive "
+          "definite");
+  }
+  return Status::Ok();
+}
+
+Status KalmanPredictor::ObserveLocal(const Reading& measured) {
   last_observed_ = measured;
-  if (config_->sync_mode == SyncMode::kMeasurement) return;
+  if (config_->sync_mode == SyncMode::kMeasurement) return Status::Ok();
+  if (measured.value.size() != config_->model.obs_dim()) {
+    return Status::InvalidArgument("observation dimension mismatch");
+  }
   EnsurePrivateSlot();
   ++private_ticks_;
   pool_->PredictSlotUpTo(private_slot_, private_ticks_);
+  FilterPoolObservation obs = PrivateObservation(measured);
+  pool_->ObserveBatch(&obs, 1);
+  return Account(obs);
+}
 
-  if (gate_threshold_ > 0.0) {
-    // Innovation gate: a reading wildly inconsistent with the filter's
-    // prediction (NIS beyond the configured chi-squared quantile) is a
-    // sensor outlier — skip the update so neither the estimate nor the
-    // server is polluted by it. A run of rejections means the stream
-    // really jumped; accept and let the filter re-converge. Only a
-    // conclusive gate resets the rejection run.
-    double nis = pool_->GateSlot(private_slot_, measured.value);
-    if (nis >= 0.0) {
-      last_nis_ = nis;  // A rejected reading is still a consistency sample.
-      if (nis > gate_threshold_) {
-        if (consecutive_rejects_ + 1 < config_->outlier_gate_limit) {
-          ++consecutive_rejects_;
-          ++outliers_rejected_;
-          if (metrics_.outliers_rejected) metrics_.outliers_rejected->Inc();
-          return;  // Predict-only this tick.
-        }
-        // The rejection run hit the limit: the stream genuinely jumped.
-        if (metrics_.forced_accepts) metrics_.forced_accepts->Inc();
-      }
-    }
-    consecutive_rejects_ = 0;
+bool KalmanPredictor::StageObserve(const Reading& measured,
+                                   FilterPoolSet* pools) {
+  // A pending private slot is kNoSlot too, and measurement sync never
+  // has one.
+  if (pools_ == nullptr || pools_ != pools ||
+      private_slot_ == FilterPool::kNoSlot ||
+      measured.value.size() != config_->model.obs_dim()) {
+    return false;
   }
+  Tick();
+  last_observed_ = measured;
+  ++private_ticks_;
+  pool_->PredictSlotUpTo(private_slot_, private_ticks_);
+  // The observation reads z from last_observed_, which holds still until
+  // FinishObserve.
+  FilterPoolObservation obs = PrivateObservation(last_observed_);
+  obs.shadow = shadow_slot_;  // The decision distance.
+  staged_index_ = pool_->Stage(obs);
+  return true;
+}
 
-  // A failed update (singular S) cannot happen with validated PD R; assert
-  // in debug, skip the sample (and its adaptation step) in release.
-  Status s = pool_->UpdateSlot(private_slot_, measured.value);
-  assert(s.ok());
-  last_nis_ = pool_->LastNisOf(private_slot_);
-  if (s.ok() && config_->adaptive.has_value()) pool_->AdaptSlot(private_slot_);
+Status KalmanPredictor::FinishObserve(double* err) {
+  const FilterPoolObservation& obs = pool_->staged(staged_index_);
+  *err = obs.err;
+  return Account(obs);
+}
+
+double KalmanPredictor::LastNis() const {
+  if (private_slot_ == FilterPool::kNoSlot) return -1.0;
+  return pool_->ObservedNisOf(private_slot_);
+}
+
+int64_t KalmanPredictor::OutliersRejected() const {
+  if (private_slot_ == FilterPool::kNoSlot) return 0;
+  return pool_->OutliersRejectedOf(private_slot_);
 }
 
 Vector KalmanPredictor::Target() const {

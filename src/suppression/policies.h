@@ -16,6 +16,7 @@ class Counter;
 
 class FilterPool;
 class FilterPoolSet;
+struct FilterPoolObservation;
 
 /// Olston-style approximate caching — the paper's principal baseline.
 /// The server holds the last shipped value; prediction is constant between
@@ -86,7 +87,7 @@ class EwmaPredictor : public Predictor {
 
   void Init(const Reading& first) override;
   void Tick() override {}
-  void ObserveLocal(const Reading& measured) override;
+  Status ObserveLocal(const Reading& measured) override;
   Vector Target() const override { return level_; }
   Vector Predict() const override { return cached_; }
   std::vector<double> EncodeCorrection(const Reading& measured) const override;
@@ -179,7 +180,9 @@ class KalmanPredictor : public Predictor {
 
   void Init(const Reading& first) override;
   void Tick() override;
-  void ObserveLocal(const Reading& measured) override;
+  /// Fails (FailedPrecondition) when the private filter's update fails:
+  /// its innovation covariance is not positive definite or not finite.
+  Status ObserveLocal(const Reading& measured) override;
   Vector Target() const override;
   Vector Predict() const override;
   std::vector<double> EncodeCorrection(const Reading& measured) const override;
@@ -191,17 +194,28 @@ class KalmanPredictor : public Predictor {
   /// filter_resets} on the arena and mirrors those events onto it.
   void BindMetrics(obs::MetricRegistry* registry) override;
   /// NIS of the last ObserveLocal reading against the private filter —
-  /// the gate's statistic when gating ran, the update's otherwise; -1 in
-  /// measurement-sync mode (no private filter).
-  double LastNis() const override { return last_nis_; }
-  int64_t OutliersRejected() const override { return outliers_rejected_; }
+  /// the gate's statistic when gating ran, the update's otherwise; -1
+  /// before the first one since Init and in measurement-sync mode (no
+  /// private filter).
+  double LastNis() const override;
+  int64_t OutliersRejected() const override;
   std::unique_ptr<Predictor> Clone() const override;
   std::string name() const override;
   size_t dims() const override { return config_->model.obs_dim(); }
 
+  /// The batched form of Tick() + ObserveLocal(measured), split in two
+  /// around the pool's ObserveBatch: StageObserve does the tick
+  /// bookkeeping and stages the private filter's observation on its pool
+  /// (FilterPool::Stage); after the pools have run ObserveStaged,
+  /// FinishObserve mirrors the outcome onto the metrics and returns what
+  /// ObserveLocal would, plus the decision distance
+  /// ||Target() - Predict()||_inf in `*err`. Only a predictor on `pools`
+  /// in a state-sync mode whose private slot exists can stage; StageObserve
+  /// returns false, changing nothing, for any other.
+  bool StageObserve(const Reading& measured, FilterPoolSet* pools);
+  Status FinishObserve(double* err);
+
   const Config& config() const { return *config_; }
-  /// Readings rejected by the innovation gate so far (source side).
-  int64_t outliers_rejected() const { return outliers_rejected_; }
   /// The pool holding this predictor's slots (nullptr before Init).
   const FilterPool* pool() const { return pool_; }
   int32_t shadow_slot() const { return shadow_slot_; }
@@ -220,6 +234,11 @@ class KalmanPredictor : public Predictor {
   /// pending (state-sync modes only).
   void EnsurePrivateSlot();
   void ReleaseSlots();
+  /// The private filter's observation of `measured` for ObserveBatch.
+  FilterPoolObservation PrivateObservation(const Reading& measured) const;
+  /// Mirrors an observation's outcome onto the metrics; fails if the
+  /// update did.
+  Status Account(const FilterPoolObservation& obs);
 
   std::shared_ptr<const Config> config_;
   FilterPoolSet* pools_;  ///< The shard's set; null for a private pool.
@@ -234,11 +253,10 @@ class KalmanPredictor : public Predictor {
   /// materialized with the same x0/P0 Init would have used.
   Vector init_value_;
   double gate_threshold_ = 0.0;  ///< Chi-squared NIS cutoff (0 = no gate).
-  int consecutive_rejects_ = 0;
-  int64_t outliers_rejected_ = 0;
-  double last_nis_ = -1.0;  ///< See LastNis().
   int64_t shadow_ticks_ = 0;   ///< Tick() calls since Init.
   int64_t private_ticks_ = 0;  ///< ObserveLocal() calls since Init.
+  /// The pending StageObserve's index in the pool's staged list.
+  size_t staged_index_ = 0;
   /// Reusable payload -> Vector scratch for measurement-sync corrections.
   Vector z_scratch_;
 };

@@ -46,9 +46,13 @@ class Predictor {
   virtual void Tick() = 0;
 
   /// Source side only: folds the tick's measurement into private state
-  /// (e.g. the client's own filter). Default: remembers the reading so
-  /// Target() can return it.
-  virtual void ObserveLocal(const Reading& measured) { last_observed_ = measured; }
+  /// (e.g. the client's own filter). Fails if the private model cannot
+  /// take it (a filter whose update failed). Default: remembers the
+  /// reading so Target() can return it.
+  virtual Status ObserveLocal(const Reading& measured) {
+    last_observed_ = measured;
+    return Status::Ok();
+  }
 
   /// The value the precision contract protects. Default: the most recent
   /// measurement passed to ObserveLocal().

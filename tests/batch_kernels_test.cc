@@ -410,15 +410,25 @@ void DrivePoolSimdEquivalence(
     for (size_t i = 0; i < slots; ++i) {
       if ((t + static_cast<int>(i)) % 3 == 0) {
         Vector z{rng.Centered() * 3.0};
-        ASSERT_EQ(simd_pool.GateSlot(a_slots[i], z),
-                  scalar_pool.GateSlot(b_slots[i], z));
-        ASSERT_TRUE(simd_pool.UpdateSlot(a_slots[i], z).ok());
-        ASSERT_TRUE(scalar_pool.UpdateSlot(b_slots[i], z).ok());
+        // A gate that admits everything: the gate's NIS is still formed
+        // and recorded, then the update (and adaptation) runs.
+        FilterPool::Observation oa;
+        oa.slot = a_slots[i];
+        oa.z = z.data().data();
+        oa.gate = 1e300;
+        oa.gate_limit = 3;
+        oa.adapt = adaptive.has_value();
+        FilterPool::Observation ob = oa;
+        ob.slot = b_slots[i];
+        simd_pool.ObserveBatch(&oa, 1);
+        scalar_pool.ObserveBatch(&ob, 1);
+        ASSERT_EQ(oa.outcome, FilterPool::Outcome::kUpdated);
+        ASSERT_EQ(ob.outcome, FilterPool::Outcome::kUpdated);
+        ASSERT_EQ(simd_pool.ObservedNisOf(a_slots[i]),
+                  scalar_pool.ObservedNisOf(b_slots[i]));
         ASSERT_EQ(simd_pool.LastNisOf(a_slots[i]),
                   scalar_pool.LastNisOf(b_slots[i]));
         if (adaptive) {
-          simd_pool.AdaptSlot(a_slots[i]);
-          scalar_pool.AdaptSlot(b_slots[i]);
           ASSERT_TRUE(simd_pool.ProcessNoiseOf(a_slots[i]) ==
                       scalar_pool.ProcessNoiseOf(b_slots[i]));
         }

@@ -38,7 +38,7 @@ TEST(GatingTest, RejectsIsolatedOutlier) {
   double before = p.Target()[0];
   p.Tick();
   p.ObserveLocal(MakeReading(51, 500.0));  // Wild outlier.
-  EXPECT_EQ(p.outliers_rejected(), 1);
+  EXPECT_EQ(p.OutliersRejected(), 1);
   // The estimate must be essentially unmoved.
   EXPECT_NEAR(p.Target()[0], before, 0.01);
 }
@@ -59,7 +59,7 @@ TEST(GatingTest, AcceptsGenuineJumpAfterLimit) {
     p.ObserveLocal(MakeReading(i, 100.0));
   }
   EXPECT_GT(p.Target()[0], 50.0);
-  EXPECT_GE(p.outliers_rejected(), 2);
+  EXPECT_GE(p.OutliersRejected(), 2);
 }
 
 TEST(GatingTest, DisabledGateAcceptsEverything) {
@@ -71,7 +71,7 @@ TEST(GatingTest, DisabledGateAcceptsEverything) {
   }
   p.Tick();
   p.ObserveLocal(MakeReading(21, 500.0));
-  EXPECT_EQ(p.outliers_rejected(), 0);
+  EXPECT_EQ(p.OutliersRejected(), 0);
   EXPECT_GT(p.Target()[0], 1.0);  // The outlier moved the estimate.
 }
 
@@ -138,9 +138,9 @@ TEST(GatingTest, InitResetsGateCounters) {
   }
   p.Tick();
   p.ObserveLocal(MakeReading(31, 400.0));
-  EXPECT_GT(p.outliers_rejected(), 0);
+  EXPECT_GT(p.OutliersRejected(), 0);
   p.Init(MakeReading(0, 0.0));
-  EXPECT_EQ(p.outliers_rejected(), 0);
+  EXPECT_EQ(p.OutliersRejected(), 0);
 }
 
 }  // namespace
