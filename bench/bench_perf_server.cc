@@ -67,48 +67,6 @@ BENCHMARK(BM_ShardedFleetStep)
     ->Args({1000, 4})
     ->Args({10000, 4});
 
-// The steady fleet tick at kcbench's pooled_quiet shape — 2,000 pooled
-// random walks (q=0.1, r=0.25, step sigma 0.3) under a wide bound (delta
-// 4, so about 0.5% of decisions send), 8 shards, 1 thread — and, with
-// adaptive=1, the same fleet on the default adaptive-Q config: {adaptive}.
-// One iteration is one Step(). 100 warm-up ticks run before the timed
-// loop (INITs, first observations and the slabs' growth are not steady
-// state); wall time, 7 repetitions, medians. run_benches.sh folds these
-// rows into BENCH_perf.json's fleet_step_2k table.
-void BM_FleetStep2k(benchmark::State& state) {
-  constexpr int kSources = 2000;
-  const bool adaptive = state.range(0) != 0;
-  kc::ShardedFleet::Config config;
-  config.seed = 11;
-  config.threads = 1;
-  config.num_shards = 8;
-  kc::ShardedFleet fleet(config);
-  kc::KalmanPredictor::Config kf;
-  kf.model = kc::MakeRandomWalkModel(0.1, 0.25);
-  if (adaptive) kf.adaptive = kc::AdaptiveConfig{};
-  for (int i = 0; i < kSources; ++i) {
-    kc::RandomWalkGenerator::Config walk;
-    walk.start = 0.05 * i - 50.0;
-    walk.step_sigma = 0.3;
-    fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),
-                    std::make_unique<kc::KalmanPredictor>(kf), 4.0);
-  }
-  (void)fleet.Run(100);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fleet.Step().ok());
-  }
-  state.SetItemsProcessed(state.iterations() * kSources);
-  state.counters["sources"] = kSources;
-  state.counters["adaptive"] = adaptive ? 1.0 : 0.0;
-}
-BENCHMARK(BM_FleetStep2k)
-    ->Arg(0)
-    ->Arg(1)
-    ->UseRealTime()
-    ->Repetitions(7)
-    ->ReportAggregatesOnly(true)
-    ->Unit(benchmark::kMicrosecond);
-
 // Fleet-scale tick throughput: {sources, pooled, threads, simd, adaptive}.
 // The pooled rows run the SoA FilterPool path (per-shard lane-interleaved
 // x/P slabs swept by the vectorized batched kernels once per tick);
@@ -121,10 +79,7 @@ BENCHMARK(BM_FleetStep2k)
 // Answers are bit-identical across the entire matrix (tests/pool_test.cc,
 // tests/batch_kernels_test.cc, tests/sharded_fleet_test.cc), so
 // items_per_second — sources ticked per second — is the only thing that
-// may differ. Two warm-up ticks (the INITs and the first observations,
-// which materialize every private slot) run before the timed loop; wall
-// time (the 4-thread rows' work is on the workers), 3 repetitions,
-// medians. run_benches.sh folds these rows into BENCH_perf.json's
+// may differ. run_benches.sh folds these rows into BENCH_perf.json's
 // fleet_tick_1m table. The private-pool baseline stops at 100k sources:
 // a pool per predictor is memory-bound long before 1M.
 void BM_FleetTick_1M(benchmark::State& state) {
@@ -150,7 +105,6 @@ void BM_FleetTick_1M(benchmark::State& state) {
     fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),
                     std::make_unique<kc::KalmanPredictor>(kf), 4.0);
   }
-  (void)fleet.Run(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fleet.Step().ok());
   }
@@ -174,9 +128,6 @@ void FleetTickMatrix(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_FleetTick_1M)
     ->Apply(FleetTickMatrix)
-    ->UseRealTime()
-    ->Repetitions(3)
-    ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMillisecond);
 
 // Registered live-aggregate evaluation (ShardedServer::Evaluate) over

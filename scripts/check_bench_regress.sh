@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
 # Diffs BENCH_perf.json against the previous commit's:
-#  - fleet_tick_1m / fleet_step_2k: warns on any row whose sources/sec
-#    dropped more than 20%.
+#  - fleet_tick_1m: warns on any row whose sources/sec dropped more
+#    than 20%.
 #  - observability_overhead / recorder_overhead / audit_overhead: warns
 #    when a model's overhead_pct grew by more than 5 percentage points.
 #  - loss_sweep_recovery: fully deterministic (fixed seed), so ANY change
 #    is flagged as a protocol change, not noise.
-# Timing tables are compared only between like hosts: when a table's
-# num_cpus (its own, else the file context's) differs from the previous
-# commit's, the table is reported as "re-baseline" instead of diffed.
 # Advisory (always exits 0 unless the working-tree file is unreadable):
 # bench numbers are machine- and load-dependent, so a warning is a prompt
 # to re-measure on an idle machine, not a hard gate.
@@ -43,21 +40,6 @@ def warn(msg):
     warned = True
     print("WARNING: " + msg)
 
-# ---- Host check: timing rows from different hosts are not comparable. ----
-def num_cpus(report, table):
-    t = report.get(table)
-    if isinstance(t, dict) and t.get("num_cpus") is not None:
-        return t["num_cpus"]
-    return (report.get("context") or {}).get("num_cpus")
-
-def same_host(table):
-    was, now = num_cpus(old, table), num_cpus(new, table)
-    if was != now:
-        print(f"  {table}: num_cpus {was} -> {now}: re-baseline "
-              f"(rows from different hosts are not compared)")
-        return False
-    return True
-
 # ---- fleet_tick_1m: throughput rows, 20% drop tolerance. ----
 def tick_rows(report):
     table = {}
@@ -74,8 +56,6 @@ def tick_rows(report):
 old_rows, new_rows = tick_rows(old), tick_rows(new)
 if not old_rows:
     print("check_bench_regress: previous commit has no fleet_tick_1m rows")
-elif not same_host("fleet_tick_1m"):
-    old_rows = {}
 for key in sorted(old_rows.keys() & new_rows.keys()):
     was, now = old_rows[key], new_rows[key]
     if was <= 0:
@@ -87,28 +67,6 @@ for key in sorted(old_rows.keys() & new_rows.keys()):
             f"{was:,.0f} -> {now:,.0f} sources/sec ({delta:+.1%})")
     if delta < -0.20:
         warn("fleet_tick_1m regression " + line)
-    else:
-        print("  " + line)
-
-# ---- fleet_step_2k: the steady 2,000-source tick, 20% drop tolerance. ----
-def step_rows(report):
-    return {r["adaptive"]: r["sources_per_sec"]
-            for r in report.get("fleet_step_2k", {}).get("rows", [])}
-
-old_step, new_step = step_rows(old), step_rows(new)
-if not old_step:
-    print("check_bench_regress: previous commit has no fleet_step_2k rows")
-elif not same_host("fleet_step_2k"):
-    old_step = {}
-for adaptive in sorted(old_step.keys() & new_step.keys()):
-    was, now = old_step[adaptive], new_step[adaptive]
-    if was <= 0:
-        continue
-    delta = (now - was) / was
-    line = (f"fleet_step_2k [adaptive={int(adaptive)}]: "
-            f"{was:,.0f} -> {now:,.0f} sources/sec ({delta:+.1%})")
-    if delta < -0.20:
-        warn("fleet_step_2k regression " + line)
     else:
         print("  " + line)
 
@@ -124,8 +82,6 @@ for table in ("observability_overhead", "recorder_overhead",
     old_pct, new_pct = overhead_rows(old, table), overhead_rows(new, table)
     if not old_pct:
         print(f"check_bench_regress: previous commit has no {table} rows")
-        continue
-    if not same_host(table):
         continue
     for model in sorted(old_pct.keys() & new_pct.keys()):
         was, now = old_pct[model], new_pct[model]

@@ -129,17 +129,16 @@ for bench in merged["benchmarks"]:
         "recovery_ticks_per_resync": bench.get("recovery_ticks_per_resync"),
     })
 merged["loss_sweep_recovery"] = loss_sweep
-context = merged["context"] or {}
 # Fleet tick throughput at scale: the BM_FleetTick_1M matrix (sources
 # ticked per second) over {sources, pooled, threads, simd, adaptive} — the
 # SoA filter-pool path with vectorized/parallel sweeps vs one private
-# pool per predictor (pooled=0), for plain and adaptive-Q predictors. Each
-# row is the median of the bench's repetitions (warm-up ticks excluded,
-# wall time). Headline numbers: the 100k pooled/private ratio (plain and
-# adaptive) and the absolute single-threaded SIMD 1M rate.
+# pool per predictor (pooled=0), for plain and adaptive-Q predictors. Rows from older binaries
+# without the threads/simd/adaptive counters default to threads=1,
+# simd=1, adaptive=0. Headline numbers: the 100k pooled/private ratio
+# (plain and adaptive) and the absolute single-threaded SIMD 1M rate.
 fleet_tick = []
 for bench in merged["benchmarks"]:
-    if bench.get("aggregate_name") != "median":
+    if bench.get("run_type") != "iteration":
         continue
     run = bench.get("run_name", bench.get("name", ""))
     if not run.startswith("BM_FleetTick_1M/"):
@@ -170,8 +169,6 @@ def pooled_speedup_100k(adaptive):
 speedup = pooled_speedup_100k(False)
 adaptive_speedup = pooled_speedup_100k(True)
 merged["fleet_tick_1m"] = {
-    "num_cpus": context.get("num_cpus"),
-    "load_avg": context.get("load_avg"),
     "rows": fleet_tick,
     "pooled_speedup_100k": speedup,
     "adaptive_pooled_speedup_100k": adaptive_speedup,
@@ -198,34 +195,11 @@ for bench in merged["benchmarks"]:
         "median_ns": round(real_ns, 1),
         "ns_per_member": round(real_ns / max(members, 1), 2),
     })
+context = merged["context"] or {}
 merged["aggregate_evaluate"] = {
     "num_cpus": context.get("num_cpus"),
     "load_avg": context.get("load_avg"),
     "rows": aggregate_rows,
-}
-# The steady 2,000-source fleet tick (BM_FleetStep2k: kcbench's
-# pooled_quiet shape, plain and adaptive-Q): median wall time per Step()
-# and sources decided per second, with the host's CPU count and load.
-step_rows = []
-for bench in merged["benchmarks"]:
-    if bench.get("aggregate_name") != "median":
-        continue
-    run = bench.get("run_name", "")
-    if not run.startswith("BM_FleetStep2k/"):
-        continue
-    tick_us = bench["real_time"] * ns_per_unit[bench.get("time_unit", "ns")]
-    tick_us /= 1e3
-    step_rows.append({
-        "name": run,
-        "sources": int(bench.get("sources", 0)),
-        "adaptive": bool(bench.get("adaptive", 0)),
-        "median_tick_us": round(tick_us, 1),
-        "sources_per_sec": round(bench.get("items_per_second", 0.0), 1),
-    })
-merged["fleet_step_2k"] = {
-    "num_cpus": context.get("num_cpus"),
-    "load_avg": context.get("load_avg"),
-    "rows": step_rows,
 }
 with open("BENCH_perf.json", "w") as f:
     json.dump(merged, f, indent=2)
@@ -253,10 +227,6 @@ for row in fleet_tick:
     model = ", adaptive" if row["adaptive"] else ""
     print(f"  fleet tick {row['sources']} sources ({kind}{model}, "
           f"threads={row['threads']}, {lanes}): "
-          f"{row['sources_per_sec']:,.0f} sources/sec")
-for row in step_rows:
-    model = "adaptive" if row["adaptive"] else "plain"
-    print(f"  fleet step 2k ({model}): {row['median_tick_us']:,.1f} us/tick, "
           f"{row['sources_per_sec']:,.0f} sources/sec")
 if speedup is not None:
     print(f"  fleet tick pooled speedup @100k: {speedup}x")

@@ -196,33 +196,13 @@ void ShardedFleet::StepShard(size_t index) {
   KC_TRACE_SCOPE("fleet.step_shard");
   server_.TickShard(index, /*run_pool_sweep=*/false);
   Shard& shard = shards_[index];
-  FilterPoolSet* pools = server_.shard_pools(index);
-  // Three passes over the shard's sources, each in slot order. A source's
-  // own sequence (channel advances, sample, decision) is unchanged, and
-  // sources share no state the passes reorder: channels, replicas,
-  // recorder rings and watchdogs are per source, and everything shared
-  // (metric arenas, the innovation histogram's sum) is written only in
-  // the finish pass, in slot order.
-  //
-  // 1. Stage: advance the links, sample, and stage every batchable
-  //    decision (SourceAgent::StageOffer) on its pool.
-  pools->ClearStaged();
   for (auto& slot : shard.sources) {
     slot->channel->AdvanceTick();
     // Control downlink advances with the uplink so delayed SET_BOUND /
     // RESYNC_REQUEST traffic reaches the agent before this tick's Offer.
     slot->control_channel->AdvanceTick();
     slot->last_sample = slot->generator->Next();
-    slot->staged = slot->agent->StageOffer(slot->last_sample.measured, pools);
-  }
-  // 2. Decide: one gate/update/adapt/distance pass per pool.
-  pools->ObserveStaged();
-  // 3. Finish: apply each staged verdict; every other source takes the
-  //    per-object Offer (INITs, resyncs, non-Kalman policies, ...).
-  for (auto& slot : shard.sources) {
-    const Reading& measured = slot->last_sample.measured;
-    Status s = slot->staged ? slot->agent->FinishStagedOffer(measured)
-                            : slot->agent->Offer(measured);
+    Status s = slot->agent->Offer(slot->last_sample.measured);
     if (!s.ok() && shard.status.ok()) shard.status = s;
   }
   // Audit pass: after Offer, a zero-latency channel has delivered this

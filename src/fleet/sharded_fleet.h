@@ -224,10 +224,6 @@ class ShardedFleet {
   obs::HealthState HealthOf(int32_t id) const { return server_.HealthOf(id); }
 
  private:
-  /// Drives Step's per-source work the unbatched way (the oracle that
-  /// pins StepShard's stage/decide/finish passes; tests only).
-  friend class ShardedFleetTestPeer;
-
   struct SourceSlot {
     int32_t id = 0;
     std::unique_ptr<StreamGenerator> generator;
@@ -236,8 +232,6 @@ class ShardedFleet {
     std::unique_ptr<SourceAgent> agent;
     Sample last_sample;
     obs::SourceAudit* audit = nullptr;  ///< Shard auditor entry (or null).
-    /// This tick's decision is staged on the shard's pools (StepShard).
-    bool staged = false;
   };
 
   /// One shard's exclusively-owned simulation state. `sources` is kept in

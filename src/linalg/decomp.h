@@ -61,7 +61,7 @@ class Cholesky {
 
   /// The loops behind FactorInto/SolveInto, on row-major n x n arrays
   /// (`x` n long, or n x cols). FactorRaw zeroes `l` first; the solves
-  /// run in place. FilterPool::ObserveBatch runs them on stack
+  /// run in place. FilterPool::Observe runs them on stack
   /// temporaries.
   [[gnu::always_inline]] static bool FactorRaw(const double* a, double* l,
                                                size_t n);

@@ -32,9 +32,10 @@ namespace kc {
 /// guarantee is unaffected.
 
 // Raw-storage forms: the loops every kernel below runs, on row-major
-// arrays. FilterPool::ObserveBatch runs them directly on stack
-// temporaries with constant dims (so they unroll); being the same loops,
-// its results are bit-identical to the Matrix/Vector kernels'.
+// arrays. FilterPool::Observe runs them directly on stack
+// temporaries, with constant dims where it is specialized (so they
+// unroll); being the same loops, its results are bit-identical to the
+// Matrix/Vector kernels'.
 
 /// out (ar x bc) = a (ar x ac) b (ac x bc). Accumulates from 0.0 and skips
 /// a's zero entries, like the value-returning operator*.

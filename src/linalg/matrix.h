@@ -14,7 +14,7 @@
 namespace kc {
 
 /// Matrix::Symmetrize on a row-major n x n array (also run by
-/// FilterPool::ObserveBatch on its stack temporaries).
+/// FilterPool::Observe on its stack temporaries).
 [[gnu::always_inline]] inline void SymmetrizeRaw(double* p, size_t n) {
   for (size_t r = 0; r < n; ++r) {
     for (size_t c = r + 1; c < n; ++c) {

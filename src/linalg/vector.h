@@ -13,7 +13,7 @@
 
 namespace kc {
 
-/// Vector::Dot on raw arrays (also run by FilterPool::ObserveBatch on its
+/// Vector::Dot on raw arrays (also run by FilterPool::Observe on its
 /// stack temporaries).
 [[gnu::always_inline]] inline double DotRaw(const double* a, const double* b,
                                             size_t n) {

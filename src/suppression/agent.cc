@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "suppression/policies.h"
 
 namespace kc {
 
@@ -17,8 +16,7 @@ SourceAgent::SourceAgent(int32_t source_id, std::unique_ptr<Predictor> predictor
     : source_id_(source_id),
       predictor_(std::move(predictor)),
       config_(config),
-      channel_(channel),
-      kalman_(dynamic_cast<KalmanPredictor*>(predictor_.get())) {
+      channel_(channel) {
   assert(predictor_ != nullptr && channel_ != nullptr);
 }
 
@@ -91,38 +89,12 @@ Status SourceAgent::Offer(const Reading& measured) {
   }
 
   predictor_->Tick();
-  Status observed = predictor_->ObserveLocal(measured);
-  if (!observed.ok()) return ObserveFailed(observed);
-  return Decide(measured,
-                MaxAbsDiff(predictor_->Target(), predictor_->Predict()));
-}
-
-bool SourceAgent::StageOffer(const Reading& measured, FilterPoolSet* pools) {
-  if (kalman_ == nullptr || !initialized_ || reinit_pending_ ||
-      resync_pending_) {
-    return false;
-  }
-  for (size_t d = 0; d < measured.value.size(); ++d) {
-    if (!std::isfinite(measured.value[d])) return false;
-  }
-  return kalman_->StageObserve(measured, pools);
-}
-
-Status SourceAgent::FinishStagedOffer(const Reading& measured) {
-  KC_TRACE_SCOPE("agent.offer");
-  ++stats_.ticks;
   double err = 0.0;
-  Status observed = kalman_->FinishObserve(&err);
-  if (!observed.ok()) return ObserveFailed(observed);
-  return Decide(measured, err);
-}
-
-Status SourceAgent::ObserveFailed(const Status& observed) const {
-  return Status(observed.code(), StrFormat("source %d: %s", source_id_,
-                                           observed.message().c_str()));
-}
-
-Status SourceAgent::Decide(const Reading& measured, double err) {
+  Status observed = predictor_->ObserveWithDistance(measured, &err);
+  if (!observed.ok()) {
+    return Status(observed.code(), StrFormat("source %d: %s", source_id_,
+                                             observed.message().c_str()));
+  }
   if (metrics_.decisions != nullptr) {
     metrics_.decisions->Inc();
     metrics_.innovation->Record(err);

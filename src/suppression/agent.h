@@ -8,9 +8,6 @@
 
 namespace kc {
 
-class FilterPoolSet;
-class KalmanPredictor;
-
 namespace obs {
 class SourceRecorder;
 class SourceHealth;
@@ -75,20 +72,6 @@ class SourceAgent {
   /// positive definite).
   Status Offer(const Reading& measured);
 
-  /// Offer split around a batched filter step, for a shard that decides
-  /// many sources at once (ShardedFleet's tick). StageOffer stages the
-  /// predictor's observation on its pool in `pools` and returns true, or
-  /// returns false, changing nothing, when this offer cannot be batched:
-  /// the agent is not initialized, a re-INIT or resync is pending, the
-  /// reading is malformed, or the predictor is not a state-sync
-  /// KalmanPredictor on `pools` whose private filter already exists.
-  /// After `pools->ObserveStaged()`, FinishStagedOffer(measured) applies
-  /// the verdict exactly as Offer(measured) would have: same sends, stats,
-  /// metrics, health and recorder events. A false StageOffer means the
-  /// caller runs Offer(measured) instead.
-  bool StageOffer(const Reading& measured, FilterPoolSet* pools);
-  Status FinishStagedOffer(const Reading& measured);
-
   /// Applies a server-originated control message: SET_BOUND (budget
   /// reallocation; the new bound takes effect from the next Offer and the
   /// server learns it back with the next data message) or RESYNC_REQUEST
@@ -145,12 +128,6 @@ class SourceAgent {
     obs::Histogram* innovation = nullptr;
   };
 
-  /// The decision on an observed reading whose contract distance is
-  /// `err`: a served resync, a correction or full sync when err > delta,
-  /// otherwise the suppress bookkeeping (and a due heartbeat).
-  Status Decide(const Reading& measured, double err);
-  /// `observed`, a failed ObserveLocal, with the source named.
-  Status ObserveFailed(const Status& observed) const;
   Status SendInit(const Reading& measured);
   Status SendCorrection(const Reading& measured, bool full_state);
   /// Answers a pending RESYNC_REQUEST with the strongest sync the
@@ -161,8 +138,6 @@ class SourceAgent {
   std::unique_ptr<Predictor> predictor_;
   AgentConfig config_;
   Channel* channel_;
-  /// predictor_ when it is a KalmanPredictor (the batchable kind).
-  KalmanPredictor* kalman_;
   AgentStats stats_;
   Metrics metrics_;
   obs::SourceRecorder* recorder_ = nullptr;  ///< Optional black box.

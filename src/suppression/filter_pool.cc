@@ -1,12 +1,10 @@
 #include "suppression/filter_pool.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
 #include <functional>
-#include <utility>
 
 #include "linalg/decomp.h"
 #include "linalg/kernels.h"
@@ -15,7 +13,7 @@ namespace kc {
 
 namespace {
 
-/// Doubles of ObserveRange's temporaries at state dim n, obs dim m.
+/// Doubles of ObserveSlot's temporaries at state dim n, obs dim m.
 constexpr size_t ObserveScratchSize(size_t n, size_t m) {
   return 2 * n + 6 * n * n + 3 * m + 3 * m * m + 6 * n * m;
 }
@@ -33,10 +31,10 @@ FilterPool::FilterPool(StateSpaceModel model, KalmanFilter::UpdateForm form,
       obs_dim_(model_.obs_dim()),
       simd_fn_(batch::SimdPredictFn(dim_, adaptive_.has_value())),
       portable_fn_(batch::PortablePredictFn(dim_, adaptive_.has_value())),
-      observe_range_(SelectObserveRange(dim_, obs_dim_)) {
+      observe_fn_(SelectObserveSlot(dim_, obs_dim_)) {
   assert(model_.Validate().ok());
   if (adaptive_) ring_size_ = adaptive_->RingSize();
-  if (dim_ > batch::kMaxDim || obs_dim_ > batch::kMaxDim) {
+  if (observe_fn_ == &FilterPool::ObserveSlot<0, 0>) {
     runtime_scratch_.resize(ObserveScratchSize(dim_, obs_dim_));
   }
 }
@@ -268,7 +266,7 @@ size_t FilterPool::PredictAll() {
 }
 
 template <size_t kN, size_t kM>
-void FilterPool::ObserveRange(Observation* obs, size_t count) {
+void FilterPool::ObserveSlot(Observation* o) {
   // Constant for a specialized instantiation, so every loop below unrolls.
   const size_t n = kN != 0 ? kN : dim_;
   const size_t m = kM != 0 ? kM : obs_dim_;
@@ -296,142 +294,133 @@ void FilterPool::ObserveRange(Observation* obs, size_t count) {
   const double* h = model_.h.data().data();
   const bool joseph = form_ == KalmanFilter::UpdateForm::kJoseph;
 
-  for (size_t i = 0; i < count; ++i) {
-    Observation& o = obs[i];
-    const int32_t slot = o.slot;
-    const auto su = static_cast<size_t>(slot);
-    assert(IsActive(slot));
-    const double* z = o.z;
-    for (size_t e = 0; e < n; ++e) x[e] = XAt(slot, e);
-    for (size_t rr = 0; rr < n; ++rr) {
-      for (size_t c = 0; c < n; ++c) p[rr * n + c] = PAt(slot, rr, c);
+  const int32_t slot = o->slot;
+  const auto su = static_cast<size_t>(slot);
+  assert(IsActive(slot));
+  const double* z = o->z;
+  for (size_t e = 0; e < n; ++e) x[e] = XAt(slot, e);
+  for (size_t rr = 0; rr < n; ++rr) {
+    for (size_t c = 0; c < n; ++c) p[rr * n + c] = PAt(slot, rr, c);
+  }
+  const double* r = model_.r.data().data();
+  if (adapt_r()) {
+    for (size_t a = 0; a < m; ++a) {
+      for (size_t c = 0; c < m; ++c) r_slot[a * m + c] = RAt(slot, a, c);
     }
-    const double* r = model_.r.data().data();
-    if (adapt_r()) {
-      for (size_t a = 0; a < m; ++a) {
-        for (size_t c = 0; c < m; ++c) r_slot[a * m + c] = RAt(slot, a, c);
-      }
-      r = r_slot;
-    }
+    r = r_slot;
+  }
 
-    // Innovation and its covariance, shared by the gate and the update
-    // (both form them identically): nu = z - H x; S = H P H^T + R.
-    MultiplyVectorRaw(h, x, hx, m, n);
-    for (size_t a = 0; a < m; ++a) nu[a] = z[a] - hx[a];
-    MultiplyRaw(h, p, hp, m, n, n);
-    MultiplyTransposedRaw(hp, h, s, m, n, m);
-    for (size_t a = 0; a < m * m; ++a) s[a] += r[a];
-    SymmetrizeRaw(s, m);
-    bool factored = Cholesky::FactorRaw(s, l, m);
-    for (size_t a = 0; factored && a < m * m; ++a) {
-      factored = std::isfinite(s[a]);
-    }
-    double nis = 0.0;
+  // Innovation and its covariance, shared by the gate and the update
+  // (both form them identically): nu = z - H x; S = H P H^T + R.
+  MultiplyVectorRaw(h, x, hx, m, n);
+  for (size_t a = 0; a < m; ++a) nu[a] = z[a] - hx[a];
+  MultiplyRaw(h, p, hp, m, n, n);
+  MultiplyTransposedRaw(hp, h, s, m, n, m);
+  for (size_t a = 0; a < m * m; ++a) s[a] += r[a];
+  SymmetrizeRaw(s, m);
+  const bool factored = Cholesky::FactorRaw(s, l, m);
+  double nis = 0.0;
+  if (factored) {
+    for (size_t a = 0; a < m; ++a) sinv_nu[a] = nu[a];
+    Cholesky::SolveRaw(l, sinv_nu, m);
+    nis = DotRaw(nu, sinv_nu, m);
+  }
+
+  o->outcome = Outcome::kUpdated;
+  bool update = true;
+  if (o->gate > 0.0) {
+    // Innovation gate: a reading wildly inconsistent with the
+    // prediction (NIS beyond the chi-squared cutoff) is a sensor
+    // outlier — skip the update. A run of rejections means the stream
+    // really jumped: accept it and let the filter re-converge. An
+    // inconclusive gate (S does not factor) resets the run.
     if (factored) {
-      for (size_t a = 0; a < m; ++a) sinv_nu[a] = nu[a];
-      Cholesky::SolveRaw(l, sinv_nu, m);
-      nis = DotRaw(nu, sinv_nu, m);
-    }
-
-    o.outcome = Outcome::kUpdated;
-    bool update = true;
-    if (o.gate > 0.0) {
-      // Innovation gate: a reading wildly inconsistent with the
-      // prediction (NIS beyond the chi-squared cutoff) is a sensor
-      // outlier — skip the update. A run of rejections means the stream
-      // really jumped: accept it and let the filter re-converge. An
-      // inconclusive gate (S does not factor) resets the run.
-      if (factored) {
-        observed_nis_[su] = nis;  // A rejected reading is still a sample.
-        if (nis > o.gate) {
-          if (reject_run_[su] + 1 < o.gate_limit) {
-            ++reject_run_[su];
-            ++outliers_[su];
-            o.outcome = Outcome::kRejected;
-            update = false;
-          } else {
-            o.outcome = Outcome::kForcedAccept;
-          }
+      observed_nis_[su] = nis;  // A rejected reading is still a sample.
+      if (nis > o->gate) {
+        if (reject_run_[su] + 1 < o->gate_limit) {
+          ++reject_run_[su];
+          ++outliers_[su];
+          o->outcome = Outcome::kRejected;
+          update = false;
+        } else {
+          o->outcome = Outcome::kForcedAccept;
         }
       }
-      if (update) reject_run_[su] = 0;
     }
+    if (update) reject_run_[su] = 0;
+  }
 
-    if (update && !factored) {
-      o.outcome = Outcome::kFailed;
-      update = false;
-      observed_nis_[su] = last_nis_[su];
+  if (update && !factored) {
+    o->outcome = Outcome::kFailed;
+    update = false;
+    observed_nis_[su] = last_nis_[su];
+  }
+  if (update) {
+    // Gain K = P H^T S^{-1}, computed as solve(S, H P)^T.
+    MultiplyTransposedRaw(p, h, ph_t, n, n, m);
+    TransposeRaw(ph_t, hp_t, n, m);
+    for (size_t a = 0; a < m * n; ++a) kt[a] = hp_t[a];
+    Cholesky::SolveColumnsRaw(l, kt, m, n);
+    TransposeRaw(kt, k, m, n);
+    MultiplyVectorRaw(k, nu, knu, n, m);
+    for (size_t e = 0; e < n; ++e) x[e] += knu[e];
+
+    MultiplyRaw(k, h, kh, n, m, n);
+    IdentityMinusRaw(kh, i_kh, n);
+    if (joseph) {
+      MultiplyRaw(i_kh, p, tmp, n, n, n);
+      MultiplyTransposedRaw(tmp, i_kh, j1, n, n, n);
+      MultiplyRaw(k, r, kr, n, m, m);
+      MultiplyTransposedRaw(kr, k, krk, n, m, n);
+      for (size_t a = 0; a < n * n; ++a) p[a] = j1[a] + krk[a];
+    } else {
+      MultiplyRaw(i_kh, p, j1, n, n, n);
+      for (size_t a = 0; a < n * n; ++a) p[a] = j1[a];
     }
-    if (update) {
-      // Gain K = P H^T S^{-1}, computed as solve(S, H P)^T.
-      MultiplyTransposedRaw(p, h, ph_t, n, n, m);
-      TransposeRaw(ph_t, hp_t, n, m);
-      for (size_t a = 0; a < m * n; ++a) kt[a] = hp_t[a];
-      Cholesky::SolveColumnsRaw(l, kt, m, n);
-      TransposeRaw(kt, k, m, n);
-      MultiplyVectorRaw(k, nu, knu, n, m);
-      for (size_t e = 0; e < n; ++e) x[e] += knu[e];
+    SymmetrizeRaw(p, n);
 
-      MultiplyRaw(k, h, kh, n, m, n);
-      IdentityMinusRaw(kh, i_kh, n);
-      if (joseph) {
-        MultiplyRaw(i_kh, p, tmp, n, n, n);
-        MultiplyTransposedRaw(tmp, i_kh, j1, n, n, n);
-        MultiplyRaw(k, r, kr, n, m, m);
-        MultiplyTransposedRaw(kr, k, krk, n, m, n);
-        for (size_t a = 0; a < n * n; ++a) p[a] = j1[a] + krk[a];
-      } else {
-        MultiplyRaw(i_kh, p, j1, n, n, n);
-        for (size_t a = 0; a < n * n; ++a) p[a] = j1[a];
-      }
-      SymmetrizeRaw(p, n);
-
-      last_nis_[su] = nis;
-      observed_nis_[su] = nis;
-      if (adapt_r()) std::copy_n(nu, m, innovation_.data() + su * m);
-      for (size_t e = 0; e < n; ++e) XAt(slot, e) = x[e];
-      for (size_t rr = 0; rr < n; ++rr) {
-        for (size_t c = 0; c < n; ++c) PAt(slot, rr, c) = p[rr * n + c];
-      }
-      if (o.adapt && adaptive_) AdaptSlot(slot);
+    last_nis_[su] = nis;
+    observed_nis_[su] = nis;
+    if (adapt_r()) std::copy_n(nu, m, innovation_.data() + su * m);
+    for (size_t e = 0; e < n; ++e) XAt(slot, e) = x[e];
+    for (size_t rr = 0; rr < n; ++rr) {
+      for (size_t c = 0; c < n; ++c) PAt(slot, rr, c) = p[rr * n + c];
     }
+    if (o->adapt && adaptive_) AdaptSlot(slot);
+  }
 
-    if (o.shadow != kNoSlot) {
-      // err = MaxAbsDiff(Target(), Predict()): H x and H x_shadow, both
-      // formed like PredictObservationOf.
-      double* x_shadow = knu;
-      double* hx_shadow = sinv_nu;
-      for (size_t e = 0; e < n; ++e) x_shadow[e] = XAt(o.shadow, e);
-      MultiplyVectorRaw(h, x, hx, m, n);
-      MultiplyVectorRaw(h, x_shadow, hx_shadow, m, n);
-      double err = 0.0;
-      for (size_t a = 0; a < m; ++a) {
-        err = std::max(err, std::fabs(hx[a] - hx_shadow[a]));
-      }
-      o.err = err;
+  if (o->shadow != kNoSlot) {
+    // err = MaxAbsDiff(Target(), Predict()): H x and H x_shadow, both
+    // formed like PredictObservationOf.
+    double* x_shadow = knu;
+    double* hx_shadow = sinv_nu;
+    for (size_t e = 0; e < n; ++e) x_shadow[e] = XAt(o->shadow, e);
+    MultiplyVectorRaw(h, x, hx, m, n);
+    MultiplyVectorRaw(h, x_shadow, hx_shadow, m, n);
+    double err = 0.0;
+    for (size_t a = 0; a < m; ++a) {
+      err = std::max(err, std::fabs(hx[a] - hx_shadow[a]));
     }
+    o->err = err;
   }
 }
 
-template <size_t... kIs>
-constexpr std::array<FilterPool::ObserveRangeFn, sizeof...(kIs)>
-FilterPool::ObserveRangeTable(std::index_sequence<kIs...>) {
-  return {{&FilterPool::ObserveRange<kIs / batch::kMaxDim + 1,
-                                     kIs % batch::kMaxDim + 1>...}};
-}
-
-FilterPool::ObserveRangeFn FilterPool::SelectObserveRange(size_t state_dim,
-                                                          size_t obs_dim) {
-  if (state_dim > batch::kMaxDim || obs_dim > batch::kMaxDim) {
-    return &FilterPool::ObserveRange<0, 0>;
+FilterPool::ObserveFn FilterPool::SelectObserveSlot(size_t state_dim,
+                                                     size_t obs_dim) {
+  // The dims the E-series benches, the examples and kcbench's workloads
+  // run (random walk, 2-4 state scalar models, 2-D vehicle tracking) get
+  // their own unrolled body; every other model takes the runtime-dims one.
+  if (obs_dim == 1) {
+    switch (state_dim) {
+      case 1: return &FilterPool::ObserveSlot<1, 1>;
+      case 2: return &FilterPool::ObserveSlot<2, 1>;
+      case 3: return &FilterPool::ObserveSlot<3, 1>;
+      case 4: return &FilterPool::ObserveSlot<4, 1>;
+      default: break;
+    }
   }
-  static constexpr auto kTable = ObserveRangeTable(
-      std::make_index_sequence<batch::kMaxDim * batch::kMaxDim>());
-  return kTable[(state_dim - 1) * batch::kMaxDim + (obs_dim - 1)];
-}
-
-void FilterPool::ObserveBatch(Observation* obs, size_t n) {
-  if (n > 0) (this->*observe_range_)(obs, n);
+  if (state_dim == 4 && obs_dim == 2) return &FilterPool::ObserveSlot<4, 2>;
+  return &FilterPool::ObserveSlot<0, 0>;
 }
 
 Status FilterPool::UpdateSlot(int32_t slot, const Vector& z) {
@@ -442,7 +431,7 @@ Status FilterPool::UpdateSlot(int32_t slot, const Vector& z) {
   Observation o;
   o.slot = slot;
   o.z = z.data().data();
-  ObserveBatch(&o, 1);
+  Observe(&o);
   if (o.outcome == Outcome::kFailed) {
     return Status::FailedPrecondition("innovation covariance not PD");
   }

@@ -1,11 +1,9 @@
 #ifndef KALMANCAST_SUPPRESSION_FILTER_POOL_H_
 #define KALMANCAST_SUPPRESSION_FILTER_POOL_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,7 +17,7 @@
 
 namespace kc {
 
-/// What FilterPool::ObserveBatch did with one observation.
+/// What FilterPool::Observe did with an observation.
 enum class ObserveOutcome : uint8_t {
   kUpdated,       ///< Gated in (or ungated) and folded into the slot.
   kForcedAccept,  ///< Past the gate, but accepted: the reject run hit its
@@ -29,8 +27,8 @@ enum class ObserveOutcome : uint8_t {
                   ///< is untouched.
 };
 
-/// One observation for FilterPool::ObserveBatch: the inputs, then the
-/// results the call writes back.
+/// One observation for FilterPool::Observe: the inputs, then the results
+/// the call writes back.
 struct FilterPoolObservation {
   int32_t slot = -1;  ///< The filter to gate, update and adapt.
   /// If set (>= 0), `err` = ||H x_slot - H x_shadow||_inf after the step:
@@ -91,7 +89,7 @@ struct FilterPoolObservation {
 /// numerical one (see docs/PERF.md for the full argument).
 ///
 /// Slot lifecycle: Acquire() -> ResetSlot() -> {PredictAll / PredictSlot /
-/// ObserveBatch ...} -> Release(). Release zeroes x and P before
+/// Observe ...} -> Release(). Release zeroes x and P before
 /// returning the slot to the free list, so a later Acquire for a
 /// re-registered source id can never observe a previous tenant's state.
 /// The free list is a min-heap: Acquire always reuses the lowest-indexed
@@ -172,50 +170,34 @@ class FilterPool {
   /// driving the pool (standalone use never calls PredictAll).
   void PredictSlotUpTo(int32_t slot, int64_t epoch);
 
-  // --- The batched measurement step ----------------------------------
+  // --- The measurement step ------------------------------------------
 
   using Outcome = ObserveOutcome;
   using Observation = FilterPoolObservation;
 
-  /// The one measurement step every pooled filter takes, for `n`
-  /// observations on distinct slots, in order. Per observation: the
-  /// innovation gate (when `gate` > 0; its run counters live in the slot,
-  /// see OutliersRejectedOf), the measurement update, AdaptSlot (when
-  /// `adapt`), and `err`. The update is KalmanFilter::Update's exact
-  /// kernel sequence — the 0.0-seeded sums, the zero-skips, the Cholesky
-  /// factor and solves, the Joseph or standard form — specialized on
-  /// (state_dim, obs_dim) <= batch::kMaxDim and on runtime dims beyond,
-  /// so a slot's x, P, NIS and adapted Q/R are bit-identical to that
-  /// filter's whether the slot went through a batch of thousands or a
-  /// batch of one. Slots must be active and swept (or predicted) up to
-  /// this tick already.
-  void ObserveBatch(Observation* obs, size_t n);
+  /// The one measurement step every pooled filter takes: the innovation
+  /// gate (when `gate` > 0; its run counters live in the slot, see
+  /// OutliersRejectedOf), the measurement update, AdaptSlot (when
+  /// `adapt`), and `err` (when `shadow` is set). The update is
+  /// KalmanFilter::Update's exact kernel sequence — the 0.0-seeded sums,
+  /// the zero-skips, the Cholesky factor and solves, the Joseph or
+  /// standard form — on stack temporaries, unrolled for the dims the
+  /// shipped workloads run and on runtime dims otherwise, so a slot's x,
+  /// P, NIS and adapted Q/R are bit-identical to that filter's. The slot
+  /// must be active and swept (or predicted) up to this tick already.
+  void Observe(Observation* obs) { (this->*observe_fn_)(obs); }
 
   /// Measurement update with observation z (no gate, no adaptation): an
-  /// ObserveBatch of one. Fails without modifying state if z has the
-  /// wrong dimension or S is not positive definite.
+  /// Observe without the extras. Fails without modifying state if z has
+  /// the wrong dimension or S is not positive definite.
   Status UpdateSlot(int32_t slot, const Vector& z);
 
   /// Adaptive pools only: the adaptation step that follows a successful
   /// update, fed that update's NIS (and, with adapt_r, its innovation
   /// and the posterior covariance) — AdaptiveNoiseEstimator::AfterUpdate
-  /// on the slot's own Q, R and rings. ObserveBatch runs it for `adapt`
+  /// on the slot's own Q, R and rings. Observe runs it for `adapt`
   /// observations.
   void AdaptSlot(int32_t slot);
-
-  // --- Staging (a shard's stage/decide/finish tick) -------------------
-
-  /// Appends an observation to this pool's staged list and returns its
-  /// index. The list keeps its capacity across ticks, so a steady-state
-  /// tick stages without allocating.
-  size_t Stage(const Observation& obs) {
-    staged_.push_back(obs);
-    return staged_.size() - 1;
-  }
-  /// ObserveBatch over everything staged since the last ClearStaged.
-  void ObserveStaged() { ObserveBatch(staged_.data(), staged_.size()); }
-  const Observation& staged(size_t index) const { return staged_[index]; }
-  void ClearStaged() { staged_.clear(); }
 
   // --- Accessors -------------------------------------------------------
 
@@ -286,23 +268,20 @@ class FilterPool {
   /// Shared scratch, one per pool (not per filter), for the scalar
   /// predict fallback and AdaptSlot's gathers: reshaped once and fully
   /// overwritten on every use. The chunked sweep needs no workspace (the
-  /// batch kernel lives in registers), nor does ObserveBatch at
-  /// specialized dims (its temporaries live on the stack).
+  /// batch kernel lives in registers), nor does Observe at specialized
+  /// dims (its temporaries live on the stack).
   struct Workspace {
     Vector x, fx, nu;
     Matrix p, q, tmp1, j1;
   };
 
-  /// ObserveBatch's body over `count` observations, specialized on
-  /// (state_dim, obs_dim) = (kN, kM); (0, 0) reads the pool's runtime
-  /// dims and keeps its temporaries in runtime_scratch_.
+  /// Observe's body, specialized on (state_dim, obs_dim) = (kN, kM);
+  /// (0, 0) reads the pool's runtime dims and keeps its temporaries in
+  /// runtime_scratch_.
   template <size_t kN, size_t kM>
-  void ObserveRange(Observation* obs, size_t count);
-  using ObserveRangeFn = void (FilterPool::*)(Observation*, size_t);
-  template <size_t... kIs>
-  static constexpr std::array<ObserveRangeFn, sizeof...(kIs)>
-  ObserveRangeTable(std::index_sequence<kIs...>);
-  static ObserveRangeFn SelectObserveRange(size_t state_dim, size_t obs_dim);
+  void ObserveSlot(Observation* obs);
+  using ObserveFn = void (FilterPool::*)(Observation*);
+  static ObserveFn SelectObserveSlot(size_t state_dim, size_t obs_dim);
   /// Resets a slot's NIS diagnostics and gate run counters.
   void ResetGateState(int32_t slot);
 
@@ -396,7 +375,7 @@ class FilterPool {
   batch::PredictBlockFn simd_fn_;
   batch::PredictBlockFn portable_fn_;  ///< Scalar-lane twin (ditto).
   bool simd_ = true;
-  ObserveRangeFn observe_range_;  ///< ObserveRange for this pool's dims.
+  ObserveFn observe_fn_;  ///< ObserveSlot for this pool's dims.
 
   // AoSoA slabs + per-slot bookkeeping, sized in whole blocks.
   std::vector<double> xs_;
@@ -405,7 +384,7 @@ class FilterPool {
   std::vector<int32_t> owner_;       ///< Source id, kNoSlot when free.
   std::vector<int64_t> epoch_base_;  ///< Epoch offset from sweep_count_.
   std::vector<double> last_nis_;     ///< Last successful update's NIS.
-  // The outlier gate's per-slot state (see ObserveBatch).
+  // The outlier gate's per-slot state (see Observe).
   std::vector<double> observed_nis_;  ///< See ObservedNisOf.
   std::vector<int64_t> outliers_;     ///< See OutliersRejectedOf.
   std::vector<int32_t> reject_run_;   ///< Consecutive rejections.
@@ -425,10 +404,9 @@ class FilterPool {
   int64_t sweep_count_ = 0;  ///< Batched sweeps since construction.
 
   Workspace ws_;
-  /// ObserveBatch's temporaries beyond the specialized dims (empty
-  /// otherwise); sized once at construction.
+  /// Observe's temporaries at unspecialized dims (empty otherwise);
+  /// sized once at construction.
   std::vector<double> runtime_scratch_;
-  std::vector<Observation> staged_;  ///< See Stage.
 };
 
 /// The per-shard collection of filter pools: one FilterPool per distinct
@@ -452,14 +430,6 @@ class FilterPoolSet {
   /// Batched tick: PredictAll on every pool, in creation order. Returns
   /// total slots advanced.
   size_t PredictAll();
-
-  /// The decide pass of a shard tick: ObserveStaged on every pool.
-  void ObserveStaged() {
-    for (auto& pool : pools_) pool->ObserveStaged();
-  }
-  void ClearStaged() {
-    for (auto& pool : pools_) pool->ClearStaged();
-  }
 
   size_t num_pools() const { return pools_.size(); }
   /// Pool by creation index (stable; for sweep drivers that chunk across

@@ -258,18 +258,36 @@ void KalmanPredictor::Tick() {
   pool_->PredictSlotUpTo(shadow_slot_, shadow_ticks_);
 }
 
-FilterPoolObservation KalmanPredictor::PrivateObservation(
-    const Reading& measured) const {
+Status KalmanPredictor::ObserveLocal(const Reading& measured) {
+  return Observe(measured, /*distance=*/nullptr);
+}
+
+Status KalmanPredictor::ObserveWithDistance(const Reading& measured,
+                                            double* distance) {
+  if (config_->sync_mode == SyncMode::kMeasurement) {
+    return Predictor::ObserveWithDistance(measured, distance);
+  }
+  return Observe(measured, distance);
+}
+
+Status KalmanPredictor::Observe(const Reading& measured, double* distance) {
+  last_observed_ = measured;
+  if (config_->sync_mode == SyncMode::kMeasurement) return Status::Ok();
+  if (measured.value.size() != config_->model.obs_dim()) {
+    return Status::InvalidArgument("observation dimension mismatch");
+  }
+  EnsurePrivateSlot();
+  ++private_ticks_;
+  pool_->PredictSlotUpTo(private_slot_, private_ticks_);
   FilterPoolObservation obs;
   obs.slot = private_slot_;
+  // In a state-sync mode Target() is H x_private and Predict() H x_shadow.
+  if (distance != nullptr) obs.shadow = shadow_slot_;
   obs.z = measured.value.data().data();
   obs.gate = gate_threshold_;
   obs.gate_limit = config_->outlier_gate_limit;
   obs.adapt = config_->adaptive.has_value();
-  return obs;
-}
-
-Status KalmanPredictor::Account(const FilterPoolObservation& obs) {
+  pool_->Observe(&obs);
   switch (obs.outcome) {
     case ObserveOutcome::kUpdated:
       break;
@@ -284,48 +302,8 @@ Status KalmanPredictor::Account(const FilterPoolObservation& obs) {
           "private filter update failed: innovation covariance not positive "
           "definite");
   }
+  if (distance != nullptr) *distance = obs.err;
   return Status::Ok();
-}
-
-Status KalmanPredictor::ObserveLocal(const Reading& measured) {
-  last_observed_ = measured;
-  if (config_->sync_mode == SyncMode::kMeasurement) return Status::Ok();
-  if (measured.value.size() != config_->model.obs_dim()) {
-    return Status::InvalidArgument("observation dimension mismatch");
-  }
-  EnsurePrivateSlot();
-  ++private_ticks_;
-  pool_->PredictSlotUpTo(private_slot_, private_ticks_);
-  FilterPoolObservation obs = PrivateObservation(measured);
-  pool_->ObserveBatch(&obs, 1);
-  return Account(obs);
-}
-
-bool KalmanPredictor::StageObserve(const Reading& measured,
-                                   FilterPoolSet* pools) {
-  // A pending private slot is kNoSlot too, and measurement sync never
-  // has one.
-  if (pools_ == nullptr || pools_ != pools ||
-      private_slot_ == FilterPool::kNoSlot ||
-      measured.value.size() != config_->model.obs_dim()) {
-    return false;
-  }
-  Tick();
-  last_observed_ = measured;
-  ++private_ticks_;
-  pool_->PredictSlotUpTo(private_slot_, private_ticks_);
-  // The observation reads z from last_observed_, which holds still until
-  // FinishObserve.
-  FilterPoolObservation obs = PrivateObservation(last_observed_);
-  obs.shadow = shadow_slot_;  // The decision distance.
-  staged_index_ = pool_->Stage(obs);
-  return true;
-}
-
-Status KalmanPredictor::FinishObserve(double* err) {
-  const FilterPoolObservation& obs = pool_->staged(staged_index_);
-  *err = obs.err;
-  return Account(obs);
 }
 
 double KalmanPredictor::LastNis() const {

@@ -16,7 +16,6 @@ class Counter;
 
 class FilterPool;
 class FilterPoolSet;
-struct FilterPoolObservation;
 
 /// Olston-style approximate caching — the paper's principal baseline.
 /// The server holds the last shipped value; prediction is constant between
@@ -183,6 +182,10 @@ class KalmanPredictor : public Predictor {
   /// Fails (FailedPrecondition) when the private filter's update fails:
   /// its innovation covariance is not positive definite or not finite.
   Status ObserveLocal(const Reading& measured) override;
+  /// In a state-sync mode the pool's Observe forms the distance
+  /// alongside the update (same bits as the default).
+  Status ObserveWithDistance(const Reading& measured,
+                             double* distance) override;
   Vector Target() const override;
   Vector Predict() const override;
   std::vector<double> EncodeCorrection(const Reading& measured) const override;
@@ -203,18 +206,6 @@ class KalmanPredictor : public Predictor {
   std::string name() const override;
   size_t dims() const override { return config_->model.obs_dim(); }
 
-  /// The batched form of Tick() + ObserveLocal(measured), split in two
-  /// around the pool's ObserveBatch: StageObserve does the tick
-  /// bookkeeping and stages the private filter's observation on its pool
-  /// (FilterPool::Stage); after the pools have run ObserveStaged,
-  /// FinishObserve mirrors the outcome onto the metrics and returns what
-  /// ObserveLocal would, plus the decision distance
-  /// ||Target() - Predict()||_inf in `*err`. Only a predictor on `pools`
-  /// in a state-sync mode whose private slot exists can stage; StageObserve
-  /// returns false, changing nothing, for any other.
-  bool StageObserve(const Reading& measured, FilterPoolSet* pools);
-  Status FinishObserve(double* err);
-
   const Config& config() const { return *config_; }
   /// The pool holding this predictor's slots (nullptr before Init).
   const FilterPool* pool() const { return pool_; }
@@ -234,11 +225,9 @@ class KalmanPredictor : public Predictor {
   /// pending (state-sync modes only).
   void EnsurePrivateSlot();
   void ReleaseSlots();
-  /// The private filter's observation of `measured` for ObserveBatch.
-  FilterPoolObservation PrivateObservation(const Reading& measured) const;
-  /// Mirrors an observation's outcome onto the metrics; fails if the
-  /// update did.
-  Status Account(const FilterPoolObservation& obs);
+  /// ObserveLocal, and the decision distance into `*distance` when it is
+  /// not null (state-sync modes).
+  Status Observe(const Reading& measured, double* distance);
 
   std::shared_ptr<const Config> config_;
   FilterPoolSet* pools_;  ///< The shard's set; null for a private pool.
@@ -255,8 +244,6 @@ class KalmanPredictor : public Predictor {
   double gate_threshold_ = 0.0;  ///< Chi-squared NIS cutoff (0 = no gate).
   int64_t shadow_ticks_ = 0;   ///< Tick() calls since Init.
   int64_t private_ticks_ = 0;  ///< ObserveLocal() calls since Init.
-  /// The pending StageObserve's index in the pool's staged list.
-  size_t staged_index_ = 0;
   /// Reusable payload -> Vector scratch for measurement-sync corrections.
   Vector z_scratch_;
 };

@@ -24,11 +24,12 @@ class MetricRegistry;
 /// produce bit-identical Predict() outputs. Every implementation is pure
 /// and deterministic; all randomness lives in the streams, never here.
 ///
-/// Per-tick usage at the source: Tick(); ObserveLocal(measured); if
-/// |Target() - Predict()| > delta, ship EncodeCorrection() and apply it
-/// locally. At the server: Tick() each tick; apply payloads as they
-/// arrive. Predict() is then always within delta of Target() — the value
-/// the contract protects — on a lossless channel.
+/// Per-tick usage at the source: Tick(); ObserveWithDistance(measured)
+/// (ObserveLocal plus |Target() - Predict()|); if that distance exceeds
+/// delta, ship EncodeCorrection() and apply it locally. At the server:
+/// Tick() each tick; apply payloads as they arrive. Predict() is then
+/// always within delta of Target() — the value the contract protects — on
+/// a lossless channel.
 ///
 /// Target() is the raw measurement for memoryless policies; for the
 /// state-sync Kalman policy it is the client's *filtered* estimate, which
@@ -51,6 +52,17 @@ class Predictor {
   /// reading so Target() can return it.
   virtual Status ObserveLocal(const Reading& measured) {
     last_observed_ = measured;
+    return Status::Ok();
+  }
+
+  /// ObserveLocal(measured), then `*distance` = ||Target() - Predict()||_inf:
+  /// the figure the source's suppression decision compares with delta. A
+  /// policy may override it to produce both in one pass, with the same
+  /// bits as this default.
+  virtual Status ObserveWithDistance(const Reading& measured,
+                                     double* distance) {
+    KC_RETURN_IF_ERROR(ObserveLocal(measured));
+    *distance = MaxAbsDiff(Target(), Predict());
     return Status::Ok();
   }
 

@@ -345,21 +345,21 @@ TEST(ZeroAllocTest, PooledFleetTickSteadyStateIsAllocationFree) {
     slots.push_back(pool.Acquire(i));
     pool.ResetSlot(slots.back(), Vector(2), Matrix::ScalarDiagonal(2, 1.0));
   }
-  // One gated batch over every slot, as a shard's decide pass runs it.
-  std::vector<FilterPool::Observation> batch(kSlots);
+  // A gated observation per slot, as a gated KalmanPredictor makes it.
+  std::vector<FilterPool::Observation> observations(kSlots);
   for (int i = 0; i < kSlots; ++i) {
-    batch[i].slot = slots[i];
-    batch[i].z = zs[i].data().data();
-    batch[i].gate = ChiSquaredQuantile(0.999, 1);
-    batch[i].gate_limit = 3;
+    observations[i].slot = slots[i];
+    observations[i].z = zs[i].data().data();
+    observations[i].gate = ChiSquaredQuantile(0.999, 1);
+    observations[i].gate_limit = 3;
   }
   Rng rng(42);
   double nis_total = 0.0;
   auto tick = [&] {
     for (int i = 0; i < kSlots; ++i) zs[i][0] = rng.Gaussian(0.0, 0.3);
     pool.PredictAll();
-    pool.ObserveBatch(batch.data(), batch.size());
     for (int i = 0; i < kSlots; ++i) {
+      pool.Observe(&observations[i]);
       nis_total += pool.ObservedNisOf(slots[i]);
       (void)pool.UpdateSlot(slots[i], zs[i]);
     }
@@ -409,8 +409,7 @@ TEST(ZeroAllocTest, ParallelVectorizedSweepSteadyStateIsAllocationFree) {
 TEST(ZeroAllocTest, SteppedFleetSteadyStateIsAllocationFree) {
   // A whole fleet tick at the pooled_quiet shape: 2,000 pooled random
   // walks on 8 shards, each tick the sweep, the server ticks, every
-  // channel advance and sample, the staged decide pass and the finish
-  // pass. The bound is wide enough that no source is due a correction
+  // channel advance and sample, and every source's Offer. The bound is wide enough that no source is due a correction
   // (a send allocates its payload by design), so past the INIT tick the
   // step must allocate nothing. One thread: a multi-threaded step can
   // allocate a fresh ThreadPool batch when a straggler worker still holds

@@ -420,8 +420,8 @@ void DrivePoolSimdEquivalence(
         oa.adapt = adaptive.has_value();
         FilterPool::Observation ob = oa;
         ob.slot = b_slots[i];
-        simd_pool.ObserveBatch(&oa, 1);
-        scalar_pool.ObserveBatch(&ob, 1);
+        simd_pool.Observe(&oa);
+        scalar_pool.Observe(&ob);
         ASSERT_EQ(oa.outcome, FilterPool::Outcome::kUpdated);
         ASSERT_EQ(ob.outcome, FilterPool::Outcome::kUpdated);
         ASSERT_EQ(simd_pool.ObservedNisOf(a_slots[i]),

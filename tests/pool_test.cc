@@ -221,10 +221,8 @@ struct AdaptiveTrace {
 };
 
 /// Drives the reference dual filter, a KalmanPredictor on a shared pool
-/// set, one on its private pool, and one whose observations go through
-/// the staged batch (StageObserve, FilterPoolSet::ObserveStaged,
-/// FinishObserve — a shard's decide pass, here with a neighbour staged
-/// ahead of it in the same batch) through an identical history —
+/// set (observing through ObserveWithDistance, as SourceAgent::Offer
+/// does) and one on its private pool through an identical history —
 /// predicts, gated observations (accepts, rejects, and forced-accept
 /// runs), corrections, full syncs, and re-Inits — and asserts every
 /// externally visible value is bit-identical at every tick. With an
@@ -238,20 +236,13 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
   FilterPoolSet pools;
   KalmanPredictor pooled(pools.InternConfig(config), &pools);
   KalmanPredictor standalone(config);
-  FilterPoolSet batch_pools;
-  KalmanPredictor staged(batch_pools.InternConfig(config), &batch_pools);
-  KalmanPredictor neighbour(batch_pools.InternConfig(config), &batch_pools);
   size_t m = config.model.obs_dim();
   ReadingStream stream(m, seed);
-  ReadingStream neighbour_stream(m, seed + 1);
-  int batched = 0;
 
   Reading first = stream.Next();
   object.Init(first);
   pooled.Init(first);
   standalone.Init(first);
-  staged.Init(first);
-  neighbour.Init(neighbour_stream.Next());
 
   const bool adaptive =
       config.adaptive.has_value() &&
@@ -278,38 +269,11 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
       r.value[0] += 50.0;
     }
     object.ObserveLocal(r);
-    ASSERT_TRUE(pooled.ObserveLocal(r).ok());
+    double distance = -1.0;
+    ASSERT_TRUE(pooled.ObserveWithDistance(r, &distance).ok());
     ASSERT_TRUE(standalone.ObserveLocal(r).ok());
-
-    batch_pools.ClearStaged();
-    Reading rn = neighbour_stream.Next();
-    bool neighbour_staged = neighbour.StageObserve(rn, &batch_pools);
-    if (staged.StageObserve(r, &batch_pools)) {
-      ++batched;
-      batch_pools.ObserveStaged();
-      double err = -1.0;
-      ASSERT_TRUE(staged.FinishObserve(&err).ok());
-      EXPECT_EQ(err, MaxAbsDiff(object.Target(), object.Predict()))
-          << "err @" << t;
-    } else {
-      // The first observation, and measurement sync, take the per-object
-      // path.
-      batch_pools.ObserveStaged();
-      staged.Tick();
-      ASSERT_TRUE(staged.ObserveLocal(r).ok());
-    }
-    if (neighbour_staged) {
-      double err = 0.0;
-      ASSERT_TRUE(neighbour.FinishObserve(&err).ok());
-    } else {
-      neighbour.Tick();
-      ASSERT_TRUE(neighbour.ObserveLocal(rn).ok());
-    }
-    ExpectBitEqual(object.Predict(), staged.Predict(), "staged Predict", t);
-    ExpectBitEqual(object.Target(), staged.Target(), "staged Target", t);
-    EXPECT_EQ(object.LastNis(), staged.LastNis()) << "staged NIS @" << t;
-    EXPECT_EQ(object.OutliersRejected(), staged.OutliersRejected())
-        << "staged rejects @" << t;
+    EXPECT_EQ(distance, MaxAbsDiff(object.Target(), object.Predict()))
+        << "distance @" << t;
 
     ExpectBitEqual(object.Predict(), pooled.Predict(), "Predict", t);
     ExpectBitEqual(object.Target(), pooled.Target(), "Target", t);
@@ -365,7 +329,6 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
       ASSERT_TRUE(object.ApplyCorrection(pa).ok());
       ASSERT_TRUE(pooled.ApplyCorrection(r.seq, r.time, pa).ok());
       ASSERT_TRUE(standalone.ApplyCorrection(r.seq, r.time, pa).ok());
-      ASSERT_TRUE(staged.ApplyCorrection(r.seq, r.time, pa).ok());
     }
     if (t % 23 == 0) {
       std::vector<double> fa = object.EncodeFullState();
@@ -375,14 +338,12 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
       ASSERT_TRUE(object.ApplyFullState(fa).ok());
       ASSERT_TRUE(pooled.ApplyFullState(fa).ok());
       ASSERT_TRUE(standalone.ApplyFullState(fa).ok());
-      ASSERT_TRUE(staged.ApplyFullState(fa).ok());
     }
     if (t % 71 == 0) {
       // Re-Init (the agent's re-anchor path): slots are reused in place.
       object.Init(r);
       pooled.Init(r);
       standalone.Init(r);
-      staged.Init(r);
       if (adaptive) {
         // A resync restarts adaptation from the base model on both paths.
         bool moved = !(prev_q == base_q);
@@ -411,14 +372,6 @@ void DriveEquivalence(const KalmanPredictor::Config& config, int ticks,
   // R really adapted (the ticks past warm-up of each re-Init epoch).
   if (adapt_r) {
     EXPECT_GT(r_changes, ticks / 4);
-  }
-  if (config.sync_mode != KalmanPredictor::SyncMode::kMeasurement) {
-    // Every observation but the very first went through the staged batch
-    // (a re-Init resets the private slot in place; only the first
-    // observation materializes it).
-    EXPECT_EQ(batched, ticks - 1);
-  } else {
-    EXPECT_EQ(batched, 0);
   }
   if (config.sync_mode != KalmanPredictor::SyncMode::kMeasurement &&
       config.outlier_gate_prob > 0.0) {
@@ -717,8 +670,8 @@ TEST(PoolEquivalenceTest, Dim9ScalarFallbackMatchesKalmanFilter) {
 
 TEST(FilterPoolTest, FailedUpdateIsReportedAndLeavesTheSlotUntouched) {
   // F = 2 on a variance near DBL_MAX: one time update overflows P to inf,
-  // so S cannot be factored. The batch reports it per slot and leaves that
-  // slot as it was, while its batch neighbour updates normally.
+  // so S cannot be factored. Observe reports it and leaves that slot as
+  // it was, while its neighbour updates normally.
   StateSpaceModel model = MakeRandomWalkModel(0.1, 0.25);
   model.f = Matrix{{2.0}};
   FilterPool pool(model, KalmanFilter::UpdateForm::kJoseph);
@@ -730,20 +683,20 @@ TEST(FilterPoolTest, FailedUpdateIsReportedAndLeavesTheSlotUntouched) {
   const std::vector<double> before = pool.SerializeSlot(bad);
   ASSERT_TRUE(std::isinf(before[1]));
   const Vector z({1.5});
-  std::vector<FilterPool::Observation> batch(2);
-  batch[0].slot = bad;
-  batch[1].slot = good;
-  for (auto& o : batch) {
+  std::vector<FilterPool::Observation> observations(2);
+  observations[0].slot = bad;
+  observations[1].slot = good;
+  for (auto& o : observations) {
     o.z = z.data().data();
     o.shadow = good;
+    pool.Observe(&o);
   }
-  pool.ObserveBatch(batch.data(), batch.size());
-  EXPECT_EQ(batch[0].outcome, FilterPool::Outcome::kFailed);
-  EXPECT_EQ(batch[1].outcome, FilterPool::Outcome::kUpdated);
+  EXPECT_EQ(observations[0].outcome, FilterPool::Outcome::kFailed);
+  EXPECT_EQ(observations[1].outcome, FilterPool::Outcome::kUpdated);
   ExpectBitEqual(pool.SerializeSlot(bad), before, "failed slot", 0);
   EXPECT_EQ(pool.LastNisOf(bad), 0.0);
   EXPECT_GT(pool.LastNisOf(good), 0.0);
-  EXPECT_EQ(batch[1].err, 0.0);  // Its own shadow.
+  EXPECT_EQ(observations[1].err, 0.0);  // Its own shadow.
   Status s = pool.UpdateSlot(bad, z);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s;
 }
@@ -825,22 +778,20 @@ TEST(FilterPoolTest, BatchedSweepMatchesPerSlotPredict) {
   EXPECT_EQ(a.PredictAll(), static_cast<size_t>(kSlots));
   for (int32_t s : slots_b) b.PredictSlot(s);
 
-  // The swept slots gate and update in one batch exactly like the
-  // per-slot ones do in batches of one.
-  std::vector<FilterPool::Observation> batch(kSlots);
+  // The swept slots gate and update exactly like the per-slot ones. A
+  // gate that admits everything still forms and records its NIS.
   for (int i = 0; i < kSlots; ++i) {
-    batch[i].slot = slots_a[i];
-    batch[i].z = zs[i].data().data();
-    batch[i].gate = 1e300;
-    batch[i].gate_limit = 3;
-  }
-  a.ObserveBatch(batch.data(), batch.size());
-  for (int i = 0; i < kSlots; ++i) {
-    FilterPool::Observation one = batch[i];
-    one.slot = slots_b[i];
-    b.ObserveBatch(&one, 1);
-    EXPECT_EQ(batch[i].outcome, FilterPool::Outcome::kUpdated) << i;
-    EXPECT_EQ(one.outcome, FilterPool::Outcome::kUpdated) << i;
+    FilterPool::Observation oa;
+    oa.slot = slots_a[i];
+    oa.z = zs[i].data().data();
+    oa.gate = 1e300;
+    oa.gate_limit = 3;
+    FilterPool::Observation ob = oa;
+    ob.slot = slots_b[i];
+    a.Observe(&oa);
+    b.Observe(&ob);
+    EXPECT_EQ(oa.outcome, FilterPool::Outcome::kUpdated) << i;
+    EXPECT_EQ(ob.outcome, FilterPool::Outcome::kUpdated) << i;
     EXPECT_EQ(a.ObservedNisOf(slots_a[i]), b.ObservedNisOf(slots_b[i])) << i;
   }
   for (int i = 0; i < kSlots; ++i) {

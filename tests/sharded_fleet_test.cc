@@ -19,39 +19,6 @@
 #include "suppression/policies.h"
 
 namespace kc {
-
-/// Step() as it was before StepShard batched the suppression decision:
-/// the same sweep, server tick and audit, but every source advanced,
-/// sampled and decided by its own SourceAgent::Offer, one at a time, on
-/// the driver thread. The oracle for the three-pass shard tick.
-class ShardedFleetTestPeer {
- public:
-  static Status StepPerObject(ShardedFleet& fleet) {
-    fleet.server_.SweepPools();
-    for (size_t index = 0; index < fleet.shards_.size(); ++index) {
-      fleet.server_.TickShard(index, /*run_pool_sweep=*/false);
-      ShardedFleet::Shard& shard = fleet.shards_[index];
-      for (auto& slot : shard.sources) {
-        slot->channel->AdvanceTick();
-        slot->control_channel->AdvanceTick();
-        slot->last_sample = slot->generator->Next();
-        Status s = slot->agent->Offer(slot->last_sample.measured);
-        if (!s.ok() && shard.status.ok()) shard.status = s;
-      }
-      obs::PrecisionAuditor* auditor = fleet.server_.shard_audit(index);
-      if (auditor != nullptr) {
-        int64_t tick = fleet.server_.shard(index).ticks();
-        if (auditor->ShouldSample(tick)) fleet.AuditShard(index, tick);
-      }
-    }
-    ++fleet.ticks_;
-    for (const ShardedFleet::Shard& shard : fleet.shards_) {
-      if (!shard.status.ok()) return shard.status;
-    }
-    return Status::Ok();
-  }
-};
-
 namespace {
 
 KalmanPredictor::Config ScalarKalman(double q = 0.1, double r = 0.25) {
@@ -640,182 +607,6 @@ TEST(ShardedFleetTest, DefaultAdaptivePredictorPooledBitIdenticalToPerObject) {
   }
 }
 
-/// A fleet mixing every kind of source the batched decision must
-/// reproduce: plain, adaptive-Q, adapt_r and gated Kalman filters,
-/// state+covariance and measurement sync, a two-state model and a value
-/// cache — on a faulty uplink (latency, loss, reordering) and downlink,
-/// with recovery, heartbeats, metrics, health, the flight recorder and
-/// the auditor on.
-std::unique_ptr<ShardedFleet> MakeMixedFleet(size_t threads) {
-  ShardedFleet::Config config;
-  config.seed = 4242;
-  config.threads = threads;
-  config.num_shards = 3;
-  config.channel.loss_prob = 0.05;
-  config.channel.latency_ticks = 2;
-  config.channel.faults.reorder_prob = 0.1;
-  config.channel.faults.reorder_max_ticks = 3;
-  config.control_channel.loss_prob = 0.05;
-  config.control_channel.latency_ticks = 1;
-  config.recovery.enabled = true;
-  config.recovery.suspect_after_silent_ticks = 8;
-  config.agent_base.heartbeat_every = 8;
-  config.agent_base.full_sync_every = 5;
-  auto fleet = std::make_unique<ShardedFleet>(config);
-  EXPECT_TRUE(fleet->EnableMetrics().ok());
-  EXPECT_TRUE(fleet->EnableHealth().ok());
-  EXPECT_TRUE(fleet->EnableFlightRecorder(32).ok());
-  obs::AuditConfig audit;
-  audit.sample_every = 3;
-  EXPECT_TRUE(fleet->EnableAudit(audit).ok());
-
-  auto predictor = [](int kind) -> std::unique_ptr<Predictor> {
-    KalmanPredictor::Config kf = ScalarKalman();
-    switch (kind) {
-      case 0:
-        break;
-      case 1:
-        return MakeDefaultKalmanPredictor(0.01, 0.09);
-      case 2:
-        kf.adaptive = AdaptiveConfig{};
-        kf.adaptive->adapt_r = true;
-        kf.adaptive->window = 8;
-        kf.adaptive->warmup = 4;
-        break;
-      case 3:
-        kf.outlier_gate_prob = 0.99;
-        kf.outlier_gate_limit = 3;
-        break;
-      case 4:
-        kf.sync_mode = KalmanPredictor::SyncMode::kStateAndCov;
-        break;
-      case 5:
-        kf.sync_mode = KalmanPredictor::SyncMode::kMeasurement;
-        break;
-      case 6:
-        kf.model = MakeConstantVelocityModel(1.0, 0.05, 0.25);
-        kf.outlier_gate_prob = 0.999;
-        break;
-      default:
-        return std::make_unique<ValueCachePredictor>();
-    }
-    return std::make_unique<KalmanPredictor>(kf);
-  };
-  for (int i = 0; i < 24; ++i) {
-    std::unique_ptr<StreamGenerator> gen;
-    if (i % 3 == 0) {
-      BurstyTrafficGenerator::Config bursty;
-      bursty.burst_start_prob = 0.05;
-      gen = std::make_unique<BurstyTrafficGenerator>(bursty);
-    } else {
-      RandomWalkGenerator::Config walk;
-      walk.start = 1.5 * i;
-      walk.step_sigma = 0.1 + 0.05 * (i % 5);
-      gen = std::make_unique<RandomWalkGenerator>(walk);
-    }
-    fleet->AddSource(std::move(gen), predictor(i % 8),
-                     /*delta=*/0.3 + 0.1 * (i % 4));
-  }
-  return fleet;
-}
-
-/// Everything StepPerObject and Step must agree on after a mixed run.
-struct MixedRun {
-  Fingerprint books;
-  NetworkStats control;
-  std::vector<AgentStats> agents;
-  std::string metrics;
-  std::string recorder;
-  std::string health;
-  std::string audit;
-  int64_t outliers_rejected = 0;
-};
-
-MixedRun RunMixedFleet(size_t threads, bool per_object) {
-  std::unique_ptr<ShardedFleet> fleet = MakeMixedFleet(threads);
-  MixedRun out;
-  for (int t = 0; t < 300; ++t) {
-    if (t % 50 == 25) {
-      // Bound changes ride the (faulty) control downlink.
-      for (int32_t id = 0; id < 24; id += 5) {
-        EXPECT_TRUE(fleet->server().PushBound(id, 0.2 + 0.01 * t).ok());
-      }
-    }
-    Status s = per_object ? ShardedFleetTestPeer::StepPerObject(*fleet)
-                          : fleet->Step();
-    EXPECT_TRUE(s.ok()) << s;
-  }
-  Fingerprint& fp = out.books;
-  for (int32_t id = 0; id < static_cast<int32_t>(fleet->num_sources()); ++id) {
-    auto answer = fleet->server().SourceValue(id);
-    fp.initialized.push_back(answer.ok());
-    fp.values.push_back(answer.ok() ? answer->value[0] : 0.0);
-    fp.bounds.push_back(answer.ok() ? answer->bound : 0.0);
-    out.agents.push_back(fleet->agent(id).stats());
-  }
-  fp.total_messages = fleet->TotalMessages();
-  fp.total_bytes = fleet->TotalBytes();
-  fp.messages_processed = fleet->server().messages_processed();
-  fp.net = fleet->TotalNetworkStats();
-  out.control = fleet->TotalControlNetworkStats();
-  obs::MetricRegistry merged;
-  fleet->MergeMetricsInto(&merged);
-  out.metrics = obs::ExportText(merged, /*include_wall_clock=*/false);
-  out.outliers_rejected =
-      merged.GetCounter("kc.kalman.outliers_rejected")->value();
-  out.recorder = fleet->DumpFlightRecorderText();
-  out.health = fleet->HealthSummaryText();
-  out.audit = fleet->AuditReportText();
-  return out;
-}
-
-TEST(ShardedFleetTest, BatchedDecisionMatchesPerObjectOffer) {
-  // StepShard stages every batchable decision, runs one ObserveBatch per
-  // pool, then finishes in slot order. It must be indistinguishable from
-  // each source running its own Offer: answers, agent stats, both links'
-  // books, and every deterministic export.
-  MixedRun reference = RunMixedFleet(/*threads=*/1, /*per_object=*/true);
-  EXPECT_GT(reference.books.net.messages_dropped, 0);
-  EXPECT_GT(reference.outliers_rejected, 0);
-  AgentStats total;
-  for (const AgentStats& a : reference.agents) {
-    total.corrections += a.corrections;
-    total.full_syncs += a.full_syncs;
-    total.heartbeats += a.heartbeats;
-    total.resyncs_served += a.resyncs_served;
-  }
-  EXPECT_GT(total.corrections, 0);
-  EXPECT_GT(total.full_syncs, 0);
-  EXPECT_GT(total.heartbeats, 0);
-  EXPECT_GT(total.resyncs_served, 0);
-  for (size_t threads : {1u, 4u}) {
-    std::string label = "threads " + std::to_string(threads);
-    MixedRun batched = RunMixedFleet(threads, /*per_object=*/false);
-    ExpectEqualFingerprints(reference.books, batched.books, label);
-    EXPECT_EQ(reference.control.messages_sent, batched.control.messages_sent)
-        << label;
-    EXPECT_EQ(reference.control.messages_delivered,
-              batched.control.messages_delivered)
-        << label;
-    ASSERT_EQ(reference.agents.size(), batched.agents.size());
-    for (size_t id = 0; id < reference.agents.size(); ++id) {
-      const AgentStats& a = reference.agents[id];
-      const AgentStats& b = batched.agents[id];
-      EXPECT_EQ(a.ticks, b.ticks) << label << " source " << id;
-      EXPECT_EQ(a.corrections, b.corrections) << label << " source " << id;
-      EXPECT_EQ(a.full_syncs, b.full_syncs) << label << " source " << id;
-      EXPECT_EQ(a.heartbeats, b.heartbeats) << label << " source " << id;
-      EXPECT_EQ(a.suppressed, b.suppressed) << label << " source " << id;
-      EXPECT_EQ(a.resyncs_served, b.resyncs_served)
-          << label << " source " << id;
-    }
-    EXPECT_EQ(reference.metrics, batched.metrics) << label;
-    EXPECT_EQ(reference.recorder, batched.recorder) << label;
-    EXPECT_EQ(reference.health, batched.health) << label;
-    EXPECT_EQ(reference.audit, batched.audit) << label;
-  }
-}
-
 TEST(ShardedFleetTest, FailedFilterUpdateFailsStepNamingTheSource) {
   // A transition that doubles the state every tick from a variance near
   // DBL_MAX: the private filter's P overflows to inf, so S does not
@@ -841,17 +632,17 @@ TEST(ShardedFleetTest, FailedFilterUpdateFailsStepNamingTheSource) {
   EXPECT_NE(s.message().find("not positive definite"), std::string::npos)
       << s;
 
-  // The same failure reached through the staged decide pass: a huge R
-  // keeps each update from reining P in, so P grows 4x a tick until S
-  // overflows, long after the first (per-object) observation.
-  ShardedFleet staged_fleet(config);
-  AddStandardSources(staged_fleet, 3);
+  // The same failure long after the first observation: a huge R keeps
+  // each update from reining P in, so P grows 4x a tick until S
+  // overflows.
+  ShardedFleet late_fleet(config);
+  AddStandardSources(late_fleet, 3);
   kf.init_var = 1.0;
   kf.model.r = Matrix{{5e307}};
-  bad = staged_fleet.AddSource(std::make_unique<RandomWalkGenerator>(walk),
-                               std::make_unique<KalmanPredictor>(kf), 1.0);
+  bad = late_fleet.AddSource(std::make_unique<RandomWalkGenerator>(walk),
+                             std::make_unique<KalmanPredictor>(kf), 1.0);
   int ok_steps = 0;
-  while (ok_steps < 1000 && (s = staged_fleet.Step()).ok()) ++ok_steps;
+  while (ok_steps < 1000 && (s = late_fleet.Step()).ok()) ++ok_steps;
   EXPECT_GT(ok_steps, 100);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s;
   EXPECT_NE(s.message().find("source " + std::to_string(bad) + ":"),
