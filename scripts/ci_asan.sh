@@ -141,7 +141,10 @@ for line in metrics.splitlines():
     name, _, value = line.partition(" ")
     float(value)
 # Local server rows and the client's rows merged under one namespace.
+# The split server is a ShardedServer, so it exports the same kc.server.*
+# rows as an in-process fleet.
 assert "kc_replica_messages_applied_total" in metrics, metrics[:400]
+assert "kc_server_ticks_total" in metrics, metrics[:400]
 assert "kc_remote_client_agent_decisions_total" in metrics, metrics[:400]
 assert "kc_net_wire_latency_us" in metrics, metrics[:400]
 assert "kc_remote_snapshots_total" in metrics, metrics[:400]

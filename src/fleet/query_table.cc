@@ -1,14 +1,20 @@
-#include "server/query_eval.h"
+#include "fleet/query_table.h"
 
 #include <algorithm>
 
 #include "common/strings.h"
+#include "fleet/sharded_server.h"
 
 namespace kc {
 
-Status ValidateSpecSources(const SourceView& view, const QuerySpec& spec) {
+namespace {
+
+/// Checks that every source a spec references exists on the server and
+/// is scalar (aggregates are defined over scalar sources only).
+Status ValidateSpecSources(const ShardedServer& server,
+                           const QuerySpec& spec) {
   for (int32_t id : spec.sources) {
-    const ServerReplica* replica = view.replica(id);
+    const ServerReplica* replica = server.replica(id);
     if (replica == nullptr) {
       return Status::NotFound(
           StrFormat("query references unknown source %d", id));
@@ -23,14 +29,12 @@ Status ValidateSpecSources(const SourceView& view, const QuerySpec& spec) {
   return Status::Ok();
 }
 
-namespace {
-
 /// Resolves every member of `spec` to its replica handle (null if
 /// unknown), in spec order.
-void ResolveMembers(const SourceView& view, const QuerySpec& spec,
+void ResolveMembers(const ShardedServer& server, const QuerySpec& spec,
                     std::vector<const ServerReplica*>* members) {
   members->clear();
-  for (int32_t id : spec.sources) members->push_back(view.replica(id));
+  for (int32_t id : spec.sources) members->push_back(server.replica(id));
 }
 
 /// How many members ahead of the one being read the pass prefetches.
@@ -97,10 +101,10 @@ Status EvaluateMembers(const QuerySpec& spec,
   return Status::Ok();
 }
 
-StatusOr<QueryResult> EvaluateHistorical(const SourceView& view,
+StatusOr<QueryResult> EvaluateHistorical(const ShardedServer& server,
                                          const QuerySpec& spec,
                                          const std::string& name) {
-  auto archive = view.Archive(spec.sources.front());
+  auto archive = server.Archive(spec.sources.front());
   if (!archive.ok()) return archive.status();
   double from;
   double to;
@@ -108,8 +112,8 @@ StatusOr<QueryResult> EvaluateHistorical(const SourceView& view,
     // LAST n anchors to evaluation time: the most recent n archived
     // ticks. When n exceeds the recorded history the naive
     // ticks - n + 1 goes negative; clamp to the archive's oldest time.
-    to = static_cast<double>(view.ticks());
-    from = static_cast<double>(view.ticks() - *spec.last_ticks + 1);
+    to = static_cast<double>(server.ticks());
+    from = static_cast<double>(server.ticks() - *spec.last_ticks + 1);
     from = std::max(from, (*archive)->oldest_time());
   } else {
     from = *spec.from_time;
@@ -128,14 +132,14 @@ StatusOr<QueryResult> EvaluateHistorical(const SourceView& view,
 
 }  // namespace
 
-StatusOr<QueryResult> EvaluateSpecOn(const SourceView& view,
+StatusOr<QueryResult> EvaluateSpecOn(const ShardedServer& server,
                                      const QuerySpec& spec,
                                      const std::string& name) {
   KC_RETURN_IF_ERROR(spec.Validate());
-  if (spec.IsHistorical()) return EvaluateHistorical(view, spec, name);
+  if (spec.IsHistorical()) return EvaluateHistorical(server, spec, name);
   std::vector<const ServerReplica*> members;
   members.reserve(spec.sources.size());
-  ResolveMembers(view, spec, &members);
+  ResolveMembers(server, spec, &members);
   std::vector<double> values;
   std::vector<double> bounds;
   values.reserve(spec.sources.size());
@@ -146,18 +150,18 @@ StatusOr<QueryResult> EvaluateSpecOn(const SourceView& view,
   return result;
 }
 
-Status QueryTable::Add(const SourceView& view, const std::string& name,
+Status QueryTable::Add(const ShardedServer& server, const std::string& name,
                        QuerySpec spec) {
   KC_RETURN_IF_ERROR(spec.Validate());
   if (entries_.count(name) > 0) {
     return Status::AlreadyExists("query name taken: " + name);
   }
-  KC_RETURN_IF_ERROR(ValidateSpecSources(view, spec));
+  KC_RETURN_IF_ERROR(ValidateSpecSources(server, spec));
   Entry& entry = entries_[name];
   entry.spec = std::move(spec);
   if (!entry.spec.IsHistorical()) {
-    ResolveMembers(view, entry.spec, &entry.members);
-    entry.plan_epoch = view.registration_epoch();
+    ResolveMembers(server, entry.spec, &entry.members);
+    entry.plan_epoch = server.registration_epoch();
     entry.values.reserve(entry.members.size());
     entry.bounds.reserve(entry.members.size());
   }
@@ -171,17 +175,17 @@ Status QueryTable::Remove(const std::string& name) {
   return Status::Ok();
 }
 
-Status QueryTable::EvaluateEntry(const SourceView& view, uint64_t epoch,
+Status QueryTable::EvaluateEntry(const ShardedServer& server, uint64_t epoch,
                                  const std::string& name, const Entry& entry,
                                  QueryResult* result) {
   if (entry.spec.IsHistorical()) {
-    auto historical = EvaluateHistorical(view, entry.spec, name);
+    auto historical = EvaluateHistorical(server, entry.spec, name);
     if (!historical.ok()) return historical.status();
     *result = std::move(*historical);
     return Status::Ok();
   }
   if (entry.plan_epoch != epoch) {
-    ResolveMembers(view, entry.spec, &entry.members);
+    ResolveMembers(server, entry.spec, &entry.members);
     entry.plan_epoch = epoch;
   }
   result->name = name;
@@ -189,25 +193,26 @@ Status QueryTable::EvaluateEntry(const SourceView& view, uint64_t epoch,
                          &entry.bounds, result);
 }
 
-StatusOr<QueryResult> QueryTable::Evaluate(const SourceView& view,
+StatusOr<QueryResult> QueryTable::Evaluate(const ShardedServer& server,
                                            const std::string& name) const {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     return Status::NotFound("unknown query: " + name);
   }
   QueryResult result;
-  KC_RETURN_IF_ERROR(EvaluateEntry(view, view.registration_epoch(), name,
+  KC_RETURN_IF_ERROR(EvaluateEntry(server, server.registration_epoch(), name,
                                    it->second, &result));
   return result;
 }
 
-std::vector<QueryResult> QueryTable::EvaluateAll(const SourceView& view) const {
-  const uint64_t epoch = view.registration_epoch();
+std::vector<QueryResult> QueryTable::EvaluateAll(
+    const ShardedServer& server) const {
+  const uint64_t epoch = server.registration_epoch();
   std::vector<QueryResult> out;
   out.reserve(entries_.size());
   for (const auto& [name, entry] : entries_) {
     QueryResult result;
-    Status status = EvaluateEntry(view, epoch, name, entry, &result);
+    Status status = EvaluateEntry(server, epoch, name, entry, &result);
     if (!status.ok()) {
       result = QueryResult();
       result.name = name + " (error: " + status.ToString() + ")";
@@ -217,19 +222,19 @@ std::vector<QueryResult> QueryTable::EvaluateAll(const SourceView& view) const {
   return out;
 }
 
-std::vector<QueryResult> QueryTable::EvaluateDue(const SourceView& view) {
-  const uint64_t epoch = view.registration_epoch();
+std::vector<QueryResult> QueryTable::EvaluateDue(const ShardedServer& server) {
+  const uint64_t epoch = server.registration_epoch();
   std::vector<QueryResult> out;
   for (auto& [name, entry] : entries_) {
     if (entry.last_due_eval >= 0 &&
-        view.ticks() - entry.last_due_eval < entry.spec.every) {
+        server.ticks() - entry.last_due_eval < entry.spec.every) {
       continue;
     }
     QueryResult result;
     // Unevaluable queries (uninitialized sources) stay due and retry on
     // the next tick rather than silently skipping a period.
-    if (!EvaluateEntry(view, epoch, name, entry, &result).ok()) continue;
-    entry.last_due_eval = view.ticks();
+    if (!EvaluateEntry(server, epoch, name, entry, &result).ok()) continue;
+    entry.last_due_eval = server.ticks();
     out.push_back(std::move(result));
   }
   return out;

@@ -6,13 +6,14 @@
 #include <string>
 #include <vector>
 
-#include "suppression/filter_pool.h"
+#include "fleet/query_table.h"
 #include "fleet/thread_pool.h"
 #include "obs/audit.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "server/server.h"
+#include "suppression/filter_pool.h"
 
 namespace kc {
 
@@ -35,10 +36,10 @@ namespace kc {
 ///    bit-identical for any shard or thread count.
 ///
 /// This is the only query server: the continuous-query registry lives
-/// here, evaluated against the merged SourceView, so a single query may
-/// span sources on any subset of shards. One shard (the default) is the
+/// here, evaluated against the merged view (fleet/query_table.h), so a
+/// single query may span sources on any subset of shards. One shard (the default) is the
 /// plain single-threaded server.
-class ShardedServer : public SourceView {
+class ShardedServer {
  public:
   explicit ShardedServer(size_t num_shards = 1);
 
@@ -104,15 +105,15 @@ class ShardedServer : public SourceView {
   // --- Merged reads (call after the tick barrier) ---
 
   StatusOr<BoundedAnswer> SourceValue(int32_t source_id) const;
-  const ServerReplica* replica(int32_t source_id) const override;
+  const ServerReplica* replica(int32_t source_id) const;
   bool IsStale(int32_t source_id) const;
   bool IsDesynced(int32_t source_id) const;
-  StatusOr<const TickArchive*> Archive(int32_t source_id) const override;
+  StatusOr<const TickArchive*> Archive(int32_t source_id) const;
   /// The merged stream clock. All shards tick together, so this is shard
   /// 0's clock.
-  int64_t ticks() const override;
+  int64_t ticks() const;
   /// The sum of the shards' epochs: any shard's (un)registration moves it.
-  uint64_t registration_epoch() const override;
+  uint64_t registration_epoch() const;
 
   StatusOr<QueryResult> HistoricalAggregate(int32_t source_id,
                                             AggregateKind kind, double t0,

@@ -1,12 +1,13 @@
 #include "server/split_deploy.h"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 #include <thread>
 #include <utility>
 
 #include "common/strings.h"
+#include "fleet/pool.h"
+#include "fleet/sharded_server.h"
 #include "net/transport.h"
 #include "obs/export.h"
 #include "obs/http_exporter.h"
@@ -266,19 +267,14 @@ StatusOr<SplitServerReport> RunSplitServer(
   if (!control_or.ok()) return control_or.status();
   std::unique_ptr<SocketChannel> control = std::move(control_or).value();
 
-  std::vector<std::unique_ptr<ServerReplica>> replicas;
-  for (int32_t id = 0; id < config.num_sources; ++id) {
-    auto replica = std::make_unique<ServerReplica>(id, make_predictor(id));
-    if (config.recovery.enabled) replica->SetRecovery(config.recovery);
-    replica->SetControlSender([&control](const Message& msg) {
-      Status s = control->Send(msg);
-      (void)s;  // Backoff retries; a torn control link ends the run below.
-    });
-    replicas.push_back(std::move(replica));
-  }
+  // One shard: the whole server half runs on this thread, ticked per
+  // barrier. Answers are bit-identical for any shard count.
+  ShardedServer server;
+  if (config.recovery.enabled) server.SetRecovery(config.recovery);
+  server.SetControlSink(
+      [&control](const Message& msg) { return control->Send(msg); });
   // --- Telemetry plane (server half) ---
   const bool telemetry = config.telemetry_every > 0;
-  obs::MetricRegistry registry;
   obs::RemoteTelemetryMerger::Options merger_options;
   merger_options.type_name = [](uint8_t type) {
     return std::string(MessageTypeName(static_cast<MessageType>(type)));
@@ -286,11 +282,23 @@ StatusOr<SplitServerReport> RunSplitServer(
   obs::RemoteTelemetryMerger merger(std::move(merger_options));
   std::unique_ptr<obs::TelemetryHttpServer> http;
   if (telemetry) {
-    uplink->BindMetrics(&registry);
-    control->BindMetrics(&registry);
-    for (auto& replica : replicas) replica->BindMetrics(&registry);
-    merger.BindMetrics(&registry);
+    // Before the first source, so every replica binds to its shard arena
+    // and the shard exports the same kc.server.* rows as in-process.
+    KC_RETURN_IF_ERROR(server.EnableMetrics());
+    uplink->BindMetrics(server.driver_metrics());
+    control->BindMetrics(server.driver_metrics());
+    merger.BindMetrics(server.driver_metrics());
     if (config.trace) obs::SetTracingEnabled(true);
+  }
+  // Kalman replicas move onto their shard's filter pools, as in-process
+  // (ShardedFleet::AddSource), so the pool sweep advances them each tick.
+  for (int32_t id = 0; id < config.num_sources; ++id) {
+    std::unique_ptr<Predictor> predictor = make_predictor(id);
+    if (auto pooled = MakePooledPredictor(
+            *predictor, server.shard_pools(server.ShardOf(id)))) {
+      predictor = std::move(pooled);
+    }
+    KC_RETURN_IF_ERROR(server.RegisterSource(id, std::move(predictor)));
   }
   if (telemetry && config.http_port >= 0) {
     obs::TelemetryHttpServer::Config http_config;
@@ -304,7 +312,9 @@ StatusOr<SplitServerReport> RunSplitServer(
   // scrape covers both processes.
   auto publish = [&] {
     if (http == nullptr) return;
-    http->PublishMetrics(merger.MergedRows(registry.Rows()));
+    obs::MetricRegistry local;
+    server.MergeMetricsInto(&local);
+    http->PublishMetrics(merger.MergedRows(local.Rows()));
     std::string body = StrFormat(
         "server: snapshots=%lld offset_us=%lld\n",
         static_cast<long long>(merger.snapshots_absorbed()),
@@ -335,13 +345,25 @@ StatusOr<SplitServerReport> RunSplitServer(
   // Black-box pull trigger: a replica asking for a resync means the
   // protocol saw loss or divergence — exactly when the client-side
   // decision history is worth having. One pull per observed increase.
-  std::vector<int64_t> resyncs_seen(replicas.size(), 0);
+  std::vector<int64_t> resyncs_seen(static_cast<size_t>(config.num_sources),
+                                    0);
 
-  uplink->SetReceiver([&](const Message& msg) {
-    if (msg.source_id < 0 ||
-        msg.source_id >= static_cast<int32_t>(replicas.size())) {
-      return;
+  // Delivered frames wait here until the next barrier's Tick(), so every
+  // replica ticks into a tick before it applies that tick's messages, as
+  // in-process. The loop below drains the socket between barriers, and
+  // once the client has the previous ack it may already be sending the
+  // next tick's datagrams: applied on arrival, a correction would be
+  // predicted one tick too far.
+  std::vector<Message> arrived;
+  auto apply_arrived = [&] {
+    for (const Message& msg : arrived) {
+      // Unknown source ids come back NotFound and are dropped;
+      // CORRECTION-before-INIT is expected under real loss.
+      (void)server.OnMessage(msg);
     }
+    arrived.clear();
+  };
+  uplink->SetReceiver([&](const Message& msg) {
     // Arrival time on the local steady clock, at delivery — the join key
     // for the client's send log (one-way latency = arrival - rebased
     // send).
@@ -349,29 +371,27 @@ StatusOr<SplitServerReport> RunSplitServer(
       merger.RecordArrival(msg.flow_id, static_cast<uint8_t>(msg.type),
                            obs::TraceNowNs());
     }
-    Status s = replicas[static_cast<size_t>(msg.source_id)]->OnMessage(msg);
-    (void)s;  // CORRECTION-before-INIT is expected under real loss.
+    arrived.push_back(msg);
   });
 
-  int64_t ticks = 0;
   control->SetTickSink([&](int64_t tick) {
     // Barrier semantics: every datagram of `tick` was sent before the
     // barrier. Tick the replica clocks into `tick`, then apply what the
     // wire has delivered; stragglers apply next barrier (the wire_seq
     // guard keeps ordering honest). The echoed barrier acknowledges the
     // tick — the client's flow-control window.
-    for (auto& replica : replicas) replica->Tick();
+    server.Tick();
     uplink->Poll(/*timeout_ms=*/1);
-    ++ticks;
+    apply_arrived();
     Status s = control->SendTickBarrier(tick);
     (void)s;  // A torn link surfaces via peer_closed below.
     if (telemetry) {
-      for (size_t i = 0; i < replicas.size(); ++i) {
-        int64_t resyncs = replicas[i]->resyncs_requested();
-        if (resyncs > resyncs_seen[i]) {
-          resyncs_seen[i] = resyncs;
-          Status rs =
-              control->SendBlackboxRequest(static_cast<int64_t>(i));
+      for (int32_t id = 0; id < config.num_sources; ++id) {
+        int64_t resyncs = server.replica(id)->resyncs_requested();
+        int64_t& seen = resyncs_seen[static_cast<size_t>(id)];
+        if (resyncs > seen) {
+          seen = resyncs;
+          Status rs = control->SendBlackboxRequest(id);
           (void)rs;
         }
       }
@@ -386,15 +406,17 @@ StatusOr<SplitServerReport> RunSplitServer(
   if (!control->last_error().ok()) return control->last_error();
   // Grace drain: the client's last datagrams may still be in flight.
   for (int i = 0; i < 20; ++i) uplink->Poll(/*timeout_ms=*/10);
+  apply_arrived();
 
   SplitServerReport report;
   report.uplink = uplink->stats();
   report.control = control->stats();
-  report.ticks = ticks;
+  report.ticks = server.ticks();
   report.frames_rejected = uplink->frames_rejected();
   double sum = 0.0;
   int32_t valued = 0;
-  for (const auto& replica : replicas) {
+  for (int32_t id = 0; id < config.num_sources; ++id) {
+    const ServerReplica* replica = server.replica(id);
     if (!replica->initialized()) continue;
     ++report.initialized;
     report.resyncs_requested += replica->resyncs_requested();

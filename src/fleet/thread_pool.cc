@@ -39,29 +39,25 @@ void ThreadPool::ParallelFor(size_t n, FuncRef body) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  std::shared_ptr<Batch> batch;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Recycle the previous batch unless a straggler worker still holds
-    // it (holders tracks threads inside RunItems, so holders == 0 means
-    // nobody can touch the old fields again without re-reading batch_
-    // under this mutex). Stragglers that wake after the swap grab the
-    // *current* batch and legitimately steal its items.
-    if (batch_ == nullptr || batch_->holders != 0) {
-      batch_ = std::make_shared<Batch>();
-    }
-    batch_->body = body;
-    batch_->n = n;
-    batch_->next.store(0, std::memory_order_relaxed);
-    batch_->completed = 0;
-    batch_->holders = 1;  // The driver.
+    std::unique_lock<std::mutex> lock(mu_);
+    // Wait out stragglers of the previous batch: a worker that woke late
+    // holds it until its fetch_add finds the index space exhausted.
+    // holders counts threads inside RunItems, so holders == 0 means no
+    // thread can touch the old fields again without re-reading them under
+    // this mutex, after the new generation is published.
+    done_cv_.wait(lock, [this] { return batch_.holders == 0; });
+    batch_.body = body;
+    batch_.n = n;
+    batch_.next.store(0, std::memory_order_relaxed);
+    batch_.completed = 0;
+    batch_.holders = 1;  // The driver.
     ++generation_;
-    batch = batch_;
   }
   work_cv_.notify_all();
-  RunItems(batch);
+  RunItems();
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return batch->completed == batch->n; });
+  done_cv_.wait(lock, [&] { return batch_.completed == n; });
 }
 
 void ThreadPool::ParallelForRanges(size_t n, RangeFuncRef body) {
@@ -79,7 +75,6 @@ void ThreadPool::ParallelForRanges(size_t n, RangeFuncRef body) {
 void ThreadPool::WorkerLoop() {
   uint64_t seen_generation = 0;
   for (;;) {
-    std::shared_ptr<Batch> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
@@ -87,31 +82,30 @@ void ThreadPool::WorkerLoop() {
       });
       if (shutdown_) return;
       seen_generation = generation_;
-      batch = batch_;
-      ++batch->holders;
+      ++batch_.holders;
     }
-    RunItems(batch);
+    RunItems();
   }
 }
 
-void ThreadPool::RunItems(const std::shared_ptr<Batch>& batch) {
+void ThreadPool::RunItems() {
   const ThreadPool* prev = t_running_pool;
   t_running_pool = this;
-  // n and body are stable while holders > 0: the driver only resets a
+  // n and body are stable while holders > 0: the driver only resets the
   // batch after observing holders == 0 under mu_, and this thread
   // incremented holders under mu_ before reading them.
-  const size_t n = batch->n;
-  const FuncRef body = batch->body;
+  const size_t n = batch_.n;
+  const FuncRef body = batch_.body;
   for (;;) {
-    size_t i = batch->next.fetch_add(1);
+    size_t i = batch_.next.fetch_add(1);
     if (i >= n) break;
     body(i);
     std::lock_guard<std::mutex> lock(mu_);
-    if (++batch->completed == n) done_cv_.notify_all();
+    if (++batch_.completed == n) done_cv_.notify_all();
   }
   t_running_pool = prev;
   std::lock_guard<std::mutex> lock(mu_);
-  --batch->holders;
+  if (--batch_.holders == 0) done_cv_.notify_all();
 }
 
 }  // namespace kc

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -74,10 +73,8 @@ class RangeFuncRef {
 /// sequentially — correct and deterministic, though without additional
 /// parallelism.
 ///
-/// Steady-state ParallelFor is allocation-free: the batch control block
-/// is recycled across calls (a fresh one is allocated only on first use,
-/// or in the rare window where a straggler worker still holds the
-/// previous one), and FuncRef carries the body without copying it.
+/// ParallelFor never allocates: the pool owns one batch control block,
+/// reused by every call, and FuncRef carries the body without copying it.
 class ThreadPool {
  public:
   /// Deterministic chunking for range sweeps: ParallelForRanges splits
@@ -126,11 +123,9 @@ class ThreadPool {
   size_t threads() const { return workers_.size() + 1; }
 
  private:
-  /// One fork/join batch. Shared with the workers so a straggler waking
-  /// up late sees a monotonically exhausted index space of the *old*
-  /// batch instead of stealing items from the next one; recycled for the
-  /// next batch once no thread holds it (holders == 0), which keeps the
-  /// steady state allocation-free.
+  /// One fork/join batch. A straggler that joined the previous batch late
+  /// sees its exhausted index space, never the next batch's items: the
+  /// driver resets the batch only once no thread holds it (holders == 0).
   struct Batch {
     FuncRef body;
     size_t n = 0;
@@ -140,15 +135,15 @@ class ThreadPool {
   };
 
   void WorkerLoop();
-  void RunItems(const std::shared_ptr<Batch>& batch);
+  void RunItems();
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  std::shared_ptr<Batch> batch_;  ///< Guarded by mu_.
-  uint64_t generation_ = 0;       ///< Guarded by mu_.
-  bool shutdown_ = false;         ///< Guarded by mu_.
+  Batch batch_;
+  uint64_t generation_ = 0;  ///< Guarded by mu_.
+  bool shutdown_ = false;    ///< Guarded by mu_.
 };
 
 }  // namespace kc

@@ -147,22 +147,9 @@ void TelemetryHttpServer::PublishHealthz(bool healthy, std::string body) {
   healthz_body_ = std::move(body);
 }
 
-void TelemetryHttpServer::PublishAudit(std::string json) {
-  std::lock_guard<std::mutex> lock(mu_);
-  audit_json_ = std::move(json);
-  has_audit_doc_ = false;
-}
-
 void TelemetryHttpServer::PublishAuditDoc(AuditDoc doc) {
   std::lock_guard<std::mutex> lock(mu_);
-  audit_json_ = doc.full;
   audit_doc_ = std::move(doc);
-  has_audit_doc_ = true;
-}
-
-void TelemetryHttpServer::PublishTimeseries(std::string json) {
-  std::lock_guard<std::mutex> lock(mu_);
-  timeseries_json_ = std::move(json);
 }
 
 void TelemetryHttpServer::SetTimeseriesSource(const TimeSeriesStore* store) {
@@ -202,8 +189,8 @@ TelemetryHttpServer::Response TelemetryHttpServer::Handle(
   } else if (path == "/audit") {
     r.content_type = "application/json";
     std::string prefix = QueryParam(query, "prefix");
-    if (prefix.empty() || !has_audit_doc_) {
-      r.body = audit_json_.empty() ? "{}" : audit_json_;
+    if (prefix.empty() || audit_doc_.full.empty()) {
+      r.body = audit_doc_.full.empty() ? "{}" : audit_doc_.full;
     } else {
       // Reassemble a scoped document from the published pieces: the head
       // fragment plus only the "source.<id>" / "query.<name>" entries
@@ -231,14 +218,12 @@ TelemetryHttpServer::Response TelemetryHttpServer::Handle(
     }
   } else if (path == "/timeseries") {
     r.content_type = "application/json";
-    if (timeseries_source_ != nullptr) {
-      // Live source: render per request, honoring ?prefix=. ExportJson
-      // takes the store's own mutex; the store is documented readable by
-      // endpoints between captures.
-      r.body = timeseries_source_->ExportJson(QueryParam(query, "prefix"));
-    } else {
-      r.body = timeseries_json_.empty() ? "{}" : timeseries_json_;
-    }
+    // Render per request, honoring ?prefix=. ExportJson takes the
+    // store's own mutex; the store is documented readable by endpoints
+    // between captures.
+    r.body = timeseries_source_ == nullptr
+                 ? "{}"
+                 : timeseries_source_->ExportJson(QueryParam(query, "prefix"));
   } else {
     r.status = 404;
     r.content_type = "text/plain; charset=utf-8";

@@ -31,10 +31,10 @@ namespace obs {
 ///                 otherwise (so probes need no body parsing).
 ///   /audit        the published precision-audit report (JSON).
 ///                 `?prefix=source.` / `?prefix=query.` scopes the
-///                 sources/queries arrays when an AuditDoc is published.
-///   /timeseries   the published windowed time-series (JSON).
-///                 `?prefix=kc.agent.` scopes to a series-name prefix
-///                 when a TimeSeriesStore source is attached.
+///                 sources/queries arrays.
+///   /timeseries   the attached windowed time-series store (JSON),
+///                 rendered per request. `?prefix=kc.agent.` scopes to a
+///                 series-name prefix.
 ///
 /// Publish-snapshot model: the simulation's driver thread — after its
 /// tick barrier, where the merged view is consistent — *publishes*
@@ -77,20 +77,14 @@ class TelemetryHttpServer {
   void PublishMetrics(std::vector<MetricRow> rows);
   /// Replaces the /healthz snapshot. `healthy` selects 200 vs 503.
   void PublishHealthz(bool healthy, std::string body);
-  /// Replaces the /audit JSON snapshot (unscoped: `?prefix=` is ignored
-  /// without the structured doc below).
-  void PublishAudit(std::string json);
   /// Replaces the /audit snapshot with a structured doc, enabling
   /// `?prefix=source.<id>` / `?prefix=query.<name>` scoped scrapes.
   void PublishAuditDoc(AuditDoc doc);
-  /// Replaces the /timeseries JSON snapshot.
-  void PublishTimeseries(std::string json);
 
   /// Attaches a live TimeSeriesStore as the /timeseries backend, enabling
   /// per-request `?prefix=` scoping. The store is internally locked and
   /// documented for endpoint reads between captures; it must outlive this
-  /// server (or be detached with nullptr first). Takes precedence over
-  /// PublishTimeseries.
+  /// server (or be detached with nullptr first).
   void SetTimeseriesSource(const TimeSeriesStore* store);
 
   /// Requests answered so far (any status).
@@ -124,10 +118,7 @@ class TelemetryHttpServer {
   std::vector<MetricRow> metric_rows_;
   bool healthy_ = true;
   std::string healthz_body_;
-  std::string audit_json_;
   AuditDoc audit_doc_;
-  bool has_audit_doc_ = false;
-  std::string timeseries_json_;
   const TimeSeriesStore* timeseries_source_ = nullptr;
 };
 

@@ -317,9 +317,5 @@ Status DecodeSnapshot(const uint8_t* data, size_t size,
   return Status::Ok();
 }
 
-std::vector<MetricRow> SnapshotRows(const MetricRegistry& registry) {
-  return registry.Rows();
-}
-
 }  // namespace obs
 }  // namespace kc

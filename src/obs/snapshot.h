@@ -106,11 +106,6 @@ void EncodeSnapshot(const TelemetrySnapshot& snapshot,
 Status DecodeSnapshot(const uint8_t* data, size_t size,
                       TelemetrySnapshot* out);
 
-/// Convenience: a snapshot row set from a registry (every row), as the
-/// fleet's single-process self-merge uses. Split clients prefer
-/// changed-row deltas (see server/split_deploy.cc).
-std::vector<MetricRow> SnapshotRows(const MetricRegistry& registry);
-
 }  // namespace obs
 }  // namespace kc
 

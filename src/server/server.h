@@ -11,10 +11,19 @@
 #include "net/message.h"
 #include "server/archive.h"
 #include "server/query.h"
-#include "server/query_eval.h"
 #include "suppression/replica.h"
 
 namespace kc {
+
+/// A source's current bounded answer.
+struct BoundedAnswer {
+  Vector value;
+  double bound = 0.0;
+  int64_t last_heard_seq = -1;
+  /// True while the replica is quarantined (suspected desync): `bound` is
+  /// already widened by the quarantine factor.
+  bool degraded = false;
+};
 
 namespace obs {
 class Counter;

@@ -27,10 +27,12 @@ namespace kc {
 ///    server keep the two processes' stream clocks lockstep.
 ///
 /// The client drives the clock: each tick it offers every source's
-/// reading, then sends a tick barrier. The server ticks its replicas per
-/// barrier and applies whatever the uplink delivered. Closing the TCP
-/// connection ends the run; the server drains a short grace window and
-/// reports.
+/// reading, then sends a tick barrier. The server half is a one-shard
+/// ShardedServer (fleet/sharded_server.h; implemented in kc_fleet): it
+/// ticks once per barrier and applies whatever the uplink delivered, so
+/// it answers exactly what an in-process ShardedFleet answers. Closing
+/// the TCP connection ends the run; the server drains a short grace
+/// window and reports.
 ///
 /// Byte-accounting parity: the client's uplink SentLine() and the
 /// server's uplink DeliveredLine() are comparable, string for string,

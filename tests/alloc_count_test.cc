@@ -409,14 +409,13 @@ TEST(ZeroAllocTest, ParallelVectorizedSweepSteadyStateIsAllocationFree) {
 TEST(ZeroAllocTest, SteppedFleetSteadyStateIsAllocationFree) {
   // A whole fleet tick at the pooled_quiet shape: 2,000 pooled random
   // walks on 8 shards, each tick the sweep, the server ticks, every
-  // channel advance and sample, and every source's Offer. The bound is wide enough that no source is due a correction
-  // (a send allocates its payload by design), so past the INIT tick the
-  // step must allocate nothing. One thread: a multi-threaded step can
-  // allocate a fresh ThreadPool batch when a straggler worker still holds
-  // the last one, which is the pool's business, not the tick's.
-  {
+  // channel advance and sample, and every source's Offer. The bound is
+  // wide enough that no source is due a correction (a send allocates its
+  // payload by design), so past the INIT tick the step must allocate
+  // nothing, on one thread and on four (the pool's fork/join included).
+  for (size_t threads : {1, 4}) {
     ShardedFleet::Config config;
-    config.threads = 1;
+    config.threads = threads;
     config.num_shards = 8;
     ShardedFleet fleet(config);
     KalmanPredictor::Config kf;
@@ -430,8 +429,8 @@ TEST(ZeroAllocTest, SteppedFleetSteadyStateIsAllocationFree) {
     }
     ASSERT_TRUE(fleet.Run(5).ok());  // INITs, first observations, warm-up.
     long before = AllocCount();
-    ASSERT_TRUE(fleet.Run(100).ok());
-    EXPECT_EQ(AllocCount() - before, 0);
+    ASSERT_TRUE(fleet.Run(1000).ok());
+    EXPECT_EQ(AllocCount() - before, 0) << "threads=" << threads;
     EXPECT_EQ(fleet.TotalMessages(), 2000);  // The INITs only.
   }
 }

@@ -171,15 +171,17 @@ TEST(HttpExporterTest, AuditAndTimeseriesRoutesServePublishedJson) {
   EXPECT_EQ(Get(server.port(), "/audit").body, "{}");
   EXPECT_EQ(Get(server.port(), "/timeseries").body, "{}");
 
-  server.PublishAudit("{\"totals\":{\"samples\":10}}");
-  server.PublishTimeseries("{\"capacity\":64,\"series\":[]}");
+  AuditDoc doc;
+  doc.full = "{\"totals\":{\"samples\":10}}";
+  server.PublishAuditDoc(doc);
+  TimeSeriesStore store;
+  server.SetTimeseriesSource(&store);
   HttpResponse audit = Get(server.port(), "/audit");
   EXPECT_EQ(audit.status, 200);
   EXPECT_NE(audit.headers.find("Content-Type: application/json"),
             std::string::npos);
   EXPECT_EQ(audit.body, "{\"totals\":{\"samples\":10}}");
-  EXPECT_EQ(Get(server.port(), "/timeseries").body,
-            "{\"capacity\":64,\"series\":[]}");
+  EXPECT_EQ(Get(server.port(), "/timeseries").body, store.ExportJson());
 }
 
 TEST(HttpExporterTest, AuditPrefixScopesSourcesAndQueries) {
@@ -210,10 +212,6 @@ TEST(HttpExporterTest, AuditPrefixScopesSourcesAndQueries) {
   EXPECT_EQ(Get(server.port(), "/audit?prefix=source.9").body,
             "{\"config\":{},\"totals\":{\"samples\":9},"
             "\"sources\":[],\"queries\":[]}");
-  // Plain PublishAudit drops back to whole-document-only behavior.
-  server.PublishAudit("{\"totals\":{\"samples\":10}}");
-  EXPECT_EQ(Get(server.port(), "/audit?prefix=source.").body,
-            "{\"totals\":{\"samples\":10}}");
 }
 
 TEST(HttpExporterTest, TimeseriesPrefixScopesLiveStore) {

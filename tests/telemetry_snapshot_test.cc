@@ -139,7 +139,7 @@ TEST(SnapshotCodecTest, LiveRegistryRoundTripsRowForRow) {
   h->Record(1e9);  // Overflow bucket.
 
   TelemetrySnapshot snap;
-  snap.rows = SnapshotRows(registry);
+  snap.rows = registry.Rows();
   std::vector<uint8_t> bytes;
   EncodeSnapshot(snap, &bytes);
   TelemetrySnapshot decoded;

@@ -765,6 +765,36 @@ TEST(FleetSocketSeamTest, ShardedFleetBooksMatchSimulatedBackend) {
 // agree exactly on a lossless loopback.
 // ---------------------------------------------------------------------------
 
+struct SplitRun {
+  StatusOr<SplitClientReport> client = Status::Internal("not run");
+  StatusOr<SplitServerReport> server = Status::Internal("not run");
+};
+
+/// Runs both split halves over loopback, the server on its own thread.
+SplitRun RunSplitPair(const SplitConfig& config,
+                      const GeneratorFactory& make_generator,
+                      const PredictorFactory& make_predictor) {
+  SplitRun run;
+  std::thread server(
+      [&] { run.server = RunSplitServer(config, make_predictor); });
+  // The server needs a moment to listen; connection-refused retries are
+  // harmless (the client fails before sending anything).
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    run.client = RunSplitClient(config, make_generator, make_predictor);
+    if (run.client.ok()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  server.join();
+  return run;
+}
+
+std::unique_ptr<StreamGenerator> SplitWalk(int32_t id) {
+  RandomWalkGenerator::Config walk;
+  walk.start = 5.0 * id;
+  walk.step_sigma = 0.25;
+  return std::make_unique<RandomWalkGenerator>(walk);
+}
+
 TEST(SplitDeployTest, ClientAndServerBooksAgreeOverLoopback) {
   SplitConfig config;
   config.host = "127.0.0.1";
@@ -776,40 +806,24 @@ TEST(SplitDeployTest, ClientAndServerBooksAgreeOverLoopback) {
   config.agent_base.full_sync_every = 16;
   config.accept_timeout_ms = 10000;
 
-  auto make_generator = [](int32_t id) -> std::unique_ptr<StreamGenerator> {
-    RandomWalkGenerator::Config walk;
-    walk.start = 5.0 * id;
-    walk.step_sigma = 0.25;
-    return std::make_unique<RandomWalkGenerator>(walk);
-  };
   auto make_predictor = [](int32_t) -> std::unique_ptr<Predictor> {
     return std::make_unique<KalmanPredictor>(TestKalman());
   };
 
-  StatusOr<SplitServerReport> server_report = Status::Internal("not run");
-  std::thread server([&] {
-    server_report = RunSplitServer(config, make_predictor);
-  });
-  // The server needs a moment to listen; connection-refused retries are
-  // harmless (the client fails before sending anything).
-  StatusOr<SplitClientReport> client_report = Status::Internal("not run");
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    client_report = RunSplitClient(config, make_generator, make_predictor);
-    if (client_report.ok()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  server.join();
-  ASSERT_TRUE(client_report.ok()) << client_report.status();
-  ASSERT_TRUE(server_report.ok()) << server_report.status();
+  SplitRun run = RunSplitPair(config, SplitWalk, make_predictor);
+  ASSERT_TRUE(run.client.ok()) << run.client.status();
+  ASSERT_TRUE(run.server.ok()) << run.server.status();
+  const SplitClientReport& client_report = *run.client;
+  const SplitServerReport& server_report = *run.server;
 
-  EXPECT_EQ(server_report->ticks, 60);
-  EXPECT_EQ(server_report->initialized, 3);
-  EXPECT_EQ(server_report->frames_rejected, 0);
-  EXPECT_GT(client_report->uplink.messages_sent, 0);
+  EXPECT_EQ(server_report.ticks, 60);
+  EXPECT_EQ(server_report.initialized, 3);
+  EXPECT_EQ(server_report.frames_rejected, 0);
+  EXPECT_GT(client_report.uplink.messages_sent, 0);
   // Lossless loopback under lockstep flow control: delivery books equal
   // send books, count for count and byte for byte, per type.
-  const NetworkStats& sent = client_report->uplink;
-  const NetworkStats& got = server_report->uplink;
+  const NetworkStats& sent = client_report.uplink;
+  const NetworkStats& got = server_report.uplink;
   EXPECT_EQ(sent.messages_sent, got.messages_delivered);
   EXPECT_EQ(sent.bytes_sent, got.bytes_delivered);
   for (size_t i = 0; i < kNumMessageTypes; ++i) {
@@ -817,6 +831,71 @@ TEST(SplitDeployTest, ClientAndServerBooksAgreeOverLoopback) {
     EXPECT_EQ(sent.by_type_bytes_sent[i], got.by_type_bytes_delivered[i])
         << "type " << i;
   }
+}
+
+// The split server answers exactly what the in-process fleet answers: the
+// same seed, agent config, bounds, generators and predictors over a
+// lossless loopback leave every replica in the same state, so the mean
+// answer agrees to the bit.
+TEST(SplitDeployTest, ServerAnswersMatchInProcessFleet) {
+  SplitConfig config;
+  config.host = "127.0.0.1";
+  config.port = 39118;
+  config.ticks = 80;
+  config.num_sources = 5;
+  config.seed = 7;
+  config.deltas = {0.3, 0.4, 0.5, 0.6, 0.7};
+  config.agent_base.heartbeat_every = 5;
+  config.agent_base.full_sync_every = 16;
+  config.accept_timeout_ms = 10000;
+  // Drifting sources under a state-sync constant-velocity Kalman
+  // predictor: every replica tick moves the answer, so it depends on the
+  // tick count and on where each correction lands relative to the tick.
+  auto make_generator = [](int32_t id) -> std::unique_ptr<StreamGenerator> {
+    LinearDriftGenerator::Config drift;
+    drift.start = 2.0 * id;
+    drift.slope = 0.1 + 0.05 * id;
+    drift.wobble_sigma = 0.1;
+    return std::make_unique<LinearDriftGenerator>(drift);
+  };
+  auto make_predictor = [](int32_t) -> std::unique_ptr<Predictor> {
+    KalmanPredictor::Config kf;
+    kf.model = MakeConstantVelocityModel(1.0, 0.01, 0.05);
+    return std::make_unique<KalmanPredictor>(kf);
+  };
+
+  SplitRun run = RunSplitPair(config, make_generator, make_predictor);
+  ASSERT_TRUE(run.client.ok()) << run.client.status();
+  ASSERT_TRUE(run.server.ok()) << run.server.status();
+  ASSERT_EQ(run.server->uplink.messages_delivered,
+            run.client->uplink.messages_sent);
+
+  ShardedFleet::Config fleet_config;
+  fleet_config.seed = config.seed;
+  fleet_config.agent_base = config.agent_base;
+  ShardedFleet fleet(fleet_config);
+  for (int32_t id = 0; id < config.num_sources; ++id) {
+    fleet.AddSource(make_generator(id), make_predictor(id),
+                    config.deltas[static_cast<size_t>(id)]);
+  }
+  ASSERT_TRUE(fleet.Run(config.ticks).ok());
+
+  int32_t initialized = 0;
+  double sum = 0.0;
+  for (int32_t id = 0; id < config.num_sources; ++id) {
+    const ServerReplica* replica = fleet.server().replica(id);
+    ASSERT_NE(replica, nullptr);
+    if (!replica->initialized()) continue;
+    ++initialized;
+    sum += replica->Value()[0];
+  }
+  ASSERT_GT(initialized, 0);
+  EXPECT_EQ(run.server->initialized, initialized);
+  EXPECT_EQ(run.server->ticks, fleet.server().ticks());
+  // Bit-equal, not near: the same operations in the same order.
+  EXPECT_EQ(run.server->mean_value, sum / initialized);
+  EXPECT_EQ(run.client->uplink.SentLine(),
+            fleet.TotalNetworkStats().SentLine());
 }
 
 }  // namespace
