@@ -28,8 +28,10 @@ cmake --build "$BUILD_DIR" -j \
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "$BUILD_DIR"/tests/thread_pool_test
 # sharded_fleet_test includes the ParallelFor re-entrancy regression
-# (nested ParallelFor on the worker threads) and the swept-vs-private-pool
-# fleet runs under threads.
+# (nested ParallelFor on the worker threads), the swept-vs-private-pool
+# fleet runs under threads, and the shard-link delivery-order pin: one
+# uplink and one control link per shard, delayed, reordering and lossy,
+# with resync requests crossing them from 4 workers.
 "$BUILD_DIR"/tests/sharded_fleet_test
 # Per-shard filter pools are single-writer by construction; the pooled
 # fleet runs above plus this suite's ShardedServer id-reuse test check

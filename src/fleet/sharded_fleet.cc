@@ -26,14 +26,15 @@ ShardedFleet::ShardedFleet(Config config)
       server_(ResolveShards(config)),
       shards_(ResolveShards(config)),
       pool_(std::max<size_t>(config.threads, 1)) {
-  // Control downlink: route SET_BOUND pushes to the addressed source's
-  // control channel. Driver thread only (PushBound between Steps).
+  // Control downlink: route SET_BOUND pushes (driver thread, between
+  // Steps) and replica RESYNC_REQUESTs (the owning shard's worker) to the
+  // addressed source's control link.
   server_.SetControlSink([this](const Message& msg) -> Status {
     auto idx = static_cast<size_t>(msg.source_id);
     if (idx >= by_id_.size()) {
       return Status::NotFound("control message for unknown source");
     }
-    return by_id_[idx]->control_channel->Send(msg);
+    return by_id_[idx]->control->Send(msg);
   });
   if (config_.recovery.enabled) server_.SetRecovery(config_.recovery);
   if (!config_.simd) server_.SetSimdEnabled(false);
@@ -64,20 +65,18 @@ int32_t ShardedFleet::AddSource(std::unique_ptr<StreamGenerator> generator,
   slot->generator = std::move(generator);
   slot->generator->Reset(SourceGeneratorSeed(config_.seed, id));
 
-  Channel::Config channel_config = config_.channel;
-  channel_config.seed = SourceUplinkSeed(config_.seed, id);
-  slot->channel = config_.uplink_factory
-                      ? config_.uplink_factory(id, channel_config)
-                      : std::make_unique<Channel>(channel_config);
   // The uplink delivers straight into the owning shard's StreamServer, so
   // a shard worker's sends never cross shard boundaries.
   StreamServer* shard_server = &server_.shard(shard_index);
-  slot->channel->SetReceiver([shard_server](const Message& msg) {
-    // A lossy link can lose the INIT, so the replica legitimately rejects
-    // the CORRECTIONs that outlive it (healed by re-INIT when recovery is
-    // on) — not a programming error.
-    (void)shard_server->OnMessage(msg);
-  });
+  Channel* uplink = AttachLink(
+      &Shard::uplinks, config_.uplink_factory, config_.channel,
+      SourceUplinkSeed(config_.seed, id), id, shard_index,
+      [shard_server](const Message& msg) {
+        // A lossy link can lose the INIT, so the replica legitimately
+        // rejects the CORRECTIONs that outlive it (healed by re-INIT when
+        // recovery is on) — not a programming error.
+        (void)shard_server->OnMessage(msg);
+      });
 
   Status reg = server_.RegisterSource(id, predictor->Clone());
   assert(reg.ok());
@@ -86,20 +85,17 @@ int32_t ShardedFleet::AddSource(std::unique_ptr<StreamGenerator> generator,
   AgentConfig agent_config = config_.agent_base;
   agent_config.delta = delta;
   slot->agent = std::make_unique<SourceAgent>(id, std::move(predictor),
-                                              agent_config,
-                                              slot->channel.get());
+                                              agent_config, uplink);
 
-  Channel::Config control_config = config_.control_channel;
-  control_config.seed = SourceControlSeed(config_.seed, id);
-  slot->control_channel = config_.control_factory
-                              ? config_.control_factory(id, control_config)
-                              : std::make_unique<Channel>(control_config);
-  SourceAgent* agent = slot->agent.get();
-  slot->control_channel->SetReceiver([agent](const Message& msg) {
-    Status s = agent->OnControl(msg);
-    assert(s.ok());
-    (void)s;
-  });
+  slot->control = AttachLink(
+      &Shard::controls, config_.control_factory, config_.control_channel,
+      SourceControlSeed(config_.seed, id), id, shard_index,
+      [this](const Message& msg) {
+        // Demuxed by source id, like the split client's control link. A
+        // refused message is counted in the agent's control_rejected.
+        auto idx = static_cast<size_t>(msg.source_id);
+        if (idx < by_id_.size()) by_id_[idx]->agent->OnControl(msg);
+      });
 
   WireSlot(slot.get(), shard_index);
 
@@ -108,10 +104,29 @@ int32_t ShardedFleet::AddSource(std::unique_ptr<StreamGenerator> generator,
   return id;
 }
 
+Channel* ShardedFleet::AttachLink(Links Shard::*links,
+                                  const Config::ChannelFactory& factory,
+                                  const Channel::Config& config, uint64_t seed,
+                                  int32_t id, size_t shard_index,
+                                  Channel::Receiver receiver) {
+  Links& owned = shards_[shard_index].*links;
+  if (factory || owned.empty()) {
+    Channel::Config own = config;
+    own.seed = seed;
+    owned.push_back(factory ? factory(id, own)
+                            : std::make_unique<Channel>(config));
+    owned.back()->SetReceiver(std::move(receiver));
+    if (obs::MetricRegistry* arena = server_.shard_metrics(shard_index)) {
+      owned.back()->BindMetrics(arena);
+    }
+  }
+  // A factory-made link is the source's own, drawing from its own seed.
+  if (!factory) owned[0]->AddSource(id, seed);
+  return owned.back().get();
+}
+
 void ShardedFleet::WireSlot(SourceSlot* slot, size_t shard_index) {
   if (obs::MetricRegistry* arena = server_.shard_metrics(shard_index)) {
-    slot->channel->BindMetrics(arena);
-    slot->control_channel->BindMetrics(arena);
     slot->agent->BindMetrics(arena);
   }
   obs::FlightRecorder* recorder = server_.shard_recorder(shard_index);
@@ -196,11 +211,14 @@ void ShardedFleet::StepShard(size_t index) {
   KC_TRACE_SCOPE("fleet.step_shard");
   server_.TickShard(index, /*run_pool_sweep=*/false);
   Shard& shard = shards_[index];
+  // In-flight deliveries, once per link: the uplinks, then the control
+  // links, so delayed SET_BOUND / RESYNC_REQUEST traffic reaches the
+  // agents before this tick's offers. Sources share no state, and nothing
+  // sent this tick is due before the next, so delivering every source's
+  // traffic before any offer is the per-source interleaving exactly.
+  for (auto& link : shard.uplinks) link->AdvanceTick();
+  for (auto& link : shard.controls) link->AdvanceTick();
   for (auto& slot : shard.sources) {
-    slot->channel->AdvanceTick();
-    // Control downlink advances with the uplink so delayed SET_BOUND /
-    // RESYNC_REQUEST traffic reaches the agent before this tick's Offer.
-    slot->control_channel->AdvanceTick();
     slot->last_sample = slot->generator->Next();
     Status s = slot->agent->Offer(slot->last_sample.measured);
     if (!s.ok() && shard.status.ok()) shard.status = s;
@@ -276,45 +294,28 @@ Status ShardedFleet::Run(size_t ticks) {
   return Status::Ok();
 }
 
-int64_t ShardedFleet::MessagesOf(int32_t id) const {
-  const SourceSlot* slot = by_id_[id];
-  return slot->channel->stats().messages_sent -
-         slot->agent->stats().heartbeats;
-}
-
 int64_t ShardedFleet::TotalMessages() const {
-  int64_t total = 0;
-  for (const SourceSlot* slot : by_id_) {
-    total += slot->channel->stats().messages_sent;
-  }
-  return total;
+  return TotalNetworkStats().messages_sent;
 }
 
 int64_t ShardedFleet::TotalBytes() const {
-  int64_t total = 0;
-  for (const SourceSlot* slot : by_id_) {
-    total += slot->channel->stats().bytes_sent;
-  }
-  return total;
+  return TotalNetworkStats().bytes_sent;
 }
 
 NetworkStats ShardedFleet::TotalNetworkStats() const {
-  return MergedStats(&SourceSlot::channel);
+  return MergedStats(&Shard::uplinks);
 }
 
 NetworkStats ShardedFleet::TotalControlNetworkStats() const {
-  return MergedStats(&SourceSlot::control_channel);
+  return MergedStats(&Shard::controls);
 }
 
-NetworkStats ShardedFleet::MergedStats(
-    std::unique_ptr<Channel> SourceSlot::*link) const {
+NetworkStats ShardedFleet::MergedStats(Links Shard::*links) const {
   NetworkStats merged;
-  // Merge shard by shard, id order within each shard: deterministic, and
-  // int64 sums are order-independent anyway.
+  // Shard order, link order within a shard: deterministic, and int64
+  // sums are order-independent anyway.
   for (const Shard& shard : shards_) {
-    for (const auto& slot : shard.sources) {
-      merged.Merge((slot.get()->*link)->stats());
-    }
+    for (const auto& link : shard.*links) merged.Merge(link->stats());
   }
   return merged;
 }

@@ -20,14 +20,16 @@ namespace kc {
 /// feeding a ShardedServer, partitioned into shards driven in parallel by
 /// a persistent worker pool.
 ///
-/// Each shard exclusively owns its sources' generators, agents, uplink
-/// and control channels, and its ShardedServer shard (replicas +
-/// archives) — including every RNG stream those components draw from. A
-/// Step() runs one worker per shard: the shard's server tick, its
-/// channels' in-flight deliveries, its generators' samples, and its
-/// agents' suppression decisions, with zero cross-shard traffic. The
-/// ParallelFor join is the barrier; queries, stats, and archives are then
-/// read from the merged view on the driver thread.
+/// Each shard exclusively owns its sources' generators and agents, one
+/// uplink and one control link shared by all of them (each source keeps
+/// its own draw stream on a lossy or faulty link, see Channel::AddSource),
+/// and its ShardedServer shard (replicas + archives) — including every RNG
+/// stream those components draw from. A Step() runs one worker per shard:
+/// the shard's server tick, its links' in-flight deliveries, its
+/// generators' samples, and its agents' suppression decisions, with zero
+/// cross-shard traffic. The ParallelFor join is the barrier; queries,
+/// stats, and archives are then read from the merged view on the driver
+/// thread.
 ///
 /// Determinism contract: every RNG seed derives from (config.seed,
 /// source id) alone — see SourceGeneratorSeed and friends in
@@ -43,9 +45,9 @@ class ShardedFleet {
     AgentConfig agent_base;  ///< delta is overridden per source.
     Channel::Config channel;
     /// Server -> source downlink (SET_BOUND, RESYNC_REQUEST answers ride
-    /// the uplink; only the requests themselves travel here). The seed is
-    /// overridden per source, so downlink faults are as deterministic as
-    /// uplink ones.
+    /// the uplink; only the requests themselves travel here). On both
+    /// links the seed is overridden per source, so downlink faults are as
+    /// deterministic as uplink ones.
     Channel::Config control_channel;
     /// Loss-tolerant replica recovery, applied to every shard when
     /// enabled (see ReplicaRecoveryConfig).
@@ -67,13 +69,13 @@ class ShardedFleet {
     /// off — pinned by tests/batch_kernels_test.cc — so purely a bench/CI
     /// knob.
     bool simd = true;
-    /// Transport seam: when set, every source's uplink channel comes from
-    /// this factory instead of `new Channel(config)` — e.g. a socket
-    /// backend (net/transport.h) so the fleet's traffic crosses a real
-    /// wire. The factory receives the per-source config (seed already
-    /// derived); the fleet wires the receiver and metrics exactly as for
-    /// a simulated channel, so NetworkStats books stay comparable across
-    /// backends (pinned by tests/transport_test.cc).
+    /// Transport seam: when set, every source gets an uplink channel of
+    /// its own from this factory instead of a lane on its shard's link —
+    /// e.g. a socket backend (net/transport.h) so the fleet's traffic
+    /// crosses a real wire. The factory receives the per-source config
+    /// (seed already derived); the fleet wires the receiver and metrics
+    /// exactly as for a simulated link, so NetworkStats books stay
+    /// comparable across backends (pinned by tests/transport_test.cc).
     using ChannelFactory = std::function<std::unique_ptr<Channel>(
         int32_t id, const Channel::Config& config)>;
     ChannelFactory uplink_factory;
@@ -125,13 +127,16 @@ class ShardedFleet {
   /// Data messages this source has sent so far: every uplink send except
   /// heartbeats (INIT, re-INITs, corrections, full syncs) — RunLink's
   /// LinkReport::messages for one source of the fleet.
-  int64_t MessagesOf(int32_t id) const;
+  int64_t MessagesOf(int32_t id) const {
+    const SourceAgent& a = *by_id_[id]->agent;
+    return a.messages_sent() - a.stats().heartbeats;
+  }
 
   int64_t TotalMessages() const;
   int64_t TotalBytes() const;
 
-  /// Shard-local uplink NetworkStats merged on read (driver thread, after
-  /// the barrier): the fleet-wide sent/delivered/dropped/bytes/per-type
+  /// The shards' uplink books merged on read (driver thread, after the
+  /// barrier): the fleet-wide sent/delivered/dropped/bytes/per-type
   /// accounting the overhead experiments report.
   NetworkStats TotalNetworkStats() const;
   /// The same merge over the server -> source control downlinks
@@ -148,9 +153,9 @@ class ShardedFleet {
   // order.
 
   /// Turns on per-shard metric arenas (ShardedServer::EnableMetrics): every
-  /// source's uplink, control channel, and agent record into its owning
-  /// shard's arena. Also registers the wall-clock kc.fleet.step_latency_us
-  /// histogram on the driver arena.
+  /// shard's uplink and control link, and every agent, record into the
+  /// owning shard's arena. Also registers the wall-clock
+  /// kc.fleet.step_latency_us histogram on the driver arena.
   Status EnableMetrics();
   bool metrics_enabled() const { return server_.metrics_enabled(); }
 
@@ -227,26 +232,40 @@ class ShardedFleet {
   struct SourceSlot {
     int32_t id = 0;
     std::unique_ptr<StreamGenerator> generator;
-    std::unique_ptr<Channel> channel;          ///< Uplink: source -> server.
-    std::unique_ptr<Channel> control_channel;  ///< Downlink: server -> source.
+    Channel* control = nullptr;  ///< Downlink: server -> source.
     std::unique_ptr<SourceAgent> agent;
     Sample last_sample;
     obs::SourceAudit* audit = nullptr;  ///< Shard auditor entry (or null).
   };
 
+  using Links = std::vector<std::unique_ptr<Channel>>;
+
   /// One shard's exclusively-owned simulation state. `sources` is kept in
   /// id order so a shard's work is independent of AddSource interleaving.
   struct Shard {
+    /// One shared link each (from the first source on), or with a factory
+    /// one link per source.
+    Links uplinks;
+    Links controls;
     std::vector<std::unique_ptr<SourceSlot>> sources;
     Status status;  ///< Sticky first error seen by this shard's worker.
   };
 
   void StepShard(size_t index);
-  /// Merges one link of every source (uplink or control downlink).
-  NetworkStats MergedStats(std::unique_ptr<Channel> SourceSlot::*link) const;
-  /// Binds a new slot's channels, agent and audit entry to whatever its
-  /// shard's observability bundle holds; called once, from AddSource,
-  /// after the replica's registration.
+  /// Hands source `id` its end of one link kind: a lane (seeded `seed`) on
+  /// its shard's shared link, built from `config` with the shard's first
+  /// source, or a link of its own from `factory`. A new link gets
+  /// `receiver` and binds to the shard's arena.
+  Channel* AttachLink(Links Shard::*links,
+                      const Config::ChannelFactory& factory,
+                      const Channel::Config& config, uint64_t seed,
+                      int32_t id, size_t shard_index,
+                      Channel::Receiver receiver);
+  /// Merges one link kind's books across shards (uplink or control).
+  NetworkStats MergedStats(Links Shard::*links) const;
+  /// Binds a new slot's agent and audit entry to whatever its shard's
+  /// observability bundle holds; called once, from AddSource, after the
+  /// replica's registration.
   void WireSlot(SourceSlot* slot, size_t shard_index);
   /// One shard's audit pass: samples every initialized source at `tick`
   /// (shard worker, inside the step — single writer, allocation-free).

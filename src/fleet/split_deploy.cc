@@ -60,9 +60,9 @@ StatusOr<SplitClientReport> RunSplitClient(
   if (!control_or.ok()) return control_or.status();
   std::unique_ptr<SocketChannel> control = std::move(control_or).value();
 
-  // All agents share the one uplink socket; the aggregate books it keeps
-  // are exactly the merge a simulated fleet computes over its per-source
-  // channels.
+  // All agents share the one uplink socket, as a simulated fleet's sources
+  // share their shard's link; its books are exactly the merge the fleet
+  // computes over its shard links.
   std::vector<std::unique_ptr<StreamGenerator>> generators;
   std::vector<std::unique_ptr<SourceAgent>> agents;
   for (int32_t id = 0; id < config.num_sources; ++id) {
@@ -80,8 +80,9 @@ StatusOr<SplitClientReport> RunSplitClient(
         msg.source_id >= static_cast<int32_t>(agents.size())) {
       return;  // Not ours; a real deployment would log and drop.
     }
-    Status s = agents[static_cast<size_t>(msg.source_id)]->OnControl(msg);
-    (void)s;
+    // A refused message (TCP input from the server) is counted in the
+    // agent's control_rejected.
+    agents[static_cast<size_t>(msg.source_id)]->OnControl(msg);
   });
   // Flow control: the server echoes each tick barrier once it has
   // processed the tick, and this loop runs at most one unacknowledged

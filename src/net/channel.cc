@@ -1,6 +1,8 @@
 #include "net/channel.h"
 
+#include <optional>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "common/strings.h"
@@ -84,68 +86,176 @@ std::string NetworkStats::DeliveredLine() const {
                    by_type_bytes_delivered);
 }
 
+/// Arena counter handles and the books they mirror.
+struct Channel::Book {
+  /// Cached at bind time so the hot path performs no registry lookups.
+  struct Metrics {
+    obs::Counter* messages_sent = nullptr;
+    obs::Counter* messages_delivered = nullptr;
+    obs::Counter* messages_dropped = nullptr;
+    obs::Counter* bytes_sent = nullptr;
+    obs::Counter* bytes_delivered = nullptr;
+    obs::Counter* sent_by_type[kNumMessageTypes] = {};
+    obs::Counter* delivered_by_type[kNumMessageTypes] = {};
+    obs::Counter* dropped_by_type[kNumMessageTypes] = {};
+    obs::Counter* bytes_sent_by_type[kNumMessageTypes] = {};
+    obs::Counter* bytes_delivered_by_type[kNumMessageTypes] = {};
+    /// kc.net.faults.* — registered only when faults are configured, the
+    /// only links on which fault events happen.
+    obs::Counter* duplicates = nullptr;
+    obs::Counter* reorders = nullptr;
+    obs::Counter* burst_drops = nullptr;
+    obs::Counter* partition_drops = nullptr;
+  };
+
+  /// Counts one fault event in `stat` and its kc.net.faults.* mirror.
+  void CountFault(int64_t NetworkStats::*stat, obs::Counter* Metrics::*mirror) {
+    ++(stats.*stat);
+    if (metrics != nullptr) (metrics.get()->*mirror)->Inc();
+  }
+
+  NetworkStats stats;
+  std::unique_ptr<Metrics> metrics;  ///< Null until BindMetrics.
+};
+
+namespace {
+
+/// True if a send can consume randomness or be partitioned: the only
+/// configs that need a per-source draw stream.
+bool CanDraw(const Channel::Config& c) {
+  return c.loss_prob > 0.0 || c.faults.any_enabled();
+}
+
+/// One source's draw stream: its loss and fault dice, and the link tick
+/// at which its own clock started (partition windows are scheduled on
+/// the source's ticks).
+struct Lane {
+  Rng rng;
+  int64_t start;
+  bool in_burst = false;  ///< Gilbert–Elliott chain state.
+};
+
+}  // namespace
+
+/// Everything a link needs only when it can draw or delay.
+struct Channel::DrawState {
+  struct Pending {
+    int64_t due_tick;
+    const Lane* lane;  ///< Null on a link that cannot draw.
+    Message msg;
+  };
+
+  explicit DrawState(const Config& c) : config(c) {
+    if (CanDraw(config)) own.emplace(Rng(config.seed), 0);
+  }
+
+  /// The stream `source_id`'s messages draw from; null when the config
+  /// cannot draw.
+  Lane* LaneFor(int32_t source_id) {
+    auto it = lanes.find(source_id);
+    if (it != lanes.end()) return &it->second;
+    return own.has_value() ? &*own : nullptr;
+  }
+  /// True if `lane`'s source is inside a partition window now.
+  bool Partitioned(const Lane* lane) const {
+    return lane != nullptr && config.faults.InPartition(now - lane->start);
+  }
+
+  Config config;
+  int64_t now = 0;
+  std::optional<Lane> own;
+  std::unordered_map<int32_t, Lane> lanes;  ///< Sources sharing the link.
+  std::vector<Pending> pending;             ///< In send order.
+  std::vector<Message> due;                 ///< DeliverDue scratch.
+};
+
 Channel::Channel() : Channel(Config()) {}
 
-Channel::Channel(Config config)
-    : config_(config), rng_(config.seed), injector_(config.faults) {}
+Channel::Channel(Config config) {
+  if (CanDraw(config) || config.latency_ticks > 0) {
+    draw_ = std::make_unique<DrawState>(config);
+  }
+}
+
+Channel::~Channel() = default;
+
+void Channel::AddSource(int32_t source_id, uint64_t seed) {
+  if (draw_ == nullptr || !CanDraw(draw_->config)) return;
+  draw_->lanes.try_emplace(source_id, Rng(seed), draw_->now);
+}
+
+size_t Channel::in_flight() const {
+  return draw_ != nullptr ? draw_->pending.size() : 0;
+}
+
+const NetworkStats& Channel::stats() const {
+  static const NetworkStats kNoTraffic;
+  return book_ != nullptr ? book_->stats : kNoTraffic;
+}
+
+Channel::Book& Channel::book() {
+  if (book_ == nullptr) book_ = std::make_unique<Book>();
+  return *book_;
+}
 
 void Channel::BindMetrics(obs::MetricRegistry* registry) {
   if (registry == nullptr) {
-    metrics_bound_ = false;
+    if (book_ != nullptr) book_->metrics.reset();
     return;
   }
-  metrics_.messages_sent = registry->GetCounter("kc.net.messages_sent");
-  metrics_.messages_delivered =
-      registry->GetCounter("kc.net.messages_delivered");
-  metrics_.messages_dropped = registry->GetCounter("kc.net.messages_dropped");
-  metrics_.bytes_sent = registry->GetCounter("kc.net.bytes_sent");
-  metrics_.bytes_delivered = registry->GetCounter("kc.net.bytes_delivered");
+  auto m = std::make_unique<Book::Metrics>();
+  m->messages_sent = registry->GetCounter("kc.net.messages_sent");
+  m->messages_delivered = registry->GetCounter("kc.net.messages_delivered");
+  m->messages_dropped = registry->GetCounter("kc.net.messages_dropped");
+  m->bytes_sent = registry->GetCounter("kc.net.bytes_sent");
+  m->bytes_delivered = registry->GetCounter("kc.net.bytes_delivered");
   for (size_t i = 0; i < kNumMessageTypes; ++i) {
     const char* type = MessageTypeName(static_cast<MessageType>(i));
-    metrics_.sent_by_type[i] =
+    m->sent_by_type[i] =
         registry->GetCounter(StrFormat("kc.net.sent.%s", type));
-    metrics_.delivered_by_type[i] =
+    m->delivered_by_type[i] =
         registry->GetCounter(StrFormat("kc.net.delivered.%s", type));
-    metrics_.dropped_by_type[i] =
+    m->dropped_by_type[i] =
         registry->GetCounter(StrFormat("kc.net.dropped.%s", type));
-    metrics_.bytes_sent_by_type[i] =
+    m->bytes_sent_by_type[i] =
         registry->GetCounter(StrFormat("kc.net.bytes_sent.%s", type));
-    metrics_.bytes_delivered_by_type[i] =
+    m->bytes_delivered_by_type[i] =
         registry->GetCounter(StrFormat("kc.net.bytes_delivered.%s", type));
   }
-  if (config_.faults.any_enabled()) {
+  if (draw_ != nullptr && draw_->config.faults.any_enabled()) {
     // Registered only on channels with a fault model, so fault-free
     // deployments export exactly the pre-fault metric inventory.
-    metrics_.duplicates = registry->GetCounter("kc.net.faults.duplicates");
-    metrics_.reorders = registry->GetCounter("kc.net.faults.reorders");
-    metrics_.burst_drops = registry->GetCounter("kc.net.faults.burst_drops");
-    metrics_.partition_drops =
-        registry->GetCounter("kc.net.faults.partition_drops");
+    m->duplicates = registry->GetCounter("kc.net.faults.duplicates");
+    m->reorders = registry->GetCounter("kc.net.faults.reorders");
+    m->burst_drops = registry->GetCounter("kc.net.faults.burst_drops");
+    m->partition_drops = registry->GetCounter("kc.net.faults.partition_drops");
   }
-  metrics_bound_ = true;
+  book().metrics = std::move(m);
 }
 
 void Channel::ChargeDrop(size_t type) {
-  ++stats_.messages_dropped;
-  ++stats_.by_type_dropped[type];
-  if (metrics_bound_) {
-    metrics_.messages_dropped->Inc();
-    metrics_.dropped_by_type[type]->Inc();
+  Book& b = book();
+  ++b.stats.messages_dropped;
+  ++b.stats.by_type_dropped[type];
+  if (b.metrics != nullptr) {
+    b.metrics->messages_dropped->Inc();
+    b.metrics->dropped_by_type[type]->Inc();
   }
 }
 
 void Channel::AccountSend(const Message& msg) {
+  Book& b = book();
   size_t type = static_cast<size_t>(msg.type);
   int64_t bytes = static_cast<int64_t>(msg.SizeBytes());
-  ++stats_.messages_sent;
-  stats_.bytes_sent += bytes;
-  ++stats_.by_type_sent[type];
-  stats_.by_type_bytes_sent[type] += bytes;
-  if (metrics_bound_) {
-    metrics_.messages_sent->Inc();
-    metrics_.bytes_sent->Inc(bytes);
-    metrics_.sent_by_type[type]->Inc();
-    metrics_.bytes_sent_by_type[type]->Inc(bytes);
+  ++b.stats.messages_sent;
+  b.stats.bytes_sent += bytes;
+  ++b.stats.by_type_sent[type];
+  b.stats.by_type_bytes_sent[type] += bytes;
+  if (b.metrics != nullptr) {
+    b.metrics->messages_sent->Inc();
+    b.metrics->bytes_sent->Inc(bytes);
+    b.metrics->sent_by_type[type]->Inc();
+    b.metrics->bytes_sent_by_type[type]->Inc(bytes);
   }
 }
 
@@ -158,41 +268,49 @@ Status Channel::Send(const Message& msg) {
   if (!receiver_) {
     return Status::FailedPrecondition("channel has no receiver");
   }
-  size_t type = static_cast<size_t>(msg.type);
   AccountSend(msg);
-  if (config_.faults.InPartition(now_)) {
-    // The link is severed: the datagram vanishes. (In-flight messages
-    // queued before the window opened are held, not dropped — see
-    // AdvanceTick.) No RNG draw: partitions are schedule-driven.
-    ++stats_.partition_drops;
-    if (metrics_.partition_drops != nullptr) metrics_.partition_drops->Inc();
-    ChargeDrop(type);
+  if (draw_ == nullptr) {
+    Deliver(msg);
     return Status::Ok();
   }
-  SendFaults faults = injector_.OnSend(rng_);
-  if (faults.burst_drop) {
-    ++stats_.burst_drops;
-    if (metrics_.burst_drops != nullptr) metrics_.burst_drops->Inc();
-    ChargeDrop(type);
-    return Status::Ok();
-  }
-  if (config_.loss_prob > 0.0 && rng_.Bernoulli(config_.loss_prob)) {
-    ChargeDrop(type);
-    return Status::Ok();  // Silently lost, as on a real datagram link.
+  DrawState& d = *draw_;
+  Book& b = *book_;
+  size_t type = static_cast<size_t>(msg.type);
+  Lane* lane = d.LaneFor(msg.source_id);
+  SendFaults faults;
+  if (lane != nullptr) {
+    if (d.Partitioned(lane)) {
+      // The link is severed: the datagram vanishes. (In-flight messages
+      // queued before the window opened are held, not dropped — see
+      // AdvanceTick.) No RNG draw: partitions are schedule-driven.
+      b.CountFault(&NetworkStats::partition_drops,
+                   &Book::Metrics::partition_drops);
+      ChargeDrop(type);
+      return Status::Ok();
+    }
+    faults = RollFaults(d.config.faults, lane->rng, &lane->in_burst);
+    if (faults.burst_drop) {
+      b.CountFault(&NetworkStats::burst_drops, &Book::Metrics::burst_drops);
+      ChargeDrop(type);
+      return Status::Ok();
+    }
+    if (d.config.loss_prob > 0.0 && lane->rng.Bernoulli(d.config.loss_prob)) {
+      ChargeDrop(type);
+      return Status::Ok();  // Silently lost, as on a real datagram link.
+    }
   }
   if (faults.duplicate) {
-    ++stats_.messages_duplicated;
-    if (metrics_.duplicates != nullptr) metrics_.duplicates->Inc();
+    b.CountFault(&NetworkStats::messages_duplicated,
+                 &Book::Metrics::duplicates);
   }
   if (faults.extra_delay > 0) {
-    ++stats_.messages_reordered;
-    if (metrics_.reorders != nullptr) metrics_.reorders->Inc();
+    b.CountFault(&NetworkStats::messages_reordered, &Book::Metrics::reorders);
   }
-  int64_t delay = config_.latency_ticks + faults.extra_delay;
+  int64_t delay = d.config.latency_ticks + faults.extra_delay;
   int copies = faults.duplicate ? 2 : 1;
   for (int c = 0; c < copies; ++c) {
     if (delay > 0) {
-      pending_.push_back({now_ + delay, msg});
+      d.pending.push_back({d.now + delay, lane, msg});
     } else {
       Deliver(msg);
     }
@@ -201,45 +319,51 @@ Status Channel::Send(const Message& msg) {
 }
 
 void Channel::AdvanceTick() {
-  ++now_;
-  // Partition window: the receiving side is unreachable, so nothing
-  // delivers; due messages stay in flight and drain on the first tick
-  // after the window closes.
-  if (config_.faults.InPartition(now_)) return;
+  if (draw_ == nullptr) return;
+  ++draw_->now;
   DeliverDue();
 }
 
 void Channel::DeliverDue() {
-  if (pending_.empty()) return;
-  // With reordering, due ticks are not monotone along the queue: collect
-  // every due message in send order (stable), keep the rest. Delivery
-  // happens after the scan so a receiver that triggers further sends
-  // never sees a half-updated queue.
+  DrawState& d = *draw_;
+  if (d.pending.empty()) return;
+  // With reordering, due ticks are not monotone along the queue, and a
+  // partitioned source's due messages are held until its window closes:
+  // collect every deliverable message in send order (stable), keep the
+  // rest. Delivery happens after the scan so a receiver that triggers
+  // further sends never sees a half-updated queue.
   std::vector<Message> due;
-  std::deque<Pending> keep;
-  for (Pending& p : pending_) {
-    if (p.due_tick <= now_) {
+  due.swap(d.due);
+  size_t kept = 0;
+  for (size_t i = 0; i < d.pending.size(); ++i) {
+    DrawState::Pending& p = d.pending[i];
+    if (p.due_tick <= d.now && !d.Partitioned(p.lane)) {
       due.push_back(std::move(p.msg));
     } else {
-      keep.push_back(std::move(p));
+      if (kept != i) d.pending[kept] = std::move(p);
+      ++kept;
     }
   }
-  pending_ = std::move(keep);
+  d.pending.erase(d.pending.begin() + static_cast<std::ptrdiff_t>(kept),
+                  d.pending.end());
   for (const Message& msg : due) Deliver(msg);
+  due.clear();
+  d.due.swap(due);
 }
 
 void Channel::Deliver(const Message& msg) {
+  Book& b = book();
   size_t type = static_cast<size_t>(msg.type);
   int64_t bytes = static_cast<int64_t>(msg.SizeBytes());
-  ++stats_.messages_delivered;
-  stats_.bytes_delivered += bytes;
-  ++stats_.by_type[type];
-  stats_.by_type_bytes_delivered[type] += bytes;
-  if (metrics_bound_) {
-    metrics_.messages_delivered->Inc();
-    metrics_.bytes_delivered->Inc(bytes);
-    metrics_.delivered_by_type[type]->Inc();
-    metrics_.bytes_delivered_by_type[type]->Inc(bytes);
+  ++b.stats.messages_delivered;
+  b.stats.bytes_delivered += bytes;
+  ++b.stats.by_type[type];
+  b.stats.by_type_bytes_delivered[type] += bytes;
+  if (b.metrics != nullptr) {
+    b.metrics->messages_delivered->Inc();
+    b.metrics->bytes_delivered->Inc(bytes);
+    b.metrics->delivered_by_type[type]->Inc();
+    b.metrics->bytes_delivered_by_type[type]->Inc(bytes);
   }
   if (receiver_) receiver_(msg);
 }

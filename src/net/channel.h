@@ -1,11 +1,10 @@
 #ifndef KALMANCAST_NET_CHANNEL_H_
 #define KALMANCAST_NET_CHANNEL_H_
 
-#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "net/fault.h"
 #include "net/message.h"
@@ -51,8 +50,6 @@ struct NetworkStats {
   int64_t by_type_bytes_sent[kNumMessageTypes] = {};
   int64_t by_type_bytes_delivered[kNumMessageTypes] = {};
 
-  void Reset() { *this = NetworkStats(); }
-
   /// Accumulates another channel's counters into this one — how a sharded
   /// deployment merges shard-local stats into the fleet-wide view on read.
   void Merge(const NetworkStats& other);
@@ -84,6 +81,17 @@ struct NetworkStats {
 /// lossless channel, and recovery (docs/PROTOCOL.md, "Recovery & fault
 /// model") restores it within a bounded window after faults.
 ///
+/// A link costs what its config can use. The books (NetworkStats and the
+/// mirrored metric handles) are built by the first event or BindMetrics;
+/// the draw state (RNGs, burst chains, in-flight queue) only when the
+/// config can draw (loss or a fault) or delay (latency_ticks > 0). A
+/// fault-free, zero-latency link is a receiver and two null pointers.
+///
+/// One link can carry many sources (AddSource): each keeps its own draw
+/// stream and partition clock, so a shared link reproduces per-source
+/// Channels message for message while keeping one set of books. The
+/// sharded fleet runs one uplink and one control link per shard this way.
+///
 /// Channel is also the transport seam: Send() and AdvanceTick() are
 /// virtual, and net/transport.h's SocketChannel reimplements them over
 /// real UDP/TCP sockets while reusing this class's accounting (the
@@ -110,7 +118,7 @@ class Channel {
 
   Channel();
   explicit Channel(Config config);
-  virtual ~Channel() = default;
+  virtual ~Channel();
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -118,11 +126,19 @@ class Channel {
   /// Installs the delivery callback (the server side).
   void SetReceiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
+  /// Shares this link with source `source_id`: from now on its messages
+  /// draw loss and faults from their own stream seeded `seed`, and its
+  /// partition windows run on its own clock starting at this tick —
+  /// exactly what a Channel of its own built now with that seed would do.
+  /// No-op when the config cannot draw. Messages of sources never added
+  /// draw from the link's own stream (Config::seed).
+  void AddSource(int32_t source_id, uint64_t seed);
+
   /// Mirrors this channel's accounting onto `registry`'s `kc.net.*`
   /// counters (shared with every other channel bound to the same arena).
   /// Call before traffic flows; the mirror starts at the current event.
-  /// In a sharded fleet, each channel binds to its owning shard's arena
-  /// so hot-path recording never crosses shard boundaries. Channels with
+  /// In a sharded fleet, each link binds to its owning shard's arena so
+  /// hot-path recording never crosses shard boundaries. Channels with
   /// faults configured additionally register `kc.net.faults.*`.
   void BindMetrics(obs::MetricRegistry* registry);
 
@@ -135,23 +151,18 @@ class Channel {
 
   /// Advances simulated time one tick and delivers every due in-flight
   /// message (in send order; reordered messages wait for their extra
-  /// delay). During a partition window nothing is delivered — held
-  /// messages drain on the first tick after the window closes. No-op on
-  /// zero-latency fault-free channels. Socket backends use this same
-  /// call to drain their receive path, so drivers advance every Channel
-  /// identically regardless of backend.
+  /// delay). During a source's partition window none of its messages are
+  /// delivered — held messages drain on the first tick after the window
+  /// closes. No-op on zero-latency fault-free channels. Socket backends
+  /// use this same call to drain their receive path, so drivers advance
+  /// every Channel identically regardless of backend.
   virtual void AdvanceTick();
 
   /// Messages currently in flight (latency/reorder/partition-hold).
-  size_t in_flight() const { return pending_.size(); }
+  size_t in_flight() const;
 
-  /// True if the link is currently inside a scheduled partition window.
-  bool InPartitionNow() const { return config_.faults.InPartition(now_); }
-  /// True if the Gilbert–Elliott chain is in its bursty (bad) state.
-  bool in_burst() const { return injector_.in_burst(); }
-
-  const NetworkStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
+  /// The books; all zero until the first event.
+  const NetworkStats& stats() const;
 
  protected:
   /// Accounting seam shared with transport backends (net/transport.h):
@@ -168,43 +179,16 @@ class Channel {
   bool has_receiver() const { return static_cast<bool>(receiver_); }
 
  private:
-  struct Pending {
-    int64_t due_tick;
-    Message msg;
-  };
+  struct Book;
+  struct DrawState;
 
-  /// Arena counter handles, cached at bind time so the hot path performs
-  /// no registry lookups.
-  struct Metrics {
-    obs::Counter* messages_sent = nullptr;
-    obs::Counter* messages_delivered = nullptr;
-    obs::Counter* messages_dropped = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* bytes_delivered = nullptr;
-    obs::Counter* sent_by_type[kNumMessageTypes] = {};
-    obs::Counter* delivered_by_type[kNumMessageTypes] = {};
-    obs::Counter* dropped_by_type[kNumMessageTypes] = {};
-    obs::Counter* bytes_sent_by_type[kNumMessageTypes] = {};
-    obs::Counter* bytes_delivered_by_type[kNumMessageTypes] = {};
-    /// kc.net.faults.* — registered only when faults are configured.
-    obs::Counter* duplicates = nullptr;
-    obs::Counter* reorders = nullptr;
-    obs::Counter* burst_drops = nullptr;
-    obs::Counter* partition_drops = nullptr;
-  };
-
-  void DeliverDue();
+  Book& book();
   void ChargeDrop(size_t type);
+  void DeliverDue();
 
-  Config config_;
-  Rng rng_;
-  FaultInjector injector_;
   Receiver receiver_;
-  NetworkStats stats_;
-  Metrics metrics_;
-  bool metrics_bound_ = false;
-  int64_t now_ = 0;
-  std::deque<Pending> pending_;
+  std::unique_ptr<Book> book_;       ///< Built by the first event.
+  std::unique_ptr<DrawState> draw_;  ///< Only when the config draws/delays.
 };
 
 }  // namespace kc

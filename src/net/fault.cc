@@ -9,26 +9,25 @@ bool FaultConfig::InPartition(int64_t tick) const {
   return offset < partition_length;
 }
 
-SendFaults FaultInjector::OnSend(Rng& rng) {
+SendFaults RollFaults(const FaultConfig& config, Rng& rng, bool* in_burst) {
   SendFaults faults;
-  if (config_.burst_enabled()) {
+  if (config.burst_enabled()) {
     // Evolve the chain first so a burst can start on this very message.
-    if (in_burst_) {
-      if (rng.Bernoulli(config_.burst_exit_prob)) in_burst_ = false;
+    if (*in_burst) {
+      if (rng.Bernoulli(config.burst_exit_prob)) *in_burst = false;
     } else {
-      if (rng.Bernoulli(config_.burst_enter_prob)) in_burst_ = true;
+      if (rng.Bernoulli(config.burst_enter_prob)) *in_burst = true;
     }
-    if (in_burst_ && rng.Bernoulli(config_.burst_loss_prob)) {
+    if (*in_burst && rng.Bernoulli(config.burst_loss_prob)) {
       faults.burst_drop = true;
       return faults;  // A dropped message can't be duplicated/reordered.
     }
   }
-  if (config_.duplicate_prob > 0.0 &&
-      rng.Bernoulli(config_.duplicate_prob)) {
+  if (config.duplicate_prob > 0.0 && rng.Bernoulli(config.duplicate_prob)) {
     faults.duplicate = true;
   }
-  if (config_.reorder_enabled() && rng.Bernoulli(config_.reorder_prob)) {
-    faults.extra_delay = rng.UniformInt(1, config_.reorder_max_ticks);
+  if (config.reorder_enabled() && rng.Bernoulli(config.reorder_prob)) {
+    faults.extra_delay = rng.UniformInt(1, config.reorder_max_ticks);
   }
   return faults;
 }

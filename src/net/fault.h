@@ -11,11 +11,11 @@ namespace kc {
 /// Fault model for a simulated link: Gilbert–Elliott burst loss,
 /// duplication, bounded reordering, and scheduled partition windows.
 ///
-/// All randomness is drawn from the owning Channel's RNG (seeded through
-/// the `(seed, id)` scheme in server/simulation.h), and a feature draws
-/// only when it is enabled, so (a) sharded runs remain bit-identical for
-/// any thread count and (b) a config with every fault off reproduces the
-/// exact pre-fault draw sequence. Partition windows are a pure function
+/// All randomness is drawn from the source's stream on its Channel
+/// (seeded through the `(seed, id)` scheme in server/simulation.h), and a
+/// feature draws only when it is enabled, so (a) sharded runs remain
+/// bit-identical for any thread count and (b) a config with every fault
+/// off reproduces the exact pre-fault draw sequence. Partition windows are a pure function
 /// of (config, tick) and consume no randomness at all.
 struct FaultConfig {
   /// Gilbert–Elliott two-state burst loss. Each Send first evolves the
@@ -74,25 +74,11 @@ struct SendFaults {
   int64_t extra_delay = 0;     ///< Reordering delay in ticks (0 = none).
 };
 
-/// The stateful half of the fault model: owns the Gilbert–Elliott chain
-/// and rolls the per-message dice. One injector per Channel.
-class FaultInjector {
- public:
-  FaultInjector() = default;
-  explicit FaultInjector(const FaultConfig& config) : config_(config) {}
-
-  /// Rolls this message's faults, evolving the burst chain. Draws from
-  /// `rng` only for features the config enables, in a fixed order
-  /// (burst transition, burst loss, duplication, reordering).
-  SendFaults OnSend(Rng& rng);
-
-  bool in_burst() const { return in_burst_; }
-  const FaultConfig& config() const { return config_; }
-
- private:
-  FaultConfig config_;
-  bool in_burst_ = false;
-};
+/// Rolls one message's faults under `config`, evolving the source's
+/// Gilbert–Elliott chain `*in_burst`. Draws from `rng` only for features
+/// the config enables, in a fixed order (burst transition, burst loss,
+/// duplication, reordering).
+SendFaults RollFaults(const FaultConfig& config, Rng& rng, bool* in_burst);
 
 }  // namespace kc
 

@@ -170,14 +170,17 @@ Status SourceAgent::Offer(const Reading& measured) {
 }
 
 Status SourceAgent::OnControl(const Message& msg) {
+  auto reject = [this](const char* why) {
+    ++stats_.control_rejected;
+    return Status::InvalidArgument(why);
+  };
   if (msg.source_id != source_id_) {
-    return Status::InvalidArgument("control message routed to wrong agent");
+    return reject("control message routed to wrong agent");
   }
   switch (msg.type) {
     case MessageType::kSetBound: {
       if (msg.payload.empty() || !IsValidPushedBound(msg.payload[0])) {
-        return Status::InvalidArgument(
-            "SET_BOUND needs a finite positive bound");
+        return reject("SET_BOUND needs a finite positive bound");
       }
       config_.delta = msg.payload[0];
       return Status::Ok();
@@ -193,7 +196,7 @@ Status SourceAgent::OnControl(const Message& msg) {
       return Status::Ok();
     }
     default:
-      return Status::InvalidArgument("unexpected control message type");
+      return reject("unexpected control message type");
   }
 }
 

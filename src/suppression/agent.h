@@ -43,13 +43,10 @@ struct AgentStats {
   /// in no other field. So data messages sent are the uplink's sends
   /// minus heartbeats, not corrections + full_syncs + 1.
   int64_t resyncs_served = 0;
-
-  /// Fraction of post-init ticks that required no correction.
-  double SuppressionRatio() const {
-    int64_t decisions = corrections + full_syncs + suppressed;
-    if (decisions <= 0) return 0.0;
-    return static_cast<double>(suppressed) / static_cast<double>(decisions);
-  }
+  /// Control messages OnControl refused (wrong source, wrong type, or a
+  /// SET_BOUND without a finite positive bound). Counted, never fatal: a
+  /// control link may carry hostile or corrupt input.
+  int64_t control_rejected = 0;
 };
 
 /// The client (source) half of the precision-bounded suppression protocol.
@@ -77,7 +74,8 @@ class SourceAgent {
   /// server learns it back with the next data message) or RESYNC_REQUEST
   /// (the replica suspects desync; the next Offer answers with a
   /// FULL_SYNC, or a fresh INIT if the replica reported itself
-  /// uninitialized).
+  /// uninitialized). A refused message changes nothing but
+  /// stats().control_rejected.
   Status OnControl(const Message& msg);
 
   /// Current precision bound.
@@ -89,6 +87,9 @@ class SourceAgent {
 
   int32_t source_id() const { return source_id_; }
   const AgentStats& stats() const { return stats_; }
+  /// Uplink messages sent so far, heartbeats included: the wire sequence
+  /// is dense, one number per send.
+  int64_t messages_sent() const { return next_wire_seq_; }
   const Predictor& predictor() const { return *predictor_; }
   bool initialized() const { return initialized_; }
 

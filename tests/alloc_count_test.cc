@@ -4,8 +4,10 @@
 // inline/heap boundary directly.
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -35,6 +37,7 @@
 namespace {
 
 std::atomic<long> g_news{0};
+std::atomic<long> g_new_bytes{0};
 
 }  // namespace
 
@@ -44,6 +47,7 @@ std::atomic<long> g_news{0};
 // knowing this operator new is malloc) and raises -Wmismatched-new-delete.
 [[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_news;
+  g_new_bytes += static_cast<long>(size);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -54,6 +58,7 @@ std::atomic<long> g_news{0};
 [[gnu::noinline]] void* operator new(std::size_t size,
                                      const std::nothrow_t&) noexcept {
   ++g_news;
+  g_new_bytes += static_cast<long>(size);
   return std::malloc(size);
 }
 [[gnu::noinline]] void* operator new[](std::size_t size,
@@ -83,6 +88,13 @@ namespace kc {
 namespace {
 
 long AllocCount() { return g_news.load(); }
+/// Bytes requested from operator new so far (frees are not subtracted).
+long AllocBytes() { return g_new_bytes.load(); }
+
+/// FleetSourceHeapCost's bound: 4,378 B per source measured when the
+/// fleet's links moved to the shard (they were two 3,440 B Channels and
+/// their queues per source before), plus 10%.
+constexpr double kSourceBytesBound = 4816.0;
 
 // ------------------------------------------------------------ filter loops
 
@@ -433,6 +445,43 @@ TEST(ZeroAllocTest, SteppedFleetSteadyStateIsAllocationFree) {
     EXPECT_EQ(AllocCount() - before, 0) << "threads=" << threads;
     EXPECT_EQ(fleet.TotalMessages(), 2000);  // The INITs only.
   }
+}
+
+TEST(ZeroAllocTest, FleetSourceHeapCost) {
+  // What one source costs: the heap bytes requested to build a fault-free
+  // pooled random walk's predictor and add it (AddSource), 2,000 sources
+  // on 8 shards (the pooled_quiet shape). The links are the shard's, so a
+  // source pays for its agent, predictor pair, replica and slot. The
+  // generator (a 2.5 KB mt19937_64 Rng) is the workload harness, reported
+  // apart and not bounded.
+  constexpr int kSources = 2000;
+  ShardedFleet::Config config;
+  config.num_shards = 8;
+  ShardedFleet fleet(config);
+  KalmanPredictor::Config kf;
+  kf.model = MakeRandomWalkModel(0.1, 0.25);
+  long generator_bytes = 0;
+  long source_bytes = 0;
+  for (int i = 0; i < kSources; ++i) {
+    RandomWalkGenerator::Config walk;
+    walk.start = 0.01 * i;
+    long t0 = AllocBytes();
+    auto generator = std::make_unique<RandomWalkGenerator>(walk);
+    long t1 = AllocBytes();
+    fleet.AddSource(std::move(generator), std::make_unique<KalmanPredictor>(kf),
+                    /*delta=*/1e9);
+    generator_bytes += t1 - t0;
+    source_bytes += AllocBytes() - t1;
+  }
+  const double per_source = static_cast<double>(source_bytes) / kSources;
+  const double generator = static_cast<double>(generator_bytes) / kSources;
+  std::printf("source: %.0f B, generator (harness): %.0f B\n", per_source,
+              generator);
+  RecordProperty("source_bytes", std::to_string(per_source));
+  RecordProperty("generator_bytes", std::to_string(generator));
+  EXPECT_LE(per_source, kSourceBytesBound);
+  ASSERT_TRUE(fleet.Run(2).ok());
+  EXPECT_EQ(fleet.TotalMessages(), kSources);  // The INITs only.
 }
 
 /// Heap allocations of one EvaluateDue() over a single AVG query of

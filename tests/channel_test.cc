@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,15 +106,6 @@ TEST(ChannelTest, BytesSentChargedEvenWhenDropped) {
   ASSERT_TRUE(channel.Send(MakeMessage(2)).ok());
   EXPECT_GT(channel.stats().bytes_sent, 0);
   EXPECT_EQ(channel.stats().bytes_delivered, 0);
-}
-
-TEST(ChannelTest, ResetStatsClears) {
-  Channel channel;
-  channel.SetReceiver([](const Message&) {});
-  ASSERT_TRUE(channel.Send(MakeMessage(1)).ok());
-  channel.ResetStats();
-  EXPECT_EQ(channel.stats().messages_sent, 0);
-  EXPECT_EQ(channel.stats().bytes_sent, 0);
 }
 
 TEST(ChannelTest, LossDecidedAtSendTimeUnderLatency) {
@@ -412,6 +404,86 @@ TEST(FaultTest, SameSeedSameFaultsBitIdentical) {
   EXPECT_EQ(stats1.messages_reordered, stats2.messages_reordered);
   EXPECT_EQ(stats1.burst_drops, stats2.burst_drops);
   EXPECT_EQ(stats1.partition_drops, stats2.partition_drops);
+}
+
+TEST(SharedLinkTest, ReproducesOneChannelPerSource) {
+  // Two sources on one link (AddSource) against a Channel each: the same
+  // draws, partition windows on each source's own clock (source 1 joins
+  // at tick 7), delivery in send order per source, and books that are
+  // the merge of the per-source ones.
+  Channel::Config config;
+  config.loss_prob = 0.1;
+  config.latency_ticks = 1;
+  config.faults.burst_enter_prob = 0.05;
+  config.faults.burst_exit_prob = 0.3;
+  config.faults.burst_loss_prob = 0.8;
+  config.faults.duplicate_prob = 0.1;
+  config.faults.reorder_prob = 0.2;
+  config.faults.reorder_max_ticks = 3;
+  config.faults.partition_start = 20;
+  config.faults.partition_length = 4;
+  config.faults.partition_every = 50;
+  const uint64_t seeds[2] = {101, 202};
+  constexpr int kJoin = 7;
+
+  Channel shared(config);
+  std::vector<int64_t> shared_seen[2];
+  shared.SetReceiver([&shared_seen](const Message& m) {
+    shared_seen[m.source_id].push_back(m.seq);
+  });
+  std::unique_ptr<Channel> own[2];
+  std::vector<int64_t> own_seen[2];
+  for (int32_t id = 0; id < 2; ++id) {
+    config.seed = seeds[id];
+    own[id] = std::make_unique<Channel>(config);
+    own[id]->SetReceiver(
+        [&own_seen, id](const Message& m) { own_seen[id].push_back(m.seq); });
+  }
+  shared.AddSource(0, seeds[0]);
+  for (int t = 0; t < 300; ++t) {
+    if (t == kJoin) shared.AddSource(1, seeds[1]);
+    for (int32_t id = 0; id < 2; ++id) {
+      if (id == 1 && t < kJoin) continue;
+      Message m = MakeMessage(1);
+      m.source_id = id;
+      m.seq = t;
+      ASSERT_TRUE(shared.Send(m).ok());
+      ASSERT_TRUE(own[id]->Send(m).ok());
+    }
+    shared.AdvanceTick();
+    own[0]->AdvanceTick();
+    if (t >= kJoin) own[1]->AdvanceTick();
+  }
+  NetworkStats merged;
+  for (int32_t id = 0; id < 2; ++id) {
+    EXPECT_EQ(shared_seen[id], own_seen[id]) << "source " << id;
+    merged.Merge(own[id]->stats());
+  }
+  EXPECT_GT(merged.partition_drops, 0);
+  EXPECT_GT(merged.burst_drops, 0);
+  EXPECT_GT(merged.messages_duplicated, 0);
+  EXPECT_GT(merged.messages_reordered, 0);
+  EXPECT_EQ(shared.stats().ToString(), merged.ToString());
+  EXPECT_EQ(shared.in_flight(), own[0]->in_flight() + own[1]->in_flight());
+}
+
+TEST(SharedLinkTest, FaultFreeLinkHasNoDrawState) {
+  // A lossless zero-latency link delivers inside Send and AdvanceTick
+  // has nothing to do; AddSource is a no-op.
+  Channel channel;
+  channel.AddSource(5, 99);
+  std::vector<int64_t> seen;
+  channel.SetReceiver([&seen](const Message& m) { seen.push_back(m.seq); });
+  EXPECT_EQ(channel.stats().messages_sent, 0);
+  for (int i = 0; i < 3; ++i) {
+    Message m = MakeMessage(1);
+    m.seq = i;
+    ASSERT_TRUE(channel.Send(m).ok());
+    EXPECT_EQ(seen.size(), static_cast<size_t>(i + 1));
+    channel.AdvanceTick();
+  }
+  EXPECT_EQ(channel.in_flight(), 0u);
+  EXPECT_EQ(channel.stats().messages_delivered, 3);
 }
 
 TEST(NetworkStatsTest, MergeSumsShardLocalStats) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -440,6 +441,124 @@ TEST(ShardedFleetTest, BitIdenticalUnderLossAndLatency) {
   Fingerprint four = RunSharded(4, 8, lossy);
   EXPECT_GT(one.net.messages_dropped, 0);
   ExpectEqualFingerprints(one, four, "lossy threads 1 vs 4");
+}
+
+/// What a shard link must hold fixed: every source's replica answer and
+/// data count, and both merged link books.
+struct LinkPrint {
+  std::vector<bool> initialized;
+  std::vector<double> values;
+  std::vector<int64_t> messages;
+  std::string uplink;
+  std::string control;
+};
+
+/// A fleet on delayed, reordering, duplicating uplinks and delayed, lossy
+/// control links with recovery on, so resync requests and bound pushes
+/// cross the control link. `own_links` gives every source Channels of its
+/// own through the factories: the per-source reference.
+LinkPrint RunFaultyLinks(size_t shards, size_t threads, bool own_links) {
+  ShardedFleet::Config config;
+  config.seed = 77;
+  config.threads = threads;
+  config.num_shards = shards;
+  config.channel.latency_ticks = 2;
+  config.channel.faults.reorder_prob = 0.2;
+  config.channel.faults.reorder_max_ticks = 3;
+  config.channel.faults.duplicate_prob = 0.1;
+  config.control_channel.latency_ticks = 1;
+  config.control_channel.loss_prob = 0.1;
+  config.recovery.enabled = true;
+  config.recovery.suspect_after_silent_ticks = 8;
+  config.recovery.backoff_initial_ticks = 2;
+  config.recovery.backoff_max_ticks = 16;
+  config.agent_base.heartbeat_every = 4;
+  if (own_links) {
+    auto own = [](int32_t, const Channel::Config& c) {
+      return std::make_unique<Channel>(c);
+    };
+    config.uplink_factory = own;
+    config.control_factory = own;
+  }
+  ShardedFleet fleet(config);
+  constexpr int kSources = 12;
+  AddStandardSources(fleet, kSources);
+  for (int t = 0; t < 240; ++t) {
+    EXPECT_TRUE(fleet.Step().ok());
+    if (t % 10 == 9) {
+      auto id = static_cast<int32_t>(t % kSources);
+      EXPECT_TRUE(fleet.server().PushBound(id, 0.4 + 0.01 * t).ok());
+    }
+  }
+  LinkPrint print;
+  for (int32_t id = 0; id < kSources; ++id) {
+    auto answer = fleet.server().SourceValue(id);
+    print.initialized.push_back(answer.ok());
+    print.values.push_back(answer.ok() ? answer->value[0] : 0.0);
+    print.messages.push_back(fleet.MessagesOf(id));
+  }
+  NetworkStats up = fleet.TotalNetworkStats();
+  NetworkStats down = fleet.TotalControlNetworkStats();
+  print.uplink = up.ToString();
+  print.control = down.ToString();
+  EXPECT_GT(up.messages_reordered, 0);
+  EXPECT_GT(up.messages_duplicated, 0);
+  EXPECT_GT(down.by_type_sent[static_cast<size_t>(MessageType::kResyncRequest)],
+            0);
+  EXPECT_GT(down.messages_dropped, 0);
+  return print;
+}
+
+TEST(ShardedFleetTest, ShardLinkDeliveryOrderIsBitIdentical) {
+  // One uplink and one control link per shard deliver exactly what a
+  // Channel per source would, for any shard and thread count.
+  const LinkPrint reference = RunFaultyLinks(1, 1, /*own_links=*/true);
+  for (size_t shards : {1, 3, 8}) {
+    for (size_t threads : {1, 4}) {
+      const LinkPrint p = RunFaultyLinks(shards, threads, /*own_links=*/false);
+      std::string label = "shards=" + std::to_string(shards) +
+                          " threads=" + std::to_string(threads);
+      EXPECT_EQ(p.initialized, reference.initialized) << label;
+      EXPECT_EQ(p.values, reference.values) << label;
+      EXPECT_EQ(p.messages, reference.messages) << label;
+      EXPECT_EQ(p.uplink, reference.uplink) << label;
+      EXPECT_EQ(p.control, reference.control) << label;
+    }
+  }
+}
+
+TEST(ShardedFleetTest, RejectedControlIsCountedNotFatal) {
+  // A control link may carry corrupt or hostile input (the split client's
+  // is TCP from the server): the agent refuses it, counts it, keeps its
+  // bound, and the fleet keeps stepping.
+  ShardedFleet::Config config;
+  Channel* control = nullptr;
+  config.control_factory = [&control](int32_t, const Channel::Config& c) {
+    auto link = std::make_unique<Channel>(c);
+    control = link.get();
+    return link;
+  };
+  ShardedFleet fleet(config);
+  fleet.AddSource(
+      std::make_unique<RandomWalkGenerator>(RandomWalkGenerator::Config()),
+      std::make_unique<ValueCachePredictor>(), 1.0);
+  ASSERT_TRUE(fleet.Run(3).ok());
+  ASSERT_NE(control, nullptr);
+
+  Message wrong_type;
+  wrong_type.source_id = 0;
+  wrong_type.type = MessageType::kCorrection;
+  wrong_type.payload = {1.0, 2.0};
+  Message nan_bound;
+  nan_bound.source_id = 0;
+  nan_bound.type = MessageType::kSetBound;
+  nan_bound.payload = {std::numeric_limits<double>::quiet_NaN()};
+  ASSERT_TRUE(control->Send(wrong_type).ok());
+  ASSERT_TRUE(control->Send(nan_bound).ok());
+
+  EXPECT_EQ(fleet.agent(0).stats().control_rejected, 2);
+  EXPECT_DOUBLE_EQ(fleet.agent(0).delta(), 1.0);
+  EXPECT_TRUE(fleet.Step().ok());
 }
 
 TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectPredictors) {
