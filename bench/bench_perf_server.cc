@@ -67,6 +67,51 @@ BENCHMARK(BM_ShardedFleetStep)
     ->Args({1000, 4})
     ->Args({10000, 4});
 
+// The fleet tick on lossy, faulty links: {sources, threads}. Uplinks
+// delay, lose, reorder, duplicate and burst; control links delay and
+// lose; recovery is on, so resync requests cross the control link. Every
+// send looks up its source's draw stream on the shard's link, and each
+// shard drains one in-flight queue per link kind.
+void BM_FaultyFleetStep(benchmark::State& state) {
+  auto sources = static_cast<int>(state.range(0));
+  kc::ShardedFleet::Config config;
+  config.seed = 77;
+  config.threads = static_cast<size_t>(state.range(1));
+  config.num_shards = 8;
+  config.channel.latency_ticks = 2;
+  config.channel.loss_prob = 0.05;
+  config.channel.faults.reorder_prob = 0.2;
+  config.channel.faults.reorder_max_ticks = 3;
+  config.channel.faults.duplicate_prob = 0.1;
+  config.channel.faults.burst_enter_prob = 0.01;
+  config.channel.faults.burst_exit_prob = 0.3;
+  config.channel.faults.burst_loss_prob = 0.8;
+  config.control_channel.latency_ticks = 1;
+  config.control_channel.loss_prob = 0.1;
+  config.recovery.enabled = true;
+  config.recovery.suspect_after_silent_ticks = 8;
+  config.agent_base.heartbeat_every = 4;
+  kc::ShardedFleet fleet(config);
+  kc::KalmanPredictor::Config kf;
+  kf.model = kc::MakeRandomWalkModel(0.04, 0.01);
+  for (int i = 0; i < sources; ++i) {
+    kc::RandomWalkGenerator::Config walk;
+    walk.step_sigma = 0.2 + 0.05 * (i % 4);
+    fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),
+                    std::make_unique<kc::KalmanPredictor>(kf),
+                    0.5 + 0.1 * (i % 3));
+  }
+  for (int t = 0; t < 20; ++t) benchmark::DoNotOptimize(fleet.Step().ok());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fleet.Step().ok());
+  }
+  state.SetItemsProcessed(state.iterations() * sources);
+}
+BENCHMARK(BM_FaultyFleetStep)
+    ->Args({20000, 1})
+    ->Args({20000, 4})
+    ->Unit(benchmark::kMillisecond);
+
 // Fleet-scale tick throughput: {sources, pooled, threads, simd, adaptive}.
 // The pooled rows run the SoA FilterPool path (per-shard lane-interleaved
 // x/P slabs swept by the vectorized batched kernels once per tick);

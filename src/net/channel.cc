@@ -193,6 +193,10 @@ const NetworkStats& Channel::stats() const {
   return book_ != nullptr ? book_->stats : kNoTraffic;
 }
 
+void Channel::ResetStats() {
+  if (book_ != nullptr) book_->stats.Reset();
+}
+
 Channel::Book& Channel::book() {
   if (book_ == nullptr) book_ = std::make_unique<Book>();
   return *book_;

@@ -50,6 +50,8 @@ struct NetworkStats {
   int64_t by_type_bytes_sent[kNumMessageTypes] = {};
   int64_t by_type_bytes_delivered[kNumMessageTypes] = {};
 
+  void Reset() { *this = NetworkStats(); }
+
   /// Accumulates another channel's counters into this one — how a sharded
   /// deployment merges shard-local stats into the fleet-wide view on read.
   void Merge(const NetworkStats& other);
@@ -163,6 +165,7 @@ class Channel {
 
   /// The books; all zero until the first event.
   const NetworkStats& stats() const;
+  void ResetStats();
 
  protected:
   /// Accounting seam shared with transport backends (net/transport.h):

@@ -47,6 +47,13 @@ struct AgentStats {
   /// SET_BOUND without a finite positive bound). Counted, never fatal: a
   /// control link may carry hostile or corrupt input.
   int64_t control_rejected = 0;
+
+  /// Fraction of post-init ticks that required no correction.
+  double SuppressionRatio() const {
+    int64_t decisions = corrections + full_syncs + suppressed;
+    if (decisions <= 0) return 0.0;
+    return static_cast<double>(suppressed) / static_cast<double>(decisions);
+  }
 };
 
 /// The client (source) half of the precision-bounded suppression protocol.

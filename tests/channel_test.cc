@@ -108,6 +108,15 @@ TEST(ChannelTest, BytesSentChargedEvenWhenDropped) {
   EXPECT_EQ(channel.stats().bytes_delivered, 0);
 }
 
+TEST(ChannelTest, ResetStatsClears) {
+  Channel channel;
+  channel.SetReceiver([](const Message&) {});
+  ASSERT_TRUE(channel.Send(MakeMessage(1)).ok());
+  channel.ResetStats();
+  EXPECT_EQ(channel.stats().messages_sent, 0);
+  EXPECT_EQ(channel.stats().bytes_sent, 0);
+}
+
 TEST(ChannelTest, LossDecidedAtSendTimeUnderLatency) {
   // Loss is decided when the message is offered to the link, not at
   // delivery: a dropped message must never enter the pending queue, and
