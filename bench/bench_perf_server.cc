@@ -175,6 +175,46 @@ BENCHMARK(BM_FleetTick_1M)
     ->Apply(FleetTickMatrix)
     ->Unit(benchmark::kMillisecond);
 
+// One steady-state fleet Step() in kcbench's pooled_quiet shape: 2,000
+// pooled random walks, delta = 4 (almost every reading suppressed), 8
+// shards, 1 thread. {adaptive}: 1 adds the default AdaptiveConfig (per-slot
+// Q). The INIT burst and filter convergence run before the timed loop.
+// run_benches.sh folds the medians into BENCH_perf.json's fleet_step_2k
+// table.
+void BM_FleetStep2k(benchmark::State& state) {
+  constexpr int kSources = 2000;
+  const bool adaptive = state.range(0) != 0;
+  kc::ShardedFleet::Config config;
+  config.seed = 21;
+  config.threads = 1;
+  config.num_shards = 8;
+  kc::ShardedFleet fleet(config);
+  kc::KalmanPredictor::Config kf;
+  kf.model = kc::MakeRandomWalkModel(0.1, 0.25);
+  if (adaptive) kf.adaptive = kc::AdaptiveConfig{};
+  for (int i = 0; i < kSources; ++i) {
+    kc::RandomWalkGenerator::Config walk;
+    walk.start = -50.0 + 0.05 * i;
+    walk.step_sigma = 0.3;
+    fleet.AddSource(std::make_unique<kc::RandomWalkGenerator>(walk),
+                    std::make_unique<kc::KalmanPredictor>(kf), 4.0);
+  }
+  for (int t = 0; t < 200; ++t) benchmark::DoNotOptimize(fleet.Step().ok());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fleet.Step().ok());
+  }
+  state.SetItemsProcessed(state.iterations() * kSources);
+  state.counters["sources"] = kSources;
+  state.counters["adaptive"] = adaptive ? 1.0 : 0.0;
+}
+BENCHMARK(BM_FleetStep2k)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime()
+    ->Repetitions(7)
+    ->ReportAggregatesOnly(true);
+
 // Registered live-aggregate evaluation (ShardedServer::Evaluate) over
 // {members} ValueCache sources on the default fleet, back to back: the
 // warm-cache cost of the member pass alone.

@@ -2,6 +2,9 @@
 # Diffs BENCH_perf.json against the previous commit's:
 #  - fleet_tick_1m: warns on any row whose sources/sec dropped more
 #    than 20%.
+#  - fleet_step_2k: the same 20% check, unless the table's num_cpus
+#    differs from the previous commit's: rows from another host are not
+#    comparable, so it says "re-baseline" instead of warning.
 #  - observability_overhead / recorder_overhead / audit_overhead: warns
 #    when a model's overhead_pct grew by more than 5 percentage points.
 #  - loss_sweep_recovery: fully deterministic (fixed seed), so ANY change
@@ -69,6 +72,32 @@ for key in sorted(old_rows.keys() & new_rows.keys()):
         warn("fleet_tick_1m regression " + line)
     else:
         print("  " + line)
+
+# ---- fleet_step_2k: pooled_quiet-shaped step, 20% drop tolerance. ----
+old_step = old.get("fleet_step_2k", {})
+new_step = new.get("fleet_step_2k", {})
+def step_rows(table):
+    return {(r["sources"], r["adaptive"]): r["sources_per_sec"]
+            for r in table.get("rows", [])}
+old_steps, new_steps = step_rows(old_step), step_rows(new_step)
+if not old_steps:
+    print("check_bench_regress: previous commit has no fleet_step_2k rows")
+elif old_step.get("num_cpus") != new_step.get("num_cpus"):
+    print(f"check_bench_regress: fleet_step_2k re-baseline: num_cpus "
+          f"{old_step.get('num_cpus')} -> {new_step.get('num_cpus')}, "
+          f"rows not compared")
+else:
+    for key in sorted(old_steps.keys() & new_steps.keys()):
+        was, now = old_steps[key], new_steps[key]
+        if was <= 0:
+            continue
+        delta = (now - was) / was
+        line = (f"fleet_step_2k [sources={key[0]} adaptive={int(key[1])}]: "
+                f"{was:,.0f} -> {now:,.0f} sources/sec ({delta:+.1%})")
+        if delta < -0.20:
+            warn("fleet_step_2k regression " + line)
+        else:
+            print("  " + line)
 
 # ---- Overhead tables: observability / recorder / audit taxes. ----
 # The per-model overhead_pct is a few percent; allow 5 percentage points

@@ -39,11 +39,13 @@ import json, os, sys
 
 out_dir = sys.argv[1]
 merged = {"context": None, "benchmarks": []}
+contexts = {}
 for name in ("bench_perf_kalman", "bench_perf_linalg", "bench_perf_server"):
     with open(os.path.join(out_dir, name + ".json")) as f:
         report = json.load(f)
+    contexts[name] = report.get("context", {})
     if merged["context"] is None:
-        merged["context"] = report.get("context", {})
+        merged["context"] = contexts[name]
     for bench in report.get("benchmarks", []):
         bench["binary"] = name
         merged["benchmarks"].append(bench)
@@ -201,6 +203,29 @@ merged["aggregate_evaluate"] = {
     "load_avg": context.get("load_avg"),
     "rows": aggregate_rows,
 }
+# The pooled_quiet-shaped fleet step: BM_FleetStep2k medians (7 real-time
+# repetitions after an untimed warm-up), stamped with the CPU count and
+# 1-minute load of the host that ran bench_perf_server.
+fleet_step = []
+for bench in merged["benchmarks"]:
+    if bench.get("aggregate_name") != "median":
+        continue
+    run = bench.get("run_name", "")
+    if not run.startswith("BM_FleetStep2k/"):
+        continue
+    real_ns = bench["real_time"] * ns_per_unit[bench.get("time_unit", "ns")]
+    fleet_step.append({
+        "sources": int(bench.get("sources", 0)),
+        "adaptive": bool(bench.get("adaptive", 0)),
+        "step_us": round(real_ns / 1e3, 1),
+        "sources_per_sec": round(bench.get("items_per_second", 0.0), 1),
+    })
+server_context = contexts["bench_perf_server"]
+merged["fleet_step_2k"] = {
+    "num_cpus": server_context.get("num_cpus"),
+    "load_avg_1m": (server_context.get("load_avg") or [None])[0],
+    "rows": fleet_step,
+}
 with open("BENCH_perf.json", "w") as f:
     json.dump(merged, f, indent=2)
     f.write("\n")
@@ -221,6 +246,10 @@ for row in audit_overhead:
 for row in aggregate_rows:
     print(f"  aggregate evaluate {row['name']}: {row['median_ns']:,.0f} ns "
           f"({row['ns_per_member']} ns/member)")
+for row in fleet_step:
+    model = "adaptive" if row["adaptive"] else "plain"
+    print(f"  fleet step 2k ({model}): {row['step_us']} us, "
+          f"{row['sources_per_sec']:,.0f} sources/sec")
 for row in fleet_tick:
     kind = "pooled" if row["pooled"] else "private pools"
     lanes = "simd" if row["simd"] else "scalar"

@@ -13,8 +13,10 @@ ShardedServer::ShardedServer(size_t num_shards) {
   shards_.reserve(n);
   bundles_.resize(n);
   for (size_t i = 0; i < n; ++i) {
+    // TickShard and SweepPools advance every pool of the set on every
+    // tick, so the shard need not tick the replicas drawing from it.
     pool_sets_.push_back(std::make_unique<FilterPoolSet>());
-    shards_.push_back(std::make_unique<StreamServer>());
+    shards_.push_back(std::make_unique<StreamServer>(pool_sets_.back().get()));
   }
 }
 
@@ -43,11 +45,11 @@ void ShardedServer::Tick() {
 
 void ShardedServer::TickShard(size_t index, bool run_pool_sweep) {
   // Batched sweep first: every pooled filter on the shard gets its one
-  // time update for this tick in a contiguous slab pass. Predictor Tick()
-  // calls inside the replicas then see an already-advanced slot (their
-  // PredictSlotUpTo is a no-op). Slots are mutually independent, so this
-  // hoist is state-identical to per-replica predicts — see docs/PERF.md.
-  // Skipped when the driver already ran SweepPools this tick.
+  // time update for this tick in a contiguous slab pass, so the shard's
+  // Tick() skips the replicas on these pools (unless recovery gives them
+  // work of their own). Slots are mutually independent, so this hoist is
+  // state-identical to per-replica predicts — see docs/PERF.md. Skipped
+  // when the driver already ran SweepPools this tick.
   if (run_pool_sweep) pool_sets_[index]->PredictAll();
   shards_[index]->Tick();
 }

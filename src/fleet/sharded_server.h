@@ -68,10 +68,12 @@ class ShardedServer {
 
   /// Advances one shard one stream tick: first the shard's batched filter
   /// sweep (FilterPoolSet::PredictAll — one contiguous pass over every
-  /// pooled filter's state), then the shard's replicas. Thread-affine: at
-  /// most one thread per shard per tick. Drivers that already swept every
-  /// pool via SweepPools this tick pass run_pool_sweep = false, otherwise
-  /// the slots would advance twice.
+  /// pooled filter's state), then the shard's StreamServer::Tick, which
+  /// skips the replicas on the shard's pools (the sweep did their time
+  /// update). Thread-affine: at most one thread per shard per tick.
+  /// Drivers that already swept every pool via SweepPools this tick pass
+  /// run_pool_sweep = false, otherwise the slots would advance twice. One
+  /// of the two must run every tick: a shard's replicas rely on it.
   void TickShard(size_t index, bool run_pool_sweep = true);
 
   /// Runs this tick's batched filter sweep for EVERY shard's pools, as one

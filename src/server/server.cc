@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/strings.h"
@@ -43,7 +44,8 @@ Status StreamServer::RegisterSource(int32_t source_id,
     return Status::AlreadyExists(StrFormat("source %d already registered",
                                            source_id));
   }
-  auto replica = std::make_unique<ServerReplica>(source_id, std::move(predictor));
+  auto replica = std::make_unique<ServerReplica>(source_id,
+                                                 std::move(predictor), &ticks_);
   if (registry_ != nullptr) replica->BindMetrics(registry_);
   if (recovery_.enabled) replica->SetRecovery(recovery_);
   replica->SetStalenessLimit(staleness_limit_);
@@ -53,6 +55,7 @@ Status StreamServer::RegisterSource(int32_t source_id,
       health_ == nullptr
           ? nullptr
           : health_->ForSource(source_id, replica->predictor().dims()));
+  if (NeedsTick(*replica)) ticked_.insert(TickedAt(source_id), replica.get());
   replicas_[source_id] = std::move(replica);
   ++registration_epoch_;
   if (metrics_.sources != nullptr) {
@@ -62,9 +65,13 @@ Status StreamServer::RegisterSource(int32_t source_id,
 }
 
 Status StreamServer::UnregisterSource(int32_t source_id) {
-  if (replicas_.erase(source_id) == 0) {
+  auto it = replicas_.find(source_id);
+  if (it == replicas_.end()) {
     return Status::NotFound(StrFormat("unknown source %d", source_id));
   }
+  auto at = TickedAt(source_id);
+  if (at != ticked_.end() && *at == it->second.get()) ticked_.erase(at);
+  replicas_.erase(it);
   ++registration_epoch_;
   // Drop the archive with the replica: a re-registered id must not resume
   // the dead source's history.
@@ -79,8 +86,8 @@ void StreamServer::Tick() {
   KC_TRACE_SCOPE("server.tick");
   const bool bound = metrics_.ticks != nullptr;
   int64_t t0 = bound ? obs::TraceNowNs() : 0;
-  for (auto& [id, replica] : replicas_) replica->Tick();
   ++ticks_;
+  for (ServerReplica* replica : ticked_) replica->Tick();
   if (archive_capacity_ > 0) {
     for (auto& [id, replica] : replicas_) {
       if (!replica->initialized() || replica->predictor().dims() != 1) {
@@ -186,6 +193,27 @@ StatusOr<QueryResult> StreamServer::HistoricalAggregate(int32_t source_id,
 void StreamServer::SetRecovery(const ReplicaRecoveryConfig& config) {
   recovery_ = config;
   for (auto& [id, replica] : replicas_) replica->SetRecovery(recovery_);
+  RebuildTicked();
+}
+
+bool StreamServer::NeedsTick(const ServerReplica& replica) const {
+  return replica.recovery().enabled || swept_pools_ == nullptr ||
+         replica.predictor().time_update_pools() != swept_pools_;
+}
+
+std::vector<ServerReplica*>::iterator StreamServer::TickedAt(
+    int32_t source_id) {
+  return std::lower_bound(ticked_.begin(), ticked_.end(), source_id,
+                          [](const ServerReplica* r, int32_t id) {
+                            return r->source_id() < id;
+                          });
+}
+
+void StreamServer::RebuildTicked() {
+  ticked_.clear();
+  for (auto& [id, replica] : replicas_) {
+    if (NeedsTick(*replica)) ticked_.push_back(replica.get());
+  }
 }
 
 bool StreamServer::IsDesynced(int32_t source_id) const {

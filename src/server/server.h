@@ -25,6 +25,8 @@ struct BoundedAnswer {
   bool degraded = false;
 };
 
+class FilterPoolSet;
+
 namespace obs {
 class Counter;
 class FlightRecorder;
@@ -42,12 +44,26 @@ class MetricRegistry;
 /// the paper measures — by the query front of ShardedServer
 /// (src/fleet/sharded_server.h), which owns one StreamServer per shard.
 ///
+/// The server's tick count is every replica's clock (ServerReplica keeps
+/// only its registration and first-INIT ticks), so Tick() touches only the
+/// replicas with per-tick work of their own: those with recovery enabled,
+/// and those whose predictor's time update no sweep of `swept_pools` does
+/// (non-Kalman policies, private or bare pools). A pooled replica on the
+/// swept set costs the tick nothing.
+///
 /// Single-threaded by design: one StreamServer is driven by
 /// Tick()/OnMessage() from a single thread (its shard's worker), so every
 /// instance stays thread-confined to its shard.
 class StreamServer {
  public:
-  StreamServer() = default;
+  /// `swept_pools`, when set, is a pool set whose owner runs its batched
+  /// time update (PredictAll, or ShardedServer::SweepPools) before every
+  /// Tick(); replicas whose predictor draws from it are not ticked.
+  explicit StreamServer(const FilterPoolSet* swept_pools = nullptr)
+      : swept_pools_(swept_pools) {}
+  /// Replicas hold pointers to the clock and control hooks hold `this`.
+  StreamServer(const StreamServer&) = delete;
+  StreamServer& operator=(const StreamServer&) = delete;
 
   /// Registers a source. `predictor` must be a fresh clone of the
   /// source-side predictor's configuration. Fails on duplicate ids.
@@ -59,7 +75,9 @@ class StreamServer {
   /// source's.
   Status UnregisterSource(int32_t source_id);
 
-  /// Advances every replica one stream tick.
+  /// Advances the stream clock one tick (and with it every replica's
+  /// counters), then runs the per-tick work of the replicas that have
+  /// some, in id order; then the archive and bound-width passes.
   void Tick();
 
   /// Routes a wire message to its source's replica.
@@ -155,7 +173,17 @@ class StreamServer {
   /// Wires one replica's outbound RESYNC_REQUESTs into the control sink.
   void InstallControlSender(ServerReplica* replica);
 
+  /// True if Tick() must call the replica's Tick() (see the class note).
+  bool NeedsTick(const ServerReplica& replica) const;
+  /// Where `source_id` is, or would go, in ticked_.
+  std::vector<ServerReplica*>::iterator TickedAt(int32_t source_id);
+  /// Rebuilds ticked_ from replicas_ (after SetRecovery).
+  void RebuildTicked();
+
+  const FilterPoolSet* swept_pools_;
   std::map<int32_t, std::unique_ptr<ServerReplica>> replicas_;
+  /// The replicas NeedsTick selects, in id order.
+  std::vector<ServerReplica*> ticked_;
   ReplicaRecoveryConfig recovery_;
   std::map<int32_t, TickArchive> archives_;
   ControlSink control_sink_;

@@ -251,7 +251,7 @@ void KalmanPredictor::EnsurePrivateSlot() {
 }
 
 void KalmanPredictor::Tick() {
-  assert(shadow_slot_ != FilterPool::kNoSlot);
+  if (shadow_slot_ == FilterPool::kNoSlot) return;  // Before Init.
   ++shadow_ticks_;
   // A no-op when the shard's batched PredictAll already advanced the
   // slot this tick; does the time update itself otherwise.

@@ -178,6 +178,7 @@ class KalmanPredictor : public Predictor {
   KalmanPredictor& operator=(const KalmanPredictor&) = delete;
 
   void Init(const Reading& first) override;
+  /// A no-op before Init (no slot to advance yet).
   void Tick() override;
   /// Fails (FailedPrecondition) when the private filter's update fails:
   /// its innovation covariance is not positive definite or not finite.
@@ -202,6 +203,9 @@ class KalmanPredictor : public Predictor {
   /// private filter).
   double LastNis() const override;
   int64_t OutliersRejected() const override;
+  /// The shard's set this predictor draws its slots from (null on a
+  /// private pool).
+  const FilterPoolSet* time_update_pools() const override { return pools_; }
   std::unique_ptr<Predictor> Clone() const override;
   std::string name() const override;
   size_t dims() const override { return config_->model.obs_dim(); }

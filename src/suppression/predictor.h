@@ -11,6 +11,8 @@
 
 namespace kc {
 
+class FilterPoolSet;
+
 namespace obs {
 class MetricRegistry;
 }  // namespace obs
@@ -110,6 +112,12 @@ class Predictor {
   /// policy has no gate). Lets the serving path log gate fires without
   /// knowing the concrete policy.
   virtual int64_t OutliersRejected() const { return 0; }
+
+  /// The pool set whose batched sweep (FilterPoolSet::PredictAll) does
+  /// this predictor's time update, or null when only Tick() does it.
+  /// Whether anything sweeps that set every tick is its owner's to say: on
+  /// a set nobody sweeps, Tick() still catches the slot up itself.
+  virtual const FilterPoolSet* time_update_pools() const { return nullptr; }
 
   /// Fresh, un-Init()ed replica with the same configuration. This is how
   /// the server constructs its twin of a source's predictor.

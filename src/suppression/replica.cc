@@ -40,8 +40,12 @@ Status ValidateDataFrame(const Message& msg) {
 }  // namespace
 
 ServerReplica::ServerReplica(int32_t source_id,
-                             std::unique_ptr<Predictor> predictor)
-    : source_id_(source_id), predictor_(std::move(predictor)) {
+                             std::unique_ptr<Predictor> predictor,
+                             const int64_t* clock)
+    : source_id_(source_id),
+      predictor_(std::move(predictor)),
+      clock_(clock),
+      registered_tick_(Now()) {
   assert(predictor_ != nullptr);
 }
 
@@ -58,18 +62,19 @@ void ServerReplica::SetRecovery(const ReplicaRecoveryConfig& config) {
 }
 
 void ServerReplica::Tick() {
-  ++lifetime_ticks_;
-  if (initialized_) {
-    predictor_->Tick();
-    ++ticks_;
+  if (clock_ == nullptr) {
+    // No owner clock: moving both origins back one tick is advancing it.
+    --registered_tick_;
+    if (initialized_) --init_tick_;
   }
+  if (initialized_) predictor_->Tick();
   if (!recovery_.enabled) return;
   if (!desynced_ && recovery_.suspect_after_silent_ticks > 0 &&
-      lifetime_ticks_ - lifetime_tick_at_heard_ >
+      lifetime_ticks() - lifetime_tick_at_heard_ >
           recovery_.suspect_after_silent_ticks) {
     MarkDesynced();
   }
-  if (desynced_ && lifetime_ticks_ >= next_resync_tick_) {
+  if (desynced_ && lifetime_ticks() >= next_resync_tick_) {
     SendResyncRequest();
   }
 }
@@ -81,10 +86,10 @@ void ServerReplica::MarkDesynced() {
   // Ask on the replica's next Tick (requests always flow from the tick
   // path, never from mid-delivery, which keeps control traffic ordered
   // deterministically within the tick).
-  next_resync_tick_ = lifetime_ticks_;
+  next_resync_tick_ = lifetime_ticks();
   if (recorder_ != nullptr) {
-    recorder_->Record(lifetime_ticks_, obs::RecorderEventKind::kQuarantineEnter,
-                      last_wire_seq_);
+    recorder_->Record(lifetime_ticks(),
+                      obs::RecorderEventKind::kQuarantineEnter, last_wire_seq_);
   }
 }
 
@@ -92,7 +97,7 @@ void ServerReplica::ClearDesync() {
   // ClearDesync also runs on every INIT/FULL_SYNC while healthy; only an
   // actual quarantine exit is a recordable transition.
   if (desynced_ && recorder_ != nullptr) {
-    recorder_->Record(lifetime_ticks_, obs::RecorderEventKind::kQuarantineExit,
+    recorder_->Record(lifetime_ticks(), obs::RecorderEventKind::kQuarantineExit,
                       last_wire_seq_);
   }
   desynced_ = false;
@@ -105,17 +110,17 @@ void ServerReplica::SendResyncRequest() {
   req.source_id = source_id_;
   req.type = MessageType::kResyncRequest;
   req.seq = last_heard_seq_;
-  req.time = static_cast<double>(lifetime_ticks_);
+  req.time = static_cast<double>(lifetime_ticks());
   req.payload = {initialized_ ? 1.0 : 0.0};
   if (control_sender_) control_sender_(req);
   ++resyncs_requested_;
   if (metrics_.resyncs_requested != nullptr) metrics_.resyncs_requested->Inc();
   if (recorder_ != nullptr) {
-    recorder_->Record(lifetime_ticks_, obs::RecorderEventKind::kResyncRequest,
+    recorder_->Record(lifetime_ticks(), obs::RecorderEventKind::kResyncRequest,
                       last_wire_seq_, initialized_ ? 1.0 : 0.0);
   }
   if (health_ != nullptr) health_->OnResync();
-  next_resync_tick_ = lifetime_ticks_ + backoff_;
+  next_resync_tick_ = lifetime_ticks() + backoff_;
   backoff_ = std::min(backoff_ * 2, recovery_.backoff_max_ticks);
 }
 
@@ -154,7 +159,7 @@ Status ServerReplica::OnMessage(const Message& msg) {
   KC_TRACE_SCOPE_FLOW("replica.apply", msg.flow_id);
   // Any correctly-routed message proves the link is alive, even one the
   // sequencing guard is about to discard (recovery escalation only).
-  lifetime_tick_at_heard_ = lifetime_ticks_;
+  lifetime_tick_at_heard_ = lifetime_ticks();
   // Sequencing guard: a duplicate or reordered datagram must not roll the
   // replica backwards — nor be applied twice. An exact duplicate
   // (seq == last_heard_seq_) used to slip through on `<` and re-apply a
@@ -164,7 +169,7 @@ Status ServerReplica::OnMessage(const Message& msg) {
     ++messages_ignored_;
     if (metrics_.ignored != nullptr) metrics_.ignored->Inc();
     if (recorder_ != nullptr) {
-      recorder_->Record(lifetime_ticks_, obs::RecorderEventKind::kIgnore,
+      recorder_->Record(lifetime_ticks(), obs::RecorderEventKind::kIgnore,
                         msg.wire_seq, static_cast<double>(msg.type));
     }
     return Status::Ok();
@@ -180,7 +185,7 @@ Status ServerReplica::OnMessage(const Message& msg) {
     if (recorder_ != nullptr) {
       // value = how many uplink messages went missing in this gap.
       recorder_->Record(
-          lifetime_ticks_, obs::RecorderEventKind::kWireGap, msg.wire_seq,
+          lifetime_ticks(), obs::RecorderEventKind::kWireGap, msg.wire_seq,
           static_cast<double>(msg.wire_seq - last_wire_seq_ - 1));
     }
     if (gap_events_since_sync_ >= recovery_.max_gap_events) MarkDesynced();
@@ -207,6 +212,7 @@ Status ServerReplica::OnMessage(const Message& msg) {
         return Status::InvalidArgument("INIT dimension mismatch");
       }
       predictor_->Init(first);
+      if (!initialized_) init_tick_ = Now();
       initialized_ = true;
       ClearDesync();  // A (re-)INIT anchors the replica completely.
       break;
@@ -246,13 +252,13 @@ Status ServerReplica::OnMessage(const Message& msg) {
   }
   last_heard_seq_ = msg.seq;
   last_wire_seq_ = std::max(last_wire_seq_, msg.wire_seq);
-  tick_at_last_heard_ = ticks_;
+  tick_at_last_heard_ = ticks();
   ++messages_applied_;
   if (metrics_.applied != nullptr) metrics_.applied->Inc();
   // Heartbeats are liveness noise; the agent side already records the
   // send, so only state-bearing applies earn a black-box entry.
   if (recorder_ != nullptr && msg.type != MessageType::kHeartbeat) {
-    recorder_->Record(lifetime_ticks_, obs::RecorderEventKind::kApply,
+    recorder_->Record(lifetime_ticks(), obs::RecorderEventKind::kApply,
                       msg.wire_seq, static_cast<double>(msg.type));
   }
   return Status::Ok();

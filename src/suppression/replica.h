@@ -46,14 +46,22 @@ struct ReplicaRecoveryConfig {
 /// The server half of the suppression protocol: the cached dynamic
 /// procedure that answers queries for one source without contacting it.
 ///
-/// Tick() advances the predictor clock once per stream tick; OnMessage()
-/// folds in whatever the source ships. Between messages, Value() returns
-/// the prediction, which the protocol guarantees is within bound() of the
-/// source's measurements on a lossless channel. With recovery enabled
-/// (SetRecovery), the replica detects lost uplink messages via wire-seq
-/// gaps and silence, quarantines itself (widened bound, desynced() true),
-/// and emits RESYNC_REQUEST control messages with exponential backoff
-/// until a FULL_SYNC or INIT re-anchors it.
+/// The replica's clock is its owner's: a StreamServer passes its tick
+/// counter at construction, and the replica keeps only the ticks at which
+/// it was registered and first initialized, so ticks(), TicksSinceHeard(),
+/// stale(), the recovery thresholds and the recorder timestamps follow the
+/// server's clock without a per-replica write. Tick() is the replica's
+/// per-tick work: the predictor's time update (unless the owner's batched
+/// pool sweep does it) and, with recovery on, the escalation below. The
+/// server calls it only on replicas that have such work. A standalone
+/// replica (no owner clock) counts its own Tick() calls instead.
+/// OnMessage() folds in whatever the source ships. Between messages,
+/// Value() returns the prediction, which the protocol guarantees is within
+/// bound() of the source's measurements on a lossless channel. With
+/// recovery enabled (SetRecovery), the replica detects lost uplink
+/// messages via wire-seq gaps and silence, quarantines itself (widened
+/// bound, desynced() true), and emits RESYNC_REQUEST control messages with
+/// exponential backoff until a FULL_SYNC or INIT re-anchors it.
 class ServerReplica {
  public:
   /// Outbound control hook (RESYNC_REQUEST). Installed by the server; the
@@ -62,11 +70,15 @@ class ServerReplica {
   using ControlSender = std::function<void(const Message&)>;
 
   /// `predictor` must be a fresh Clone() of the source's predictor.
-  ServerReplica(int32_t source_id, std::unique_ptr<Predictor> predictor);
+  /// `clock`, when set, is the owner's tick counter; it must outlive the
+  /// replica and be advanced before each Tick() call for that tick.
+  ServerReplica(int32_t source_id, std::unique_ptr<Predictor> predictor,
+                const int64_t* clock = nullptr);
 
-  /// Advances one stream tick (predictor no-op before INIT arrives) and,
-  /// with recovery enabled, runs gap/silence escalation and emits due
-  /// RESYNC_REQUESTs through the control sender.
+  /// This tick's work: the predictor's time update (no-op before INIT
+  /// arrives) and, with recovery enabled, gap/silence escalation and due
+  /// RESYNC_REQUESTs through the control sender. Without an owner clock it
+  /// also advances the replica's own clock.
   void Tick();
 
   /// Applies a message from this replica's source. Messages for other
@@ -102,7 +114,8 @@ class ServerReplica {
 
   /// Bookkeeping for staleness/liveness monitoring.
   int64_t last_heard_seq() const { return last_heard_seq_; }
-  int64_t ticks() const { return ticks_; }
+  /// Ticks since the first INIT (0 before it).
+  int64_t ticks() const { return initialized_ ? Now() - init_tick_ : 0; }
   int64_t messages_applied() const { return messages_applied_; }
   /// Duplicate or out-of-order messages dropped by the sequencing guard.
   int64_t messages_ignored() const { return messages_ignored_; }
@@ -116,7 +129,7 @@ class ServerReplica {
   /// first message.
   int64_t TicksSinceHeard() const {
     return tick_at_last_heard_ < 0 ? (int64_t{1} << 60)
-                                   : ticks_ - tick_at_last_heard_;
+                                   : ticks() - tick_at_last_heard_;
   }
 
   /// Liveness threshold in replica ticks (0, the default, disables
@@ -162,37 +175,47 @@ class ServerReplica {
     obs::Counter* resyncs_requested = nullptr;
   };
 
+  /// The owner's clock; a standalone replica's stays at 0 and its Tick()
+  /// moves registered_tick_/init_tick_ back instead.
+  int64_t Now() const { return clock_ != nullptr ? *clock_ : 0; }
+  /// Ticks since registration, counted even before INIT so a lost INIT
+  /// can escalate (ticks() starts only after initialization).
+  int64_t lifetime_ticks() const { return Now() - registered_tick_; }
+
   void MarkDesynced();
   void ClearDesync();
   void SendResyncRequest();
 
   int32_t source_id_;
+  // The flags fill source_id_'s padding, which pays for clock_.
+  bool initialized_ = false;
+  bool desynced_ = false;
   std::unique_ptr<Predictor> predictor_;
+  const int64_t* clock_;
   Metrics metrics_;
   obs::SourceRecorder* recorder_ = nullptr;  ///< Optional black box.
   obs::SourceHealth* health_ = nullptr;      ///< Optional watchdog feed.
   ReplicaRecoveryConfig recovery_;
   int64_t staleness_limit_ = 0;
   ControlSender control_sender_;
-  bool initialized_ = false;
-  bool desynced_ = false;
   double delta_ = 0.0;
   int64_t last_heard_seq_ = -1;
   int64_t last_wire_seq_ = -1;
-  int64_t ticks_ = 0;
+  /// Now() at registration and at the first INIT: the origins of
+  /// lifetime_ticks() and ticks().
+  int64_t registered_tick_;
+  int64_t init_tick_ = 0;
+  /// ticks() when the source was last heard from (-1 never).
   int64_t tick_at_last_heard_ = -1;
   int64_t messages_applied_ = 0;
   int64_t messages_ignored_ = 0;
   int64_t gaps_ = 0;
   int64_t gap_events_since_sync_ = 0;
   int64_t resyncs_requested_ = 0;
-  /// Ticks since construction, counted even before INIT so a lost INIT
-  /// can escalate (ticks_ starts only after initialization).
-  int64_t lifetime_ticks_ = 0;
-  /// Liveness for recovery escalation: unlike tick_at_last_heard_, this
-  /// refreshes on *any* correctly-routed message, including duplicates
-  /// the sequencing guard discards — a duplicate still proves the source
-  /// and link are alive.
+  /// Liveness for recovery escalation (in lifetime_ticks()): unlike
+  /// tick_at_last_heard_, this refreshes on *any* correctly-routed
+  /// message, including duplicates the sequencing guard discards — a
+  /// duplicate still proves the source and link are alive.
   int64_t lifetime_tick_at_heard_ = 0;
   int64_t next_resync_tick_ = 0;
   int64_t backoff_ = 0;

@@ -424,11 +424,15 @@ TEST(ZeroAllocTest, SteppedFleetSteadyStateIsAllocationFree) {
   // channel advance and sample, and every source's Offer. The bound is
   // wide enough that no source is due a correction (a send allocates its
   // payload by design), so past the INIT tick the step must allocate
-  // nothing, on one thread and on four (the pool's fork/join included).
+  // nothing, on one thread and on four (the pool's fork/join included),
+  // with recovery off (no replica is ticked) and on (every replica is, off
+  // the server's per-tick list).
+  for (bool recovery : {false, true}) {
   for (size_t threads : {1, 4}) {
     ShardedFleet::Config config;
     config.threads = threads;
     config.num_shards = 8;
+    config.recovery.enabled = recovery;
     ShardedFleet fleet(config);
     KalmanPredictor::Config kf;
     kf.model = MakeRandomWalkModel(0.1, 0.25);
@@ -442,8 +446,10 @@ TEST(ZeroAllocTest, SteppedFleetSteadyStateIsAllocationFree) {
     ASSERT_TRUE(fleet.Run(5).ok());  // INITs, first observations, warm-up.
     long before = AllocCount();
     ASSERT_TRUE(fleet.Run(1000).ok());
-    EXPECT_EQ(AllocCount() - before, 0) << "threads=" << threads;
+    EXPECT_EQ(AllocCount() - before, 0)
+        << "threads=" << threads << " recovery=" << recovery;
     EXPECT_EQ(fleet.TotalMessages(), 2000);  // The INITs only.
+  }
   }
 }
 

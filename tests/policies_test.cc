@@ -221,6 +221,24 @@ TEST(KalmanPredictorTest, ApplyBeforeInitFails) {
   EXPECT_FALSE(p.ApplyFullState({1.0, 1.0}).ok());
 }
 
+TEST(KalmanPredictorTest, TickBeforeInitIsANoOp) {
+  // Before Init there is no slot to advance; the call used to dereference
+  // a null pool, guarded only by an assert that release builds drop.
+  KalmanPredictor early(ScalarKalmanConfig());
+  early.Tick();
+  early.Tick();
+  KalmanPredictor fresh(ScalarKalmanConfig());
+  early.Init(MakeReading(0, 0.0, 2.0));
+  fresh.Init(MakeReading(0, 0.0, 2.0));
+  EXPECT_EQ(early.EncodeFullState(), fresh.EncodeFullState());
+  for (int t = 0; t < 3; ++t) {
+    early.Tick();
+    fresh.Tick();
+  }
+  // Same state and covariance: the early ticks advanced nothing.
+  EXPECT_EQ(early.EncodeFullState(), fresh.EncodeFullState());
+}
+
 TEST(KalmanPredictorTest, WrongPayloadSizesRejected) {
   KalmanPredictor p(ScalarKalmanConfig(KalmanPredictor::SyncMode::kState));
   p.Init(MakeReading(0, 0.0, 0.0));

@@ -999,6 +999,56 @@ TEST(FilterPoolTest, IdReuseAfterUnregisterSeesNoStaleState) {
   ExpectBitEqual(fresh, reused, "replica value after id reuse", 0);
 }
 
+TEST(FilterPoolTest, ReplicaOnUnsweptPoolSetIsStillTicked) {
+  // A server skips a pooled replica's Tick() only for the pool set its
+  // owner sweeps every tick. A replica on a bare set that nobody sweeps
+  // (on a standalone StreamServer, or on a ShardedServer shard whose own
+  // set is another) must still do its time update in Tick().
+  KalmanPredictor::Config config;
+  config.model = MakeConstantVelocityModel(1.0, 0.1, 0.25);
+  auto drive = [](auto& server, int32_t id) {
+    Message init;
+    init.source_id = id;
+    init.type = MessageType::kInit;
+    init.payload = {0.5, 0.0};  // delta, position.
+    ASSERT_TRUE(server.OnMessage(init).ok());
+    Message correction;
+    correction.source_id = id;
+    correction.type = MessageType::kCorrection;
+    correction.seq = 1;
+    correction.wire_seq = 1;
+    correction.payload = {0.5, 1.0, 2.0};  // delta, position, velocity.
+    ASSERT_TRUE(server.OnMessage(correction).ok());
+    for (int t = 0; t < 5; ++t) server.Tick();
+    auto answer = server.SourceValue(id);
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(answer->value[0], 11.0);  // 1 + 5 ticks of velocity 2.
+  };
+  FilterPoolSet bare;
+  StreamServer standalone;
+  ASSERT_TRUE(standalone
+                  .RegisterSource(3, MakePooledPredictor(
+                                         KalmanPredictor(config), &bare))
+                  .ok());
+  drive(standalone, 3);
+  ShardedServer sharded(2);
+  ASSERT_TRUE(sharded
+                  .RegisterSource(3, MakePooledPredictor(
+                                         KalmanPredictor(config), &bare))
+                  .ok());
+  drive(sharded, 3);
+  // On the shard's own swept set the sweep does the same time updates.
+  int32_t swept_id = 4;
+  ASSERT_TRUE(sharded
+                  .RegisterSource(swept_id,
+                                  MakePooledPredictor(
+                                      KalmanPredictor(config),
+                                      sharded.shard_pools(
+                                          sharded.ShardOf(swept_id))))
+                  .ok());
+  drive(sharded, swept_id);
+}
+
 // ------------------------------------------------ Faults-on fleet replay
 
 TEST(PoolEquivalenceTest, RecoveryReplayMatchesPerObjectPath) {

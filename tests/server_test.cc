@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "fleet/sharded_server.h"
 #include "suppression/policies.h"
 
@@ -85,6 +87,51 @@ TEST(StreamServerTest, TickAdvancesReplicas) {
   server.Tick();
   EXPECT_DOUBLE_EQ(server.SourceValue(0)->value[0], 6.0);
   EXPECT_EQ(server.ticks(), 2);
+}
+
+/// Drives one replica through INITs and ticks and checks its counters.
+/// `tick` advances one tick, `init` delivers an INIT with a value.
+void ExpectClockCounters(const ServerReplica& r,
+                         const std::function<void()>& tick,
+                         const std::function<void(double)>& init) {
+  tick();
+  EXPECT_EQ(r.ticks(), 0);  // Not initialized yet.
+  init(1.0);
+  for (int t = 0; t < 3; ++t) tick();
+  EXPECT_EQ(r.ticks(), 3);
+  EXPECT_EQ(r.TicksSinceHeard(), 3);
+  EXPECT_FALSE(r.stale());
+  init(2.0);  // A re-INIT re-anchors the value, not ticks().
+  EXPECT_EQ(r.TicksSinceHeard(), 0);
+  for (int t = 0; t < 4; ++t) tick();
+  EXPECT_EQ(r.ticks(), 7);
+  EXPECT_EQ(r.TicksSinceHeard(), 4);
+  EXPECT_TRUE(r.stale());
+}
+
+TEST(StreamServerTest, ReplicaCountersFollowTheClock) {
+  // A server's replicas count from its clock (their registration and first
+  // INIT ticks); a standalone replica counts its own Tick() calls. Both
+  // read the same.
+  StreamServer server;
+  server.Tick();
+  server.Tick();  // The clock runs before the source exists.
+  ASSERT_TRUE(server.RegisterSource(0, std::make_unique<ValueCachePredictor>())
+                  .ok());
+  server.SetStalenessLimit(3);
+  ExpectClockCounters(
+      *server.replica(0), [&] { server.Tick(); },
+      [&](double v) {
+        ASSERT_TRUE(server.OnMessage(InitMessage(0, 0.5, v)).ok());
+      });
+
+  ServerReplica alone(0, std::make_unique<ValueCachePredictor>());
+  alone.SetStalenessLimit(3);
+  ExpectClockCounters(
+      alone, [&] { alone.Tick(); },
+      [&](double v) {
+        ASSERT_TRUE(alone.OnMessage(InitMessage(0, 0.5, v)).ok());
+      });
 }
 
 ShardedServer MakeThreeSourceServer() {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -722,6 +723,118 @@ TEST(ShardedFleetTest, DefaultAdaptivePredictorPooledBitIdenticalToPerObject) {
       // Every source's agent and replica filters live in the pools.
       EXPECT_GE(pooled.pooled_slots, 2u * 14u) << label;
       ExpectEqualAdaptiveRuns(object, pooled, label);
+    }
+  }
+}
+
+/// A faulty fleet whose replicas are, with `pooling`, on the shards'
+/// swept pools (their counters come from the server clock and the tick
+/// skips them unless recovery is on), and otherwise on private pools (every
+/// replica ticked).
+ShardedFleet::Config ClockParityConfig(bool pooling, bool recovery) {
+  ShardedFleet::Config config;
+  config.seed = 2468;
+  config.threads = 1;
+  config.num_shards = 4;
+  config.pooling = pooling;
+  config.channel.loss_prob = 0.1;
+  config.channel.latency_ticks = 2;
+  config.control_channel.loss_prob = 0.1;
+  config.recovery.enabled = recovery;
+  config.recovery.suspect_after_silent_ticks = 10;
+  config.agent_base.heartbeat_every = 6;
+  return config;
+}
+
+void AddParitySource(ShardedFleet& fleet, int i) {
+  RandomWalkGenerator::Config walk;
+  walk.start = 4.0 * i;
+  walk.step_sigma = 0.2 + 0.1 * (i % 3);
+  fleet.AddSource(std::make_unique<RandomWalkGenerator>(walk),
+                  std::make_unique<KalmanPredictor>(ScalarKalman()),
+                  /*delta=*/0.4 + 0.1 * (i % 2));
+}
+
+void ExpectSameReplica(const ServerReplica* a, const ServerReplica* b,
+                       const std::string& label) {
+  ASSERT_EQ(a == nullptr, b == nullptr) << label;
+  if (a == nullptr) return;
+  ASSERT_EQ(a->initialized(), b->initialized()) << label;
+  ASSERT_EQ(a->ticks(), b->ticks()) << label;
+  ASSERT_EQ(a->TicksSinceHeard(), b->TicksSinceHeard()) << label;
+  ASSERT_EQ(a->stale(), b->stale()) << label;
+  ASSERT_EQ(a->desynced(), b->desynced()) << label;
+  ASSERT_EQ(a->resyncs_requested(), b->resyncs_requested()) << label;
+  if (!a->initialized()) return;
+  Vector va = a->Value();
+  Vector vb = b->Value();
+  ASSERT_EQ(va.size(), vb.size()) << label;
+  for (size_t d = 0; d < va.size(); ++d) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(va[d]), std::bit_cast<uint64_t>(vb[d]))
+        << label << " value " << d;
+  }
+}
+
+TEST(ShardedFleetTest, ReplicaClockCountersMatchTickedReplicas) {
+  // Pooled replicas are not ticked: ticks(), TicksSinceHeard(), stale()
+  // and the recorder's timestamps derive from the shard clock. They must
+  // read exactly what per-replica ticking gives, through uplink loss and
+  // latency, control loss, a source added after the first Step, and an id
+  // unregistered and registered again — with recovery off and on.
+  constexpr int kSources = 9;
+  constexpr int32_t kChurned = 2;
+  for (bool recovery : {false, true}) {
+    std::string mode = recovery ? "recovery on" : "recovery off";
+    ShardedFleet pooled(ClockParityConfig(/*pooling=*/true, recovery));
+    ShardedFleet ticked(ClockParityConfig(/*pooling=*/false, recovery));
+    int64_t stale_seen = 0;
+    for (ShardedFleet* fleet : {&pooled, &ticked}) {
+      ASSERT_TRUE(fleet->EnableFlightRecorder(/*capacity_per_source=*/256)
+                      .ok());
+      fleet->server().SetStalenessLimit(4);
+      for (int i = 0; i < kSources - 1; ++i) AddParitySource(*fleet, i);
+      ASSERT_TRUE(fleet->Step().ok());
+      AddParitySource(*fleet, kSources - 1);  // Registered at tick 1.
+    }
+    for (int t = 1; t < 400; ++t) {
+      for (ShardedFleet* fleet : {&pooled, &ticked}) {
+        if (t == 150) {
+          ASSERT_TRUE(fleet->server().UnregisterSource(kChurned).ok());
+        } else if (t == 170) {
+          ASSERT_TRUE(fleet->server()
+                          .RegisterSource(kChurned,
+                                          fleet->agent(kChurned)
+                                              .predictor()
+                                              .Clone())
+                          .ok());
+        }
+        ASSERT_TRUE(fleet->Step().ok());
+      }
+      for (int32_t id = 0; id < kSources; ++id) {
+        const ServerReplica* a = pooled.server().replica(id);
+        ExpectSameReplica(a, ticked.server().replica(id),
+                          mode + " tick " + std::to_string(t) + " source " +
+                              std::to_string(id));
+        if (HasFatalFailure()) return;
+        if (a != nullptr && a->stale()) ++stale_seen;
+      }
+    }
+    EXPECT_EQ(pooled.DumpFlightRecorderText(), ticked.DumpFlightRecorderText())
+        << mode;
+    // The run reached the paths the derived counters must get right.
+    EXPECT_GT(stale_seen, 0) << mode;
+    EXPECT_GT(pooled.server().shard_pools(0)->num_active(), 0u) << mode;
+    const ServerReplica* churned = pooled.server().replica(kChurned);
+    ASSERT_NE(churned, nullptr);
+    if (recovery) {
+      // Re-INITed after the re-registration.
+      EXPECT_TRUE(churned->initialized()) << mode;
+      EXPECT_LT(churned->ticks(), 400 - 170) << mode;
+      int64_t resyncs = 0;
+      for (int32_t id = 0; id < kSources; ++id) {
+        resyncs += pooled.server().replica(id)->resyncs_requested();
+      }
+      EXPECT_GT(resyncs, 0);
     }
   }
 }
