@@ -112,13 +112,13 @@ BENCHMARK(BM_FaultyFleetStep)
     ->Args({20000, 4})
     ->Unit(benchmark::kMillisecond);
 
-// Fleet-scale tick throughput: {sources, pooled, threads, simd, adaptive}.
+// Fleet-scale tick throughput: {sources, pooled, threads, adaptive}.
 // The pooled rows run the SoA FilterPool path (per-shard lane-interleaved
 // x/P slabs swept by the vectorized batched kernels once per tick);
 // pooled=0 keeps one private pool per predictor, each doing its own time
 // updates without a shard sweep. The threads axis drives both the shard
-// fan-out and the phase-1 pool sweep; the simd axis toggles the AVX2 lane
-// kernels against their portable scalar twins. adaptive=1 adds the default
+// fan-out and the phase-1 pool sweep; the lane kernels are the build's
+// (AVX2 unless configured with KC_SIMD=OFF). adaptive=1 adds the default
 // AdaptiveConfig (the Q adaptation MakeDefaultKalmanPredictor ships),
 // which pools with per-slot Q and NIS rings and the lane-Q sweep kernel.
 // Answers are bit-identical across the entire matrix (tests/pool_test.cc,
@@ -131,13 +131,11 @@ void BM_FleetTick_1M(benchmark::State& state) {
   const auto sources = static_cast<int>(state.range(0));
   const bool pooled = state.range(1) != 0;
   const auto threads = static_cast<size_t>(state.range(2));
-  const bool simd = state.range(3) != 0;
-  const bool adaptive = state.range(4) != 0;
+  const bool adaptive = state.range(3) != 0;
   kc::ShardedFleet::Config config;
   config.threads = threads;
   config.num_shards = 8;
   config.pooling = pooled;
-  config.simd = simd;
   kc::ShardedFleet fleet(config);
   kc::KalmanPredictor::Config kf;
   kf.model = kc::MakeRandomWalkModel(0.1, 0.25);
@@ -157,19 +155,17 @@ void BM_FleetTick_1M(benchmark::State& state) {
   state.counters["sources"] = static_cast<double>(sources);
   state.counters["pooled"] = pooled ? 1.0 : 0.0;
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["simd"] = simd ? 1.0 : 0.0;
   state.counters["adaptive"] = adaptive ? 1.0 : 0.0;
 }
 void FleetTickMatrix(benchmark::internal::Benchmark* b) {
-  b->Args({100000, 0, 1, 1, 0});   // Private-pool baseline.
-  b->Args({100000, 1, 1, 1, 0});   // Pooled, 1 thread, SIMD.
-  b->Args({100000, 0, 1, 1, 1});   // Adaptive Q, private pools.
-  b->Args({100000, 1, 1, 1, 1});   // Adaptive Q, pooled per-slot Q.
-  b->Args({1000000, 1, 1, 1, 0});  // The headline row.
-  b->Args({1000000, 1, 1, 0, 0});  // SIMD off: the scalar-lane cost.
-  b->Args({1000000, 1, 4, 1, 0});  // Multi-threaded sweep + shard fan-out.
+  b->Args({100000, 0, 1, 0});   // Private-pool baseline.
+  b->Args({100000, 1, 1, 0});   // Pooled, 1 thread.
+  b->Args({100000, 0, 1, 1});   // Adaptive Q, private pools.
+  b->Args({100000, 1, 1, 1});   // Adaptive Q, pooled per-slot Q.
+  b->Args({1000000, 1, 1, 0});  // The headline row.
+  b->Args({1000000, 1, 4, 0});  // Multi-threaded sweep + shard fan-out.
   const auto hw = static_cast<int64_t>(std::thread::hardware_concurrency());
-  if (hw > 1 && hw != 4) b->Args({1000000, 1, hw, 1, 0});
+  if (hw > 1 && hw != 4) b->Args({1000000, 1, hw, 0});
 }
 BENCHMARK(BM_FleetTick_1M)
     ->Apply(FleetTickMatrix)

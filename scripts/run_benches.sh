@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Runs the perf microbenchmarks and refreshes BENCH_perf.json at the repo
 # root: an optimized build tree, each bench_perf_* binary with JSON output,
-# then a merge of the per-binary reports into one file.
+# then a merge of the per-binary reports into the file. The raw rows and
+# every table this script derives are replaced; hand-recorded tables and
+# fields it does not produce (kalman_single_path, fleet_step_2k's
+# parent_rows and procedure) are kept.
 #
 # Usage: scripts/run_benches.sh [build-dir]   (default: build-bench)
 
@@ -132,12 +135,12 @@ for bench in merged["benchmarks"]:
     })
 merged["loss_sweep_recovery"] = loss_sweep
 # Fleet tick throughput at scale: the BM_FleetTick_1M matrix (sources
-# ticked per second) over {sources, pooled, threads, simd, adaptive} — the
-# SoA filter-pool path with vectorized/parallel sweeps vs one private
-# pool per predictor (pooled=0), for plain and adaptive-Q predictors. Rows from older binaries
-# without the threads/simd/adaptive counters default to threads=1,
-# simd=1, adaptive=0. Headline numbers: the 100k pooled/private ratio
-# (plain and adaptive) and the absolute single-threaded SIMD 1M rate.
+# ticked per second) over {sources, pooled, threads, adaptive} — the SoA
+# filter-pool path with vectorized/parallel sweeps vs one private pool
+# per predictor (pooled=0), for plain and adaptive-Q predictors. Rows from
+# older binaries without the threads/adaptive counters default to
+# threads=1, adaptive=0. Headline numbers: the 100k pooled/private ratio
+# (plain and adaptive) and the absolute single-threaded 1M rate.
 fleet_tick = []
 for bench in merged["benchmarks"]:
     if bench.get("run_type") != "iteration":
@@ -149,20 +152,19 @@ for bench in merged["benchmarks"]:
         "sources": int(bench.get("sources", 0)),
         "pooled": bool(bench.get("pooled", 0)),
         "threads": int(bench.get("threads", 1)),
-        "simd": bool(bench.get("simd", 1)),
         "adaptive": bool(bench.get("adaptive", 0)),
         "sources_per_sec": round(bench.get("items_per_second", 0.0), 1),
         "tick_ms": round(bench.get("real_time", 0.0), 3),
     })
 fleet_tick.sort(key=lambda r: (r["adaptive"], r["sources"], r["pooled"],
-                               r["threads"], r["simd"]))
-by_key = {(r["sources"], r["pooled"], r["threads"], r["simd"],
-           r["adaptive"]): r["sources_per_sec"] for r in fleet_tick}
+                               r["threads"]))
+by_key = {(r["sources"], r["pooled"], r["threads"], r["adaptive"]):
+          r["sources_per_sec"] for r in fleet_tick}
 
 
 def pooled_speedup_100k(adaptive):
-    base = by_key.get((100000, False, 1, True, adaptive))
-    pooled = by_key.get((100000, True, 1, True, adaptive))
+    base = by_key.get((100000, False, 1, adaptive))
+    pooled = by_key.get((100000, True, 1, adaptive))
     if base is None or pooled is None or base <= 0:
         return None
     return round(pooled / base, 2)
@@ -222,12 +224,25 @@ for bench in merged["benchmarks"]:
     })
 server_context = contexts["bench_perf_server"]
 merged["fleet_step_2k"] = {
+    "date": server_context.get("date"),
     "num_cpus": server_context.get("num_cpus"),
     "load_avg_1m": (server_context.get("load_avg") or [None])[0],
     "rows": fleet_step,
 }
+# Merge into the existing file: a table this run derives replaces the
+# fields it produces and keeps any others; tables it does not derive stay.
+try:
+    with open("BENCH_perf.json") as f:
+        out = json.load(f)
+except FileNotFoundError:
+    out = {}
+for key, value in merged.items():
+    if isinstance(value, dict) and isinstance(out.get(key), dict):
+        out[key].update(value)
+    else:
+        out[key] = value
 with open("BENCH_perf.json", "w") as f:
-    json.dump(merged, f, indent=2)
+    json.dump(out, f, indent=2)
     f.write("\n")
 print(f"BENCH_perf.json: {len(merged['benchmarks'])} benchmarks")
 for row in loss_sweep:
@@ -252,10 +267,9 @@ for row in fleet_step:
           f"{row['sources_per_sec']:,.0f} sources/sec")
 for row in fleet_tick:
     kind = "pooled" if row["pooled"] else "private pools"
-    lanes = "simd" if row["simd"] else "scalar"
     model = ", adaptive" if row["adaptive"] else ""
     print(f"  fleet tick {row['sources']} sources ({kind}{model}, "
-          f"threads={row['threads']}, {lanes}): "
+          f"threads={row['threads']}): "
           f"{row['sources_per_sec']:,.0f} sources/sec")
 if speedup is not None:
     print(f"  fleet tick pooled speedup @100k: {speedup}x")

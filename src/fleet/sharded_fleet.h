@@ -16,20 +16,140 @@
 
 namespace kc {
 
-/// The sharded, multi-threaded fleet simulation: N generator+agent pairs
-/// feeding a ShardedServer, partitioned into shards driven in parallel by
-/// a persistent worker pool.
-///
-/// Each shard exclusively owns its sources' generators and agents, one
-/// uplink and one control link shared by all of them (each source keeps
-/// its own draw stream on a lossy or faulty link, see Channel::AddSource),
-/// and its ShardedServer shard (replicas + archives) — including every RNG
-/// stream those components draw from. A Step() runs one worker per shard:
-/// the shard's server tick, its links' in-flight deliveries, its
-/// generators' samples, and its agents' suppression decisions, with zero
-/// cross-shard traffic. The ParallelFor join is the barrier; queries,
-/// stats, and archives are then read from the merged view on the driver
-/// thread.
+/// The source half of a fleet: ShardedFleet steps each shard next to its
+/// ShardedServer shard, the split client (server/split_deploy.h) steps
+/// one shard whose links are its UDP and TCP sockets. A shard owns its
+/// sources (generator + agent) in id order, so its work is independent of
+/// AddSource interleaving, and one uplink and one control link shared by
+/// all of them (each source keeps its own draw stream, see
+/// Channel::AddSource), or with a factory one link per source.
+class SourceFleet {
+ public:
+  struct Config {
+    using ChannelFactory = std::function<std::unique_ptr<Channel>(
+        int32_t id, const Channel::Config& config)>;
+
+    uint64_t seed = 1;
+    AgentConfig agent_base;  ///< delta is overridden per source.
+    Channel::Config channel;
+    /// Server -> source downlink (SET_BOUND, RESYNC_REQUEST answers ride
+    /// the uplink; only the requests themselves travel here). On both
+    /// links the seed is overridden per source, so downlink faults are as
+    /// deterministic as uplink ones.
+    Channel::Config control_channel;
+    /// Transport seam: when set, every source gets an uplink channel of
+    /// its own from this factory instead of a lane on its shard's link —
+    /// e.g. a socket backend (net/transport.h) so the fleet's traffic
+    /// crosses a real wire. The factory receives the per-source config
+    /// (seed already derived); the fleet wires the receiver and metrics
+    /// exactly as for a simulated link, so NetworkStats books stay
+    /// comparable across backends (pinned by tests/transport_test.cc).
+    ChannelFactory uplink_factory;
+    /// Same seam for the server -> source control downlink.
+    ChannelFactory control_factory;
+  };
+
+  /// What a shard's new sources bind to (each may be null): the server's
+  /// shard bundle in-process, the split client's registry and recorder.
+  struct ShardObs {
+    obs::MetricRegistry* metrics = nullptr;
+    obs::FlightRecorder* recorder = nullptr;
+    obs::HealthMonitor* health = nullptr;
+    obs::PrecisionAuditor* audit = nullptr;
+  };
+
+  struct Source {
+    int32_t id = 0;
+    std::unique_ptr<StreamGenerator> generator;
+    Channel* control = nullptr;  ///< Downlink: server -> source.
+    std::unique_ptr<SourceAgent> agent;
+    Sample last_sample;
+    obs::SourceAudit* audit = nullptr;  ///< Shard auditor entry (or null).
+  };
+
+  SourceFleet(Config config, size_t num_shards);
+
+  /// Makes `uplink` and `control` the shard's shared links, as given (the
+  /// caller binds their metrics); the control link delivers into this
+  /// fleet's demux. Before the shard's first source; not with a factory.
+  void AdoptLinks(size_t shard, std::unique_ptr<Channel> uplink,
+                  std::unique_ptr<Channel> control);
+
+  /// Adds a source on `shard`; returns its id (sequential from 0). Its
+  /// generator is Reset with SourceGeneratorSeed(config.seed, id); its
+  /// agent owns `predictor`, suppresses against `delta` and binds to
+  /// `obs`. A link built for it delivers into `uplink_receiver`.
+  int32_t AddSource(size_t shard, std::unique_ptr<StreamGenerator> generator,
+                    std::unique_ptr<Predictor> predictor, double delta,
+                    const ShardObs& obs, Channel::Receiver uplink_receiver);
+
+  /// The source side of one tick on `shard`: in-flight deliveries, once
+  /// per link (the uplinks, then the control links, so delayed SET_BOUND /
+  /// RESYNC_REQUEST traffic reaches the agents before this tick's offers),
+  /// then every source samples and offers its reading. Sources share no
+  /// state, and nothing sent this tick is due before the next, so this is
+  /// the per-source interleaving exactly. An Offer error sticks.
+  void StepShard(size_t shard);
+
+  /// The first failing shard's sticky error (lowest index), else OK.
+  Status status() const;
+
+  /// Sends a control message on its addressed source's control link.
+  Status SendControl(const Message& msg);
+
+  size_t num_sources() const { return by_id_.size(); }
+  const Source& source(int32_t id) const { return *by_id_[id]; }
+  Source& source(int32_t id) { return *by_id_[id]; }
+  /// A shard's sources, in id order.
+  const std::vector<std::unique_ptr<Source>>& sources(size_t shard) const {
+    return shards_[shard].sources;
+  }
+
+  /// Send-side totals: the uplinks' and control links' books merged, and
+  /// every agent's stats summed.
+  NetworkStats TotalNetworkStats() const { return Merged(&Shard::uplinks); }
+  NetworkStats TotalControlNetworkStats() const {
+    return Merged(&Shard::controls);
+  }
+  AgentStats TotalAgentStats() const;
+
+ private:
+  using Links = std::vector<std::unique_ptr<Channel>>;
+
+  struct Shard {
+    Links uplinks;
+    Links controls;
+    std::vector<std::unique_ptr<Source>> sources;
+    Status status;  ///< Sticky first error seen by this shard's stepper.
+  };
+
+  /// Hands source `id` a lane (seeded `seed`) on its shard's shared link
+  /// of one kind (built from `config` with the first source unless
+  /// adopted), or a link of its own from `factory`. A new link gets
+  /// `receiver` and binds to `arena`.
+  Channel* AttachLink(Links Shard::*links,
+                      const Config::ChannelFactory& factory,
+                      const Channel::Config& config, uint64_t seed,
+                      int32_t id, Shard& shard, obs::MetricRegistry* arena,
+                      Channel::Receiver receiver);
+  /// Downlink demux: hands `msg` to its addressed agent.
+  void OnControl(const Message& msg);
+  NetworkStats Merged(Links Shard::*links) const;
+
+  Config config_;
+  std::vector<Shard> shards_;
+  std::vector<Source*> by_id_;  ///< id -> source (owned by its shard).
+};
+
+/// The sharded, multi-threaded fleet simulation: a SourceFleet feeding a
+/// ShardedServer, both partitioned into the same shards and driven in
+/// parallel by a persistent worker pool. A Step() runs one worker per
+/// shard — the shard's server tick, then its source side
+/// (SourceFleet::StepShard) — with zero cross-shard traffic: a shard
+/// exclusively owns its sources, links, replicas and archives, and every
+/// RNG stream they draw from. The ParallelFor join is the barrier;
+/// queries, stats, and archives are then read from the merged view on
+/// the driver thread.
 ///
 /// Determinism contract: every RNG seed derives from (config.seed,
 /// source id) alone — see SourceGeneratorSeed and friends in
@@ -40,15 +160,9 @@ namespace kc {
 /// source in id order — and with `pooling` on or off.
 class ShardedFleet {
  public:
-  struct Config {
-    uint64_t seed = 1;
-    AgentConfig agent_base;  ///< delta is overridden per source.
-    Channel::Config channel;
-    /// Server -> source downlink (SET_BOUND, RESYNC_REQUEST answers ride
-    /// the uplink; only the requests themselves travel here). On both
-    /// links the seed is overridden per source, so downlink faults are as
-    /// deterministic as uplink ones.
-    Channel::Config control_channel;
+  /// The source half's fields (seed, agent_base, channel configs and the
+  /// uplink_factory / control_factory seam) plus the server side's.
+  struct Config : SourceFleet::Config {
     /// Loss-tolerant replica recovery, applied to every shard when
     /// enabled (see ReplicaRecoveryConfig).
     ReplicaRecoveryConfig recovery;
@@ -65,22 +179,6 @@ class ShardedFleet {
     /// against). Bit-identical either way — pinned by tests/pool_test.cc
     /// — so purely a performance knob. Non-Kalman policies never pool.
     bool pooling = true;
-    /// Vectorized (lane-per-slot SIMD) sweep kernels. Bit-identical on or
-    /// off — pinned by tests/batch_kernels_test.cc — so purely a bench/CI
-    /// knob.
-    bool simd = true;
-    /// Transport seam: when set, every source gets an uplink channel of
-    /// its own from this factory instead of a lane on its shard's link —
-    /// e.g. a socket backend (net/transport.h) so the fleet's traffic
-    /// crosses a real wire. The factory receives the per-source config
-    /// (seed already derived); the fleet wires the receiver and metrics
-    /// exactly as for a simulated link, so NetworkStats books stay
-    /// comparable across backends (pinned by tests/transport_test.cc).
-    using ChannelFactory = std::function<std::unique_ptr<Channel>(
-        int32_t id, const Channel::Config& config)>;
-    ChannelFactory uplink_factory;
-    /// Same seam for the server -> source control downlink.
-    ChannelFactory control_factory;
   };
 
   ShardedFleet();
@@ -105,43 +203,49 @@ class ShardedFleet {
   ShardedServer& server() { return server_; }
   const ShardedServer& server() const { return server_; }
 
-  size_t num_sources() const { return by_id_.size(); }
+  size_t num_sources() const { return source_.num_sources(); }
   int64_t ticks() const { return ticks_; }
   size_t num_shards() const { return server_.num_shards(); }
   size_t threads() const { return pool_.threads(); }
 
-  const SourceAgent& agent(int32_t id) const { return *by_id_[id]->agent; }
+  const SourceAgent& agent(int32_t id) const {
+    return *source_.source(id).agent;
+  }
   /// Changes a source's precision bound (adaptive allocation). Driver
   /// thread only, between Steps.
   void SetDelta(int32_t id, double delta) {
-    by_id_[id]->agent->set_delta(delta);
+    source_.source(id).agent->set_delta(delta);
   }
 
   /// Ground truth of the source's latest sample (scalar streams).
   double TruthOf(int32_t id) const {
-    return by_id_[id]->last_sample.truth.scalar();
+    return source_.source(id).last_sample.truth.scalar();
   }
   const Sample& LastSampleOf(int32_t id) const {
-    return by_id_[id]->last_sample;
+    return source_.source(id).last_sample;
   }
   /// Data messages this source has sent so far: every uplink send except
   /// heartbeats (INIT, re-INITs, corrections, full syncs) — RunLink's
   /// LinkReport::messages for one source of the fleet.
   int64_t MessagesOf(int32_t id) const {
-    const SourceAgent& a = *by_id_[id]->agent;
+    const SourceAgent& a = agent(id);
     return a.messages_sent() - a.stats().heartbeats;
   }
 
-  int64_t TotalMessages() const;
-  int64_t TotalBytes() const;
+  int64_t TotalMessages() const { return TotalNetworkStats().messages_sent; }
+  int64_t TotalBytes() const { return TotalNetworkStats().bytes_sent; }
 
   /// The shards' uplink books merged on read (driver thread, after the
   /// barrier): the fleet-wide sent/delivered/dropped/bytes/per-type
   /// accounting the overhead experiments report.
-  NetworkStats TotalNetworkStats() const;
+  NetworkStats TotalNetworkStats() const {
+    return source_.TotalNetworkStats();
+  }
   /// The same merge over the server -> source control downlinks
   /// (SET_BOUND pushes and RESYNC_REQUESTs).
-  NetworkStats TotalControlNetworkStats() const;
+  NetworkStats TotalControlNetworkStats() const {
+    return source_.TotalControlNetworkStats();
+  }
 
   // --- Telemetry ---
   //
@@ -229,44 +333,8 @@ class ShardedFleet {
   obs::HealthState HealthOf(int32_t id) const { return server_.HealthOf(id); }
 
  private:
-  struct SourceSlot {
-    int32_t id = 0;
-    std::unique_ptr<StreamGenerator> generator;
-    Channel* control = nullptr;  ///< Downlink: server -> source.
-    std::unique_ptr<SourceAgent> agent;
-    Sample last_sample;
-    obs::SourceAudit* audit = nullptr;  ///< Shard auditor entry (or null).
-  };
-
-  using Links = std::vector<std::unique_ptr<Channel>>;
-
-  /// One shard's exclusively-owned simulation state. `sources` is kept in
-  /// id order so a shard's work is independent of AddSource interleaving.
-  struct Shard {
-    /// One shared link each (from the first source on), or with a factory
-    /// one link per source.
-    Links uplinks;
-    Links controls;
-    std::vector<std::unique_ptr<SourceSlot>> sources;
-    Status status;  ///< Sticky first error seen by this shard's worker.
-  };
-
+  /// One shard's tick: the server shard, then its source side.
   void StepShard(size_t index);
-  /// Hands source `id` its end of one link kind: a lane (seeded `seed`) on
-  /// its shard's shared link, built from `config` with the shard's first
-  /// source, or a link of its own from `factory`. A new link gets
-  /// `receiver` and binds to the shard's arena.
-  Channel* AttachLink(Links Shard::*links,
-                      const Config::ChannelFactory& factory,
-                      const Channel::Config& config, uint64_t seed,
-                      int32_t id, size_t shard_index,
-                      Channel::Receiver receiver);
-  /// Merges one link kind's books across shards (uplink or control).
-  NetworkStats MergedStats(Links Shard::*links) const;
-  /// Binds a new slot's agent and audit entry to whatever its shard's
-  /// observability bundle holds; called once, from AddSource, after the
-  /// replica's registration.
-  void WireSlot(SourceSlot* slot, size_t shard_index);
   /// One shard's audit pass: samples every initialized source at `tick`
   /// (shard worker, inside the step — single writer, allocation-free).
   void AuditShard(size_t index, int64_t tick);
@@ -276,8 +344,8 @@ class ShardedFleet {
 
   Config config_;
   ShardedServer server_;
-  std::vector<Shard> shards_;
-  std::vector<SourceSlot*> by_id_;  ///< id -> slot (owned by its shard).
+  /// After server_: agents release their pool slots into its pool sets.
+  SourceFleet source_;
   ThreadPool pool_;
   int64_t ticks_ = 0;
   obs::Histogram* step_latency_us_ = nullptr;  ///< Wall-clock; driver arena.

@@ -103,10 +103,6 @@ void ShardedServer::SweepPools(ThreadPool* pool) {
   }
 }
 
-void ShardedServer::SetSimdEnabled(bool on) {
-  for (auto& set : pool_sets_) set->set_simd(on);
-}
-
 Status ShardedServer::OnMessage(const Message& msg) {
   return shards_[ShardOf(msg.source_id)]->OnMessage(msg);
 }

@@ -90,10 +90,6 @@ class ShardedServer {
   /// own pools.
   void SweepPools(ThreadPool* pool = nullptr);
 
-  /// Toggles the vectorized sweep kernels on every shard's pool set
-  /// (current and future pools). Bit-identical either way; bench/CI knob.
-  void SetSimdEnabled(bool on);
-
   /// The shard's filter pools. Pooled predictors registered on a shard
   /// (ShardedFleet does this for poolable Kalman sources) must draw their
   /// slots from its own pool set, so the shard's worker remains the only

@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "fleet/pool.h"
 #include "fleet/sharded_server.h"
+#include "fleet/sharded_fleet.h"
 #include "net/transport.h"
 #include "obs/export.h"
 #include "obs/http_exporter.h"
@@ -15,33 +16,8 @@
 #include "obs/remote.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "server/simulation.h"
 
 namespace kc {
-
-namespace {
-
-/// True when the row differs from what the client last shipped — the
-/// per-snapshot delta filter (the merger is latest-wins per name, so
-/// resending unchanged rows is pure overhead).
-bool RowChanged(const obs::MetricRow& row,
-                const std::map<std::string, obs::MetricRow>& sent) {
-  auto it = sent.find(row.name);
-  if (it == sent.end()) return true;
-  const obs::MetricRow& old = it->second;
-  switch (row.kind) {
-    case obs::MetricKind::kCounter:
-      return row.counter != old.counter;
-    case obs::MetricKind::kGauge:
-      return row.gauge != old.gauge;
-    case obs::MetricKind::kHistogram:
-      return row.hist_counts != old.hist_counts ||
-             row.hist_sum != old.hist_sum;
-  }
-  return true;
-}
-
-}  // namespace
 
 StatusOr<SplitClientReport> RunSplitClient(
     const SplitConfig& config, const GeneratorFactory& make_generator,
@@ -55,35 +31,12 @@ StatusOr<SplitClientReport> RunSplitClient(
 
   auto uplink_or = SocketChannel::UdpConnect(config.host, config.port);
   if (!uplink_or.ok()) return uplink_or.status();
-  std::unique_ptr<SocketChannel> uplink = std::move(uplink_or).value();
+  std::unique_ptr<SocketChannel> uplink_owned = std::move(uplink_or).value();
   auto control_or = SocketChannel::TcpConnect(config.host, config.port);
   if (!control_or.ok()) return control_or.status();
-  std::unique_ptr<SocketChannel> control = std::move(control_or).value();
-
-  // All agents share the one uplink socket, as a simulated fleet's sources
-  // share their shard's link; its books are exactly the merge the fleet
-  // computes over its shard links.
-  std::vector<std::unique_ptr<StreamGenerator>> generators;
-  std::vector<std::unique_ptr<SourceAgent>> agents;
-  for (int32_t id = 0; id < config.num_sources; ++id) {
-    auto generator = make_generator(id);
-    generator->Reset(SourceGeneratorSeed(config.seed, id));
-    generators.push_back(std::move(generator));
-    AgentConfig agent_config = config.agent_base;
-    agent_config.delta = config.deltas[static_cast<size_t>(id)];
-    agents.push_back(std::make_unique<SourceAgent>(
-        id, make_predictor(id), agent_config, uplink.get()));
-  }
-  // Downlink control (SET_BOUND, RESYNC_REQUEST) demuxes by source id.
-  control->SetReceiver([&agents](const Message& msg) {
-    if (msg.source_id < 0 ||
-        msg.source_id >= static_cast<int32_t>(agents.size())) {
-      return;  // Not ours; a real deployment would log and drop.
-    }
-    // A refused message (TCP input from the server) is counted in the
-    // agent's control_rejected.
-    agents[static_cast<size_t>(msg.source_id)]->OnControl(msg);
-  });
+  std::unique_ptr<SocketChannel> control_owned = std::move(control_or).value();
+  SocketChannel* uplink = uplink_owned.get();
+  SocketChannel* control = control_owned.get();
   // Flow control: the server echoes each tick barrier once it has
   // processed the tick, and this loop runs at most one unacknowledged
   // tick. That bounds what is in flight to one tick's datagrams, but not
@@ -104,15 +57,13 @@ StatusOr<SplitClientReport> RunSplitClient(
   int64_t snapshots_sent = 0;
   int64_t dumps_served = 0;
   std::map<std::string, obs::MetricRow> sent_rows;
+  SourceFleet::ShardObs obs;  // What every agent binds to.
   if (telemetry) {
     uplink->BindMetrics(&registry);
     control->BindMetrics(&registry);
     recorder.BindMetrics(&registry);
-    for (int32_t id = 0; id < config.num_sources; ++id) {
-      agents[static_cast<size_t>(id)]->BindMetrics(&registry);
-      agents[static_cast<size_t>(id)]->BindObservability(
-          recorder.ForSource(id), nullptr);
-    }
+    obs.metrics = &registry;
+    obs.recorder = &recorder;
     // Wall-clock instruments: real-time measurements, excluded from
     // deterministic exports by flag.
     offset_gauge =
@@ -139,6 +90,21 @@ StatusOr<SplitClientReport> RunSplitClient(
     });
     if (config.trace) obs::SetTracingEnabled(true);
   }
+  // The fleet's source half as one shard whose links are the sockets: the
+  // agents share the uplink socket as a simulated shard's sources share
+  // its link, and keep private filter pools (no sweep runs here).
+  // Declared after everything the sockets' sinks and the agents refer to,
+  // so it closes the sockets first.
+  SourceFleet::Config fleet_config;
+  fleet_config.seed = config.seed;
+  fleet_config.agent_base = config.agent_base;
+  SourceFleet fleet(std::move(fleet_config), /*num_shards=*/1);
+  fleet.AdoptLinks(0, std::move(uplink_owned), std::move(control_owned));
+  for (int32_t id = 0; id < config.num_sources; ++id) {
+    fleet.AddSource(0, make_generator(id), make_predictor(id),
+                    config.deltas[static_cast<size_t>(id)], obs,
+                    /*uplink_receiver=*/nullptr);
+  }
   // Encodes and ships one snapshot: changed metric rows, the clock
   // estimate, drained send timestamps, and (when tracing) the retained
   // trace spans.
@@ -153,21 +119,19 @@ StatusOr<SplitClientReport> RunSplitClient(
         "client: ticks=%lld sources=%d", static_cast<long long>(tick),
         config.num_sources);
     for (obs::MetricRow& row : registry.Rows()) {
-      if (!RowChanged(row, sent_rows)) continue;
+      // The merger is latest-wins per name, so resending an unchanged row
+      // is pure overhead.
+      auto it = sent_rows.find(row.name);
+      if (it != sent_rows.end() && it->second == row) continue;
       sent_rows[row.name] = row;
       snapshot.rows.push_back(std::move(row));
     }
     uplink->DrainSendTimestamps(&snapshot.send_log);
     if (config.trace) {
       for (const obs::TraceEvent& e : obs::CollectTraceEvents()) {
-        obs::SnapshotTraceEvent se;
-        se.name = e.name != nullptr ? e.name : "?";
-        se.start_ns = e.start_ns;
-        se.duration_ns = e.duration_ns;
-        se.flow_id = e.flow_id;
-        se.depth = e.depth;
-        se.thread_index = e.thread_index;
-        snapshot.trace_events.push_back(std::move(se));
+        snapshot.trace_events.push_back(
+            {e.name != nullptr ? e.name : "?", e.start_ns, e.duration_ns,
+             e.flow_id, e.depth, e.thread_index});
       }
     }
     std::vector<uint8_t> encoded;
@@ -178,16 +142,11 @@ StatusOr<SplitClientReport> RunSplitClient(
   };
 
   for (size_t t = 0; t < config.ticks; ++t) {
-    // Control first, matching the simulated fleet's per-tick order
-    // (channels advance before this tick's offers), so a resync request
-    // is answered by this tick's uplink message.
-    control->AdvanceTick();
+    // Links advance before this tick's offers, so a resync request is
+    // answered by this tick's uplink message.
+    fleet.StepShard(0);
     if (!control->last_error().ok()) return control->last_error();
-    for (int32_t id = 0; id < config.num_sources; ++id) {
-      Sample sample = generators[static_cast<size_t>(id)]->Next();
-      Status s = agents[static_cast<size_t>(id)]->Offer(sample.measured);
-      if (!s.ok()) return s;
-    }
+    KC_RETURN_IF_ERROR(fleet.status());
     if (telemetry) {
       // Clock probe adjacent to the barrier: the server answers inside
       // its transport, so the ack wait below collects the pong within
@@ -223,14 +182,13 @@ StatusOr<SplitClientReport> RunSplitClient(
   }
 
   SplitClientReport report;
-  report.uplink = uplink->stats();
-  report.control = control->stats();
+  report.uplink = fleet.TotalNetworkStats();
+  report.control = fleet.TotalControlNetworkStats();
   report.ticks = static_cast<int64_t>(config.ticks);
-  for (const auto& agent : agents) {
-    report.corrections += agent->stats().corrections;
-    report.suppressed += agent->stats().suppressed;
-    report.resyncs_served += agent->stats().resyncs_served;
-  }
+  AgentStats agents = fleet.TotalAgentStats();
+  report.corrections = agents.corrections;
+  report.suppressed = agents.suppressed;
+  report.resyncs_served = agents.resyncs_served;
   int64_t decisions = report.uplink.messages_sent + report.suppressed;
   report.suppression_ratio =
       decisions > 0

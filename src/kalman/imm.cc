@@ -179,10 +179,4 @@ Status Imm::DeserializeState(const std::vector<double>& buf) {
   return Status::Ok();
 }
 
-void Imm::ResetAll(const Vector& x0, const Matrix& p0, Vector initial_prob) {
-  assert(initial_prob.size() == filters_.size());
-  for (KalmanFilter& f : filters_) f.Reset(x0, p0);
-  mu_ = std::move(initial_prob);
-}
-
 }  // namespace kc

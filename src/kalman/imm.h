@@ -57,9 +57,6 @@ class Imm {
   /// Restores SerializeState() output (shape-checked).
   Status DeserializeState(const std::vector<double>& buf);
 
-  /// Reinitializes every member filter and the mode probabilities.
-  void ResetAll(const Vector& x0, const Matrix& p0, Vector initial_prob);
-
  private:
   std::vector<KalmanFilter> filters_;
   Matrix transition_;

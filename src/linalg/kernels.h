@@ -207,34 +207,6 @@ inline void AddScaledInPlace(double w, const Vector& v, Vector* acc) {
   for (size_t i = 0; i < n; ++i) pa[i] += w * pv[i];
 }
 
-/// acc += w * (d d^T) — the sigma-point covariance accumulation.
-inline void AddScaledOuterInPlace(double w, const Vector& d, Matrix* acc) {
-  assert(acc->rows() == d.size() && acc->cols() == d.size());
-  size_t n = d.size();
-  const double* pd = d.data().data();
-  double* pa = acc->data().data();
-  for (size_t r = 0; r < n; ++r) {
-    double* pa_row = pa + r * n;
-    double dr = pd[r];
-    for (size_t c = 0; c < n; ++c) pa_row[c] += w * (dr * pd[c]);
-  }
-}
-
-/// acc += w * (a b^T) — the sigma-point cross-covariance accumulation.
-inline void AddScaledOuterInPlace(double w, const Vector& a, const Vector& b,
-                                  Matrix* acc) {
-  assert(acc->rows() == a.size() && acc->cols() == b.size());
-  size_t rows = a.size(), cols = b.size();
-  const double* pav = a.data().data();
-  const double* pbv = b.data().data();
-  double* pm = acc->data().data();
-  for (size_t r = 0; r < rows; ++r) {
-    double* pm_row = pm + r * cols;
-    double ar = pav[r];
-    for (size_t c = 0; c < cols; ++c) pm_row[c] += w * (ar * pbv[c]);
-  }
-}
-
 /// acc += w * (m + d d^T) — the IMM mixed-covariance accumulation.
 inline void AddScaledPlusOuterInPlace(double w, const Matrix& m,
                                       const Vector& d, Matrix* acc) {

@@ -153,6 +153,8 @@ struct MetricRow {
   std::vector<int64_t> hist_counts;  ///< kHistogram: bounds + overflow.
   int64_t hist_count = 0;
   double hist_sum = 0.0;
+
+  bool operator==(const MetricRow&) const = default;
 };
 
 /// A metric arena: name -> metric, with cold-path registration and stable

@@ -26,9 +26,13 @@ namespace kc {
 ///    server -> client, and transport-level tick barriers client ->
 ///    server keep the two processes' stream clocks lockstep.
 ///
-/// The client drives the clock: each tick it offers every source's
-/// reading, then sends a tick barrier. The server half is a one-shard
-/// ShardedServer (fleet/sharded_server.h; implemented in kc_fleet): it
+/// Both halves are the in-process fleet's own halves over sockets
+/// (implemented in kc_fleet). The client half is a one-shard SourceFleet
+/// (fleet/sharded_fleet.h) whose two links are the UDP and TCP sockets: it
+/// drives the clock, each tick stepping the source half (control
+/// deliveries, then every source's sample and offer) and then sending a
+/// tick barrier, so its agents decide exactly as ShardedFleet's do. The
+/// server half is a one-shard ShardedServer (fleet/sharded_server.h): it
 /// ticks once per barrier and applies whatever the uplink delivered, so
 /// it answers exactly what an in-process ShardedFleet answers. Closing
 /// the TCP connection ends the run; the server drains a short grace

@@ -29,8 +29,7 @@ FilterPool::FilterPool(StateSpaceModel model, KalmanFilter::UpdateForm form,
       adaptive_(std::move(adaptive)),
       dim_(model_.state_dim()),
       obs_dim_(model_.obs_dim()),
-      simd_fn_(batch::SimdPredictFn(dim_, adaptive_.has_value())),
-      portable_fn_(batch::PortablePredictFn(dim_, adaptive_.has_value())),
+      predict_fn_(batch::SimdPredictFn(dim_, adaptive_.has_value())),
       observe_fn_(SelectObserveSlot(dim_, obs_dim_)) {
   assert(model_.Validate().ok());
   if (adaptive_) ring_size_ = adaptive_->RingSize();
@@ -197,14 +196,13 @@ void FilterPool::PredictScalarSlot(int32_t slot, Workspace* ws) {
 }
 
 void FilterPool::PredictRaw(int32_t slot) {
-  batch::PredictBlockFn fn = simd_ ? simd_fn_ : portable_fn_;
-  if (fn != nullptr) {
+  if (predict_fn_ != nullptr) {
     // Single-lane-mask call of the very kernel the sweep uses: computes
     // all four lanes, stores one — bit-identical to a sweep over this
     // block by construction.
     const size_t block = static_cast<size_t>(slot) / kLanes;
-    fn(model_.f.data().data(), QArg(block), XBlock(block), PBlock(block),
-       1u << (static_cast<size_t>(slot) % kLanes));
+    predict_fn_(model_.f.data().data(), QArg(block), XBlock(block),
+                PBlock(block), 1u << (static_cast<size_t>(slot) % kLanes));
     return;
   }
   PredictScalarSlot(slot, &ws_);
@@ -233,7 +231,7 @@ size_t FilterPool::SweepBlocks(size_t begin_block, size_t end_block) {
   // active slots cost one mask test. Thread-safe for disjoint ranges:
   // only block-local slab memory (an adaptive pool's Q slab included) and
   // shared read-only model data are touched (no pool workspace).
-  batch::PredictBlockFn fn = simd_ ? simd_fn_ : portable_fn_;
+  batch::PredictBlockFn fn = predict_fn_;
   size_t advanced = 0;
   if (fn != nullptr) {
     const double* f = model_.f.data().data();
@@ -551,7 +549,6 @@ FilterPool* FilterPoolSet::PoolFor(
     if (pool->Matches(model, form, adaptive)) return pool.get();
   }
   pools_.push_back(std::make_unique<FilterPool>(model, form, adaptive));
-  pools_.back()->set_simd(simd_);
   return pools_.back().get();
 }
 
@@ -565,11 +562,6 @@ size_t FilterPoolSet::num_active() const {
   size_t total = 0;
   for (const auto& pool : pools_) total += pool->num_active();
   return total;
-}
-
-void FilterPoolSet::set_simd(bool on) {
-  simd_ = on;
-  for (auto& pool : pools_) pool->set_simd(on);
 }
 
 std::shared_ptr<const KalmanPredictor::Config> FilterPoolSet::InternConfig(

@@ -258,12 +258,6 @@ class FilterPool {
   size_t num_active() const { return num_active_; }
   size_t capacity() const { return size_; }
 
-  /// Toggles the vectorized sweep kernel at runtime (on by default). Both
-  /// settings produce identical bits — this is a bench/test knob, plus
-  /// the escape hatch KC_SIMD=OFF builds pin in CI.
-  void set_simd(bool on) { simd_ = on; }
-  bool simd() const { return simd_; }
-
  private:
   /// Shared scratch, one per pool (not per filter), for the scalar
   /// predict fallback and AdaptSlot's gathers: reshaped once and fully
@@ -371,10 +365,9 @@ class FilterPool {
   std::optional<AdaptiveConfig> adaptive_;
   size_t dim_;      ///< model_.state_dim(), cached for lane addressing.
   size_t obs_dim_;  ///< model_.obs_dim(), ditto.
-  /// Vector kernel (null if dim > 8); the LaneQ variant in adaptive pools.
-  batch::PredictBlockFn simd_fn_;
-  batch::PredictBlockFn portable_fn_;  ///< Scalar-lane twin (ditto).
-  bool simd_ = true;
+  /// Lane kernel (null if dim > 8): AVX2 lanes when built with KC_SIMD,
+  /// portable lanes otherwise; the LaneQ variant in adaptive pools.
+  batch::PredictBlockFn predict_fn_;
   ObserveFn observe_fn_;  ///< ObserveSlot for this pool's dims.
 
   // AoSoA slabs + per-slot bookkeeping, sized in whole blocks.
@@ -437,10 +430,6 @@ class FilterPoolSet {
   FilterPool* pool(size_t index) { return pools_[index].get(); }
   size_t num_active() const;
 
-  /// Applies to every pool, current and future (PoolFor inherits it).
-  void set_simd(bool on);
-  bool simd() const { return simd_; }
-
   /// Returns a shared, deduplicated copy of `config`: configs comparing
   /// equal (model matrices and all behavioral knobs) map to one
   /// allocation. A KalmanPredictor::Config embeds four model matrices —
@@ -454,7 +443,6 @@ class FilterPoolSet {
  private:
   std::vector<std::unique_ptr<FilterPool>> pools_;
   std::vector<std::shared_ptr<const KalmanPredictor::Config>> configs_;
-  bool simd_ = true;
 };
 
 }  // namespace kc

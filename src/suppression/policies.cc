@@ -328,7 +328,7 @@ Vector KalmanPredictor::Target() const {
 }
 
 Vector KalmanPredictor::Predict() const {
-  assert(shadow_slot_ != FilterPool::kNoSlot);
+  if (shadow_slot_ == FilterPool::kNoSlot) return Vector();  // Before Init.
   return pool_->PredictObservationOf(shadow_slot_);
 }
 
@@ -371,8 +371,9 @@ std::vector<double> KalmanPredictor::EncodeFullState() const {
   // The shadow is the authoritative *shared* state: on the agent the
   // full-sync path corrects it from the private filter immediately before
   // encoding, and on a server replica it simply IS the replica's view
-  // (the private filter there never observes anything).
-  assert(shadow_slot_ != FilterPool::kNoSlot);
+  // (the private filter there never observes anything). Before Init
+  // there is no state: the Predictor default, empty.
+  if (shadow_slot_ == FilterPool::kNoSlot) return {};
   return pool_->SerializeSlot(shadow_slot_);
 }
 

@@ -188,10 +188,12 @@ class KalmanPredictor : public Predictor {
   Status ObserveWithDistance(const Reading& measured,
                              double* distance) override;
   Vector Target() const override;
+  /// Empty before Init.
   Vector Predict() const override;
   std::vector<double> EncodeCorrection(const Reading& measured) const override;
   Status ApplyCorrection(int64_t seq, double time,
                          const std::vector<double>& payload) override;
+  /// Empty before Init.
   std::vector<double> EncodeFullState() const override;
   Status ApplyFullState(const std::vector<double>& payload) override;
   /// Registers kc.kalman.{outliers_rejected,gate_forced_accepts,

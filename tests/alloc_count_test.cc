@@ -386,7 +386,7 @@ TEST(ZeroAllocTest, PooledFleetTickSteadyStateIsAllocationFree) {
 
 TEST(ZeroAllocTest, ParallelVectorizedSweepSteadyStateIsAllocationFree) {
   // The phase-1 parallel sweep end to end: a sharded server's pools swept
-  // through a ThreadPool with the SIMD lane kernels on. Everything the
+  // through a ThreadPool with the build's lane kernels. Everything the
   // sweep touches is preallocated — the flattened SweepUnit list reuses
   // its capacity, the thread pool recycles its dispatch batches, and the
   // batch kernels run out of registers and stack lanes — so the steady
@@ -411,7 +411,6 @@ TEST(ZeroAllocTest, ParallelVectorizedSweepSteadyStateIsAllocationFree) {
     ASSERT_TRUE(server.OnMessage(init).ok());
   }
   ThreadPool workers(4);
-  server.SetSimdEnabled(true);
   for (int t = 0; t < 5; ++t) server.SweepPools(&workers);  // Warmup.
   long before = AllocCount();
   for (int t = 0; t < 200; ++t) server.SweepPools(&workers);

@@ -1,8 +1,11 @@
 // Bit-identity pins for the lane-per-slot batch kernels: the SIMD lane
 // type against the portable lane type against the scalar destination-
-// passing kernels, at the raw-kernel level and through the full FilterPool
-// protocol. These are the tests that make "vectorization is purely a
-// performance knob" an enforced invariant rather than an intention.
+// passing kernels, at the raw-kernel level. A FilterPool runs the lanes
+// its build selects (KC_SIMD); tests/pool_test.cc pins the full pool
+// protocol against KalmanFilter on either build, so the two lane types
+// agree through the pool as well. These are the tests that make
+// "vectorization is purely a build choice" an enforced invariant rather
+// than an intention.
 
 #include "linalg/batch_kernels.h"
 
@@ -11,17 +14,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
-#include <optional>
 #include <vector>
 
-#include "fleet/pool.h"
 #include "kalman/kalman_filter.h"
 #include "kalman/model.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
-#include "streams/reading.h"
-#include "suppression/policies.h"
+#include "suppression/filter_pool.h"
 
 namespace kc {
 namespace {
@@ -374,160 +374,6 @@ StateSpaceModel MakeDimModel(size_t n) {
   model.h(0, 0) = 1.0;
   model.r = Matrix{{0.04}};
   return model;
-}
-
-/// Drives two pools — one simd, one scalar — through an identical mixed
-/// workload (sweeps, per-slot predicts, updates, gates, serialization)
-/// and asserts every slot stays bit-identical throughout. With `adaptive`
-/// both are adaptive pools and every update is followed by AdaptSlot, so
-/// the lane-Q sweep runs over slots whose Q has diverged.
-void DrivePoolSimdEquivalence(
-    size_t dim, size_t slots, KalmanFilter::UpdateForm form,
-    const std::optional<AdaptiveConfig>& adaptive = std::nullopt) {
-  StateSpaceModel model = MakeDimModel(dim);
-  FilterPool simd_pool(model, form, adaptive);
-  FilterPool scalar_pool(model, form, adaptive);
-  simd_pool.set_simd(true);
-  scalar_pool.set_simd(false);
-
-  Rng rng(0xC0FFEE ^ (dim << 8) ^ slots);
-  Matrix p0 = Matrix::ScalarDiagonal(dim, 100.0);
-  std::vector<int32_t> a_slots, b_slots;
-  for (size_t i = 0; i < slots; ++i) {
-    Vector x0(dim);
-    for (size_t e = 0; e < dim; ++e) x0[e] = rng.Centered();
-    int32_t sa = simd_pool.Acquire(static_cast<int32_t>(i));
-    int32_t sb = scalar_pool.Acquire(static_cast<int32_t>(i));
-    ASSERT_EQ(sa, sb);
-    simd_pool.ResetSlot(sa, x0, p0);
-    scalar_pool.ResetSlot(sb, x0, p0);
-    a_slots.push_back(sa);
-    b_slots.push_back(sb);
-  }
-
-  for (int t = 0; t < 30; ++t) {
-    ASSERT_EQ(simd_pool.PredictAll(), scalar_pool.PredictAll());
-    for (size_t i = 0; i < slots; ++i) {
-      if ((t + static_cast<int>(i)) % 3 == 0) {
-        Vector z{rng.Centered() * 3.0};
-        // A gate that admits everything: the gate's NIS is still formed
-        // and recorded, then the update (and adaptation) runs.
-        FilterPool::Observation oa;
-        oa.slot = a_slots[i];
-        oa.z = z.data().data();
-        oa.gate = 1e300;
-        oa.gate_limit = 3;
-        oa.adapt = adaptive.has_value();
-        FilterPool::Observation ob = oa;
-        ob.slot = b_slots[i];
-        simd_pool.Observe(&oa);
-        scalar_pool.Observe(&ob);
-        ASSERT_EQ(oa.outcome, FilterPool::Outcome::kUpdated);
-        ASSERT_EQ(ob.outcome, FilterPool::Outcome::kUpdated);
-        ASSERT_EQ(simd_pool.ObservedNisOf(a_slots[i]),
-                  scalar_pool.ObservedNisOf(b_slots[i]));
-        ASSERT_EQ(simd_pool.LastNisOf(a_slots[i]),
-                  scalar_pool.LastNisOf(b_slots[i]));
-        if (adaptive) {
-          ASSERT_TRUE(simd_pool.ProcessNoiseOf(a_slots[i]) ==
-                      scalar_pool.ProcessNoiseOf(b_slots[i]));
-        }
-      }
-      if ((t + static_cast<int>(i)) % 7 == 0) {
-        // Extra per-slot predicts: the single-lane-mask path.
-        simd_pool.PredictSlot(a_slots[i]);
-        scalar_pool.PredictSlot(b_slots[i]);
-      }
-      std::vector<double> sa = simd_pool.SerializeSlot(a_slots[i]);
-      std::vector<double> sb = scalar_pool.SerializeSlot(b_slots[i]);
-      ASSERT_EQ(sa, sb) << "dim " << dim << " slot " << i << " tick " << t;
-    }
-  }
-}
-
-// Full pool protocol, simd vs scalar, all dims, BOTH update forms, and
-// slot counts that are not multiples of the lane width (remainder-block
-// handling: 1, 2, 3, 5, 9 live lanes).
-TEST(BatchKernels, PoolSimdOffMatchesOnEveryDimAndForm) {
-  for (size_t dim = 1; dim <= batch::kMaxDim; ++dim) {
-    DrivePoolSimdEquivalence(dim, /*slots=*/6,
-                             KalmanFilter::UpdateForm::kJoseph);
-    DrivePoolSimdEquivalence(dim, /*slots=*/6,
-                             KalmanFilter::UpdateForm::kStandard);
-  }
-  for (size_t slots : {1u, 2u, 3u, 5u, 9u}) {
-    DrivePoolSimdEquivalence(/*dim=*/2, slots,
-                             KalmanFilter::UpdateForm::kJoseph);
-  }
-}
-
-// The same protocol on adaptive pools: per-slot Qs diverge as each slot
-// adapts to its own readings, and the lane-Q sweep must stay SIMD-
-// invariant over them.
-TEST(BatchKernels, AdaptivePoolSimdOffMatchesOnEveryDim) {
-  AdaptiveConfig adaptive;
-  adaptive.warmup = 2;
-  adaptive.window = 4;
-  adaptive.smoothing = 0.5;
-  for (size_t dim = 1; dim <= batch::kMaxDim; ++dim) {
-    DrivePoolSimdEquivalence(dim, /*slots=*/7,
-                             KalmanFilter::UpdateForm::kJoseph, adaptive);
-  }
-}
-
-// The gate's three branches (accept, reject, forced accept) through the
-// full pooled KalmanPredictor protocol, simd vs scalar: both predictors
-// fed identical readings (with outlier bursts) must agree bit-for-bit on
-// every externally visible value.
-TEST(BatchKernels, PooledPredictorGateBranchesSimdInvariant) {
-  KalmanPredictor::Config config;
-  config.model = MakeDimModel(2);
-  config.outlier_gate_prob = 0.99;
-  config.outlier_gate_limit = 3;
-
-  FilterPoolSet simd_pools;
-  FilterPoolSet scalar_pools;
-  simd_pools.set_simd(true);
-  scalar_pools.set_simd(false);
-  KalmanPredictor a(simd_pools.InternConfig(config), &simd_pools);
-  KalmanPredictor b(scalar_pools.InternConfig(config), &scalar_pools);
-
-  Rng rng(0xFEED);
-  Reading first;
-  first.seq = 0;
-  first.time = 0.0;
-  first.value = Vector{0.0};
-  a.Init(first);
-  b.Init(first);
-
-  int rejects_seen = 0;
-  int forced_runs_seen = 0;
-  for (int t = 1; t <= 160; ++t) {
-    a.Tick();
-    b.Tick();
-    Reading r;
-    r.seq = t;
-    r.time = static_cast<double>(t);
-    r.value = Vector{0.02 * rng.Centered()};
-    if (t % 19 == 0) r.value[0] += 80.0;  // Isolated outlier: reject.
-    if (t >= 60 && t < 60 + 2 * config.outlier_gate_limit) {
-      r.value[0] += 80.0;  // Sustained run: exhausts the limit, forces.
-      ++forced_runs_seen;
-    }
-    int64_t before = a.OutliersRejected();
-    a.ObserveLocal(r);
-    b.ObserveLocal(r);
-    if (a.OutliersRejected() > before) ++rejects_seen;
-    ASSERT_EQ(a.LastNis(), b.LastNis()) << t;
-    ASSERT_EQ(a.OutliersRejected(), b.OutliersRejected()) << t;
-    std::vector<double> fa = a.EncodeFullState();
-    std::vector<double> fb = b.EncodeFullState();
-    ASSERT_EQ(fa, fb) << t;
-  }
-  // The history actually exercised reject and forced-accept branches.
-  EXPECT_GT(rejects_seen, 0);
-  EXPECT_GT(forced_runs_seen, 0);
-  EXPECT_GT(a.OutliersRejected(), 0);
 }
 
 // Chunked sweeps equal one whole sweep bit-for-bit, for every possible

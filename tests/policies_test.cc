@@ -239,6 +239,18 @@ TEST(KalmanPredictorTest, TickBeforeInitIsANoOp) {
   EXPECT_EQ(early.EncodeFullState(), fresh.EncodeFullState());
 }
 
+TEST(KalmanPredictorTest, PredictAndEncodeBeforeInitAreEmpty) {
+  // No slot before Init: both reads used to dereference a null pool,
+  // guarded only by asserts that release builds drop.
+  KalmanPredictor early(ScalarKalmanConfig());
+  early.Tick();
+  EXPECT_TRUE(early.Predict().empty());
+  EXPECT_TRUE(early.EncodeFullState().empty());
+  early.Init(MakeReading(0, 0.0, 2.0));
+  EXPECT_EQ(early.Predict().size(), 1u);
+  EXPECT_FALSE(early.EncodeFullState().empty());
+}
+
 TEST(KalmanPredictorTest, WrongPayloadSizesRejected) {
   KalmanPredictor p(ScalarKalmanConfig(KalmanPredictor::SyncMode::kState));
   p.Init(MakeReading(0, 0.0, 0.0));

@@ -83,14 +83,13 @@ void ExpectEqualFingerprints(const Fingerprint& a, const Fingerprint& b,
 
 Fingerprint RunSharded(size_t threads, size_t shards,
                        Channel::Config channel = Channel::Config(),
-                       bool pooling = true, bool simd = true) {
+                       bool pooling = true) {
   ShardedFleet::Config config;
   config.seed = 12345;
   config.threads = threads;
   config.num_shards = shards;
   config.channel = channel;
   config.pooling = pooling;
-  config.simd = simd;
   ShardedFleet fleet(config);
   AddStandardSources(fleet, 12);
 
@@ -580,35 +579,19 @@ TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectPredictors) {
                           "pooled vs per-object (lossy)");
 }
 
-TEST(ShardedFleetTest, BitIdenticalWithSimdOnAndOff) {
-  // The lane kernels execute the exact scalar FP op sequence per slot, so
-  // disabling them at runtime is invisible to every answer — with single-
-  // and multi-threaded sweeps alike.
-  Fingerprint simd_on = RunSharded(2, 8);
-  Fingerprint simd_off = RunSharded(2, 8, Channel::Config(), true,
-                                    /*simd=*/false);
-  ExpectEqualFingerprints(simd_on, simd_off, "simd on vs off");
-
-  Fingerprint simd_off_swept = RunSharded(4, 8, Channel::Config(), true,
-                                          /*simd=*/false);
-  ExpectEqualFingerprints(simd_on, simd_off_swept,
-                          "simd on vs off (4-thread sweep)");
-}
-
 TEST(ShardedFleetTest, PooledBitIdenticalToPerObjectUnderFaultsWithSweeps) {
-  // The strongest cross-cutting pin: SIMD lanes + a 4-thread sweep +
+  // The strongest cross-cutting pin: the lane kernels + a 4-thread sweep +
   // a faulty channel (loss, latency) on the shard's pools must reproduce
   // one-thread private pools bit-for-bit. Any FP reordering, masked-
   // store leak, or sweep/update interleaving bug shows up here.
   Channel::Config lossy;
   lossy.loss_prob = 0.2;
   lossy.latency_ticks = 3;
-  Fingerprint pooled = RunSharded(4, 8, lossy, /*pooling=*/true,
-                                  /*simd=*/true);
+  Fingerprint pooled = RunSharded(4, 8, lossy, /*pooling=*/true);
   Fingerprint object = RunSharded(1, 8, lossy, /*pooling=*/false);
   EXPECT_GT(pooled.net.messages_dropped, 0);
   ExpectEqualFingerprints(pooled, object,
-                          "pooled simd parallel-sweep vs per-object (lossy)");
+                          "pooled parallel-sweep vs per-object (lossy)");
 }
 
 /// The default adaptive predictor (MakeDefaultKalmanPredictor: adapt_q
@@ -624,14 +607,12 @@ struct AdaptiveFleetRun {
   size_t pooled_slots = 0;
 };
 
-AdaptiveFleetRun RunAdaptiveFleet(size_t threads, bool pooling,
-                                  bool simd = true) {
+AdaptiveFleetRun RunAdaptiveFleet(size_t threads, bool pooling) {
   ShardedFleet::Config config;
   config.seed = 9090;
   config.threads = threads;
   config.num_shards = 4;
   config.pooling = pooling;
-  config.simd = simd;
   config.channel.loss_prob = 0.05;
   config.channel.latency_ticks = 2;
   config.channel.faults.burst_enter_prob = 0.02;
@@ -709,21 +690,17 @@ TEST(ShardedFleetTest, DefaultAdaptivePredictorPooledBitIdenticalToPerObject) {
   // own Q and NIS ring. On the shard's swept pools the answers, message
   // books, metrics and audit must match private pools bit-for-bit, for
   // any thread count (which also sizes the sweep's worker pool: 1, 3 and 4
-  // chunk the slabs differently), and with the SIMD lanes on or off.
+  // chunk the slabs differently).
   AdaptiveFleetRun object = RunAdaptiveFleet(/*threads=*/1, /*pooling=*/false);
   EXPECT_EQ(object.pooled_slots, 0u);
   EXPECT_GT(object.books.net.messages_dropped, 0);
   EXPECT_NE(object.audit_summary.find("audit: sources=14"), std::string::npos);
   for (size_t threads : {1u, 3u, 4u}) {
-    for (bool simd : {true, false}) {
-      std::string label = "threads " + std::to_string(threads) + " simd " +
-                          std::to_string(simd);
-      AdaptiveFleetRun pooled =
-          RunAdaptiveFleet(threads, /*pooling=*/true, simd);
-      // Every source's agent and replica filters live in the pools.
-      EXPECT_GE(pooled.pooled_slots, 2u * 14u) << label;
-      ExpectEqualAdaptiveRuns(object, pooled, label);
-    }
+    std::string label = "threads " + std::to_string(threads);
+    AdaptiveFleetRun pooled = RunAdaptiveFleet(threads, /*pooling=*/true);
+    // Every source's agent and replica filters live in the pools.
+    EXPECT_GE(pooled.pooled_slots, 2u * 14u) << label;
+    ExpectEqualAdaptiveRuns(object, pooled, label);
   }
 }
 

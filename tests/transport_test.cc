@@ -896,6 +896,22 @@ TEST(SplitDeployTest, ServerAnswersMatchInProcessFleet) {
   EXPECT_EQ(run.server->mean_value, sum / initialized);
   EXPECT_EQ(run.client->uplink.SentLine(),
             fleet.TotalNetworkStats().SentLine());
+  // The client is the fleet's source half: its agents decide exactly as
+  // the in-process agents do.
+  int64_t corrections = 0;
+  int64_t suppressed = 0;
+  int64_t resyncs_served = 0;
+  for (int32_t id = 0; id < config.num_sources; ++id) {
+    const AgentStats& stats = fleet.agent(id).stats();
+    corrections += stats.corrections;
+    suppressed += stats.suppressed;
+    resyncs_served += stats.resyncs_served;
+  }
+  EXPECT_GT(corrections, 0);
+  EXPECT_GT(suppressed, 0);
+  EXPECT_EQ(run.client->corrections, corrections);
+  EXPECT_EQ(run.client->suppressed, suppressed);
+  EXPECT_EQ(run.client->resyncs_served, resyncs_served);
 }
 
 }  // namespace
